@@ -55,12 +55,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import UnsupportedRegimeError
 from .entanglement import Bipartition
 from .experiments import (
     MEASURES,
     IncompatibleMeasureError,
     MeasureSeries,
+    UnsupportedRegimeError,
     coherent_amplitudes,
     detect_sudden_events,
     run_sweep,

@@ -90,18 +90,8 @@ class PureState:
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def reduced(self, keep) -> "DensityMatrix":
-        """Reduced density matrix of the given factors (partial trace of
-        the projector, computed without forming the full outer product)."""
-        keep = set(keep)
-        axes_keep = [i for i, label in enumerate(self.layout.labels) if label in keep]
-        if not axes_keep or len(axes_keep) != len(keep):
-            self.layout.keep(keep)  # raises on unknown labels
-            raise ValueError("keep must be a nonempty subset of factor labels")
-        axes_drop = [i for i in range(len(self.layout.dims)) if i not in axes_keep]
-        tensor = self.amplitudes.reshape(self.layout.dims).transpose(axes_keep + axes_drop)
-        dim_keep = math.prod(self.layout.dims[i] for i in axes_keep)
-        matrix = tensor.reshape(dim_keep, -1)
-        return DensityMatrix(self.layout.keep(keep), matrix @ matrix.conj().T)
+        """Reduced density matrix of the given factors."""
+        return reduced_density(self.amplitudes, self.layout, keep)
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,23 @@ class Spectrum:
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
+
+
+def reduced_density(amplitudes: np.ndarray, layout: HilbertLayout, keep) -> DensityMatrix:
+    """Reduced density matrix of the given factors for the pure state with
+    these amplitudes (partial trace of the projector, computed without
+    forming the full outer product).  Keeping every factor gives the
+    projector itself."""
+    keep = set(keep)
+    axes_keep = [i for i, label in enumerate(layout.labels) if label in keep]
+    if not axes_keep or len(axes_keep) != len(keep):
+        layout.keep(keep)  # raises on unknown labels
+        raise ValueError("keep must be a nonempty subset of factor labels")
+    axes_drop = [i for i in range(len(layout.dims)) if i not in axes_keep]
+    tensor = amplitudes.reshape(layout.dims).transpose(axes_keep + axes_drop)
+    dim_keep = math.prod(layout.dims[i] for i in axes_keep)
+    matrix = tensor.reshape(dim_keep, -1)
+    return DensityMatrix(layout.keep(keep), matrix @ matrix.conj().T)
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:

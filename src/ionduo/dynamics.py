@@ -8,7 +8,9 @@ states evolve block by block as
 
     A(t) = V exp(-i Z Theta(t)) V^dag A(0)
 
-with (Z, V) the cached spectrum of each block coupling matrix.
+with (Z, V) the cached spectrum of each block coupling matrix; an
+evolution over a time grid is returned as one read-only (T, dim) array whose
+row i is the state at times[i].
 
 The intrinsic-decoherence master equation
 
@@ -18,18 +20,16 @@ is solved in closed form in the eigenbasis of H, where every off-diagonal
 element picks up the phase exp(-i (E_m - E_n) t) and the Gaussian decay
 exp(-gamma t (E_m - E_n)^2 / 2).  A truncated Kraus-operator sum implements
 the same channel as an independent cross-check.  Both are defined for
-time-independent coupling only; time-dependent profiles are refused rather
-than approximated.
+time-independent coupling only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, Spectrum, hermitian_spectrum
+from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
 from .ionmodel import (
     CutoffError,
     block_basis,
@@ -42,10 +42,6 @@ from .params import Constant, Modulation, Sech, SimParams
 
 KRAUS_DEFICIT_TARGET = 1e-10
 KRAUS_MAX_TERMS = 512
-
-
-class UnsupportedRegimeError(ValueError):
-    """Requested evolution is outside the regime where the method is exact."""
 
 
 def modulation_integral(modulation: Modulation, t):
@@ -67,28 +63,9 @@ def modulation_integral(modulation: Modulation, t):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Time grid plus the state at each grid point and a method tag."""
-
-    times: np.ndarray
-    states: tuple
-    method: str
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-d grid")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing and start at 0")
-        if len(self.states) != times.size:
-            raise ValueError("one state per grid point required")
-
-
-def _check_times(times) -> np.ndarray:
+def check_times(times) -> np.ndarray:
+    """The time grid as a float array; it must be nonempty, 1-d, start at 0
+    and increase strictly."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d grid")
@@ -121,23 +98,42 @@ def _check_block_support(psi0: PureState, params: SimParams) -> None:
         )
 
 
-def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> EvolutionResult:
+def _row_norm_sq(states: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, read through real and imaginary views so
+    that no temporary of the array's size is made."""
+    return np.einsum("ij,ij->i", states.real, states.real) + np.einsum(
+        "ij,ij->i", states.imag, states.imag
+    )
+
+
+def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+    drift = float(np.abs(norm_sq - 1.0).max())
+    if drift > NORM_TOL:
+        raise ValueError(f"state is not normalized: |norm^2 - 1| = {drift:.3e}")
+    states.flags.writeable = False
+    return states
+
+
+def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> np.ndarray:
     """Exact pure-state evolution via per-block eigendecomposition.
 
-    The initial state must be expressed on the full layout of
-    ``params.fock_cutoff`` and must not populate the blocks truncated by the
-    cutoff ceiling (those cannot be evolved faithfully).  ``t_offset``
-    restarts the modulation clock at a later point of the profile, so that
-    evolving in two legs agrees with one direct leg.
+    Returns a read-only (T, dim) complex array on the layout of ``psi0``
+    whose row i is the state at ``times[i]``; a row whose squared norm
+    drifts from 1 by more than NORM_TOL raises ValueError.  The initial
+    state must be expressed on the full layout of ``params.fock_cutoff``
+    and must not populate the blocks truncated by the cutoff ceiling (those
+    cannot be evolved faithfully).  ``t_offset`` restarts the modulation
+    clock at a later point of the profile, so that evolving in two legs
+    agrees with one direct leg.
     """
-    times = _check_times(times)
+    times = check_times(times)
     _check_block_support(psi0, params)
-    layout = psi0.layout
     system = get_block_system(params)
     amps = psi0.amplitudes
 
     theta = _theta_grid(params, times, t_offset)
-    out = np.zeros((times.size, layout.total_dim), dtype=np.complex128)
+    out = np.zeros((times.size, psi0.layout.total_dim), dtype=np.complex128)
+    norm_sq = np.zeros(times.size)
     for n in system.evolvable_indices:
         idx = system.full_indices(n)
         a0 = amps[idx]
@@ -148,58 +144,47 @@ def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0
         v = block.spectrum.eigenvectors
         coeffs = v.conj().T @ a0
         phases = np.exp(-1j * np.outer(theta, z))
-        out[:, idx] = (phases * coeffs) @ v.T
-    states = tuple(PureState(layout, out[i]) for i in range(times.size))
-    return EvolutionResult(times, states, "block-eigen")
+        block_states = (phases * coeffs) @ v.T
+        out[:, idx] = block_states
+        norm_sq += _row_norm_sq(block_states)
+    return _checked_states(out, norm_sq)
 
 
-def evolve_pure_dense(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> EvolutionResult:
+def evolve_pure_dense(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> np.ndarray:
     """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
     single eigendecomposition of the assembled Hamiltonian.  Same contract
     as evolve_pure."""
-    times = _check_times(times)
+    times = check_times(times)
     _check_block_support(psi0, params)
-    layout = psi0.layout
     spectrum = hermitian_spectrum(build_full_hamiltonian(params))
     theta = _theta_grid(params, times, t_offset)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
     out = (phases * coeffs) @ spectrum.eigenvectors.T
-    states = tuple(PureState(layout, out[i]) for i in range(times.size))
-    return EvolutionResult(times, states, "dense-oracle")
+    return _checked_states(out, _row_norm_sq(out))
 
 
-def _closed_form_matrix(spectrum: Spectrum, rho0: np.ndarray, gamma: float, t: float) -> np.ndarray:
-    v = spectrum.eigenvectors
-    gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rho_eig = v.conj().T @ rho0 @ v
-    rho_eig = rho_eig * np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
-    out = v @ rho_eig @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+def coherence_damping(gaps: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """Factor exp(-i dE t - gamma t dE^2 / 2) by which the intrinsic-decoherence
+    channel multiplies an energy-eigenbasis coherence with gap dE at time t."""
+    return np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
 
 
 def milburn_closed_form(
-    rho0: DensityMatrix,
-    hamiltonian: np.ndarray,
-    gamma: float,
-    t: float,
-    modulation: Modulation = Constant(),
+    rho0: DensityMatrix, hamiltonian: np.ndarray, gamma: float, t: float
 ) -> DensityMatrix:
-    """Closed-form solution of the intrinsic-decoherence master equation.
-
-    Valid for time-independent coupling only; a Sech modulation is refused.
-    """
-    if not isinstance(modulation, Constant):
-        raise UnsupportedRegimeError(
-            "the intrinsic-decoherence closed form requires a time-independent "
-            "coupling profile; got a time-dependent modulation"
-        )
+    """Closed-form solution of the intrinsic-decoherence master equation
+    for a time-independent Hamiltonian."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     spectrum = hermitian_spectrum(np.asarray(hamiltonian))
-    return DensityMatrix(rho0.layout, _closed_form_matrix(spectrum, rho0.matrix, gamma, t))
+    v = spectrum.eigenvectors
+    gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    rho_eig = (v.conj().T @ rho0.matrix @ v) * coherence_damping(gaps, gamma, t)
+    out = v @ rho_eig @ v.conj().T
+    return DensityMatrix(rho0.layout, 0.5 * (out + out.conj().T))
 
 
 def _kraus_diagonal(eigenvalues: np.ndarray, gamma: float, t: float, k: int) -> np.ndarray:
@@ -229,34 +214,6 @@ def _adaptive_kraus_terms(eigenvalues: np.ndarray, gamma: float, t: float) -> in
     return KRAUS_MAX_TERMS
 
 
-def kraus_completeness_deficit(hamiltonian: np.ndarray, gamma: float, t: float, terms: int) -> float:
-    """max-norm deviation of sum_k M_k M_k^dag from the identity for the
-    first ``terms`` Kraus operators; non-increasing in ``terms``."""
-    spectrum = hermitian_spectrum(np.asarray(hamiltonian))
-    completeness = np.zeros_like(spectrum.eigenvectors)
-    for k in range(terms):
-        m_k = (spectrum.eigenvectors * _kraus_diagonal(spectrum.eigenvalues, gamma, t, k)) @ (
-            spectrum.eigenvectors.conj().T
-        )
-        completeness = completeness + m_k @ m_k.conj().T
-    dim = completeness.shape[0]
-    return float(np.abs(completeness - np.eye(dim)).max())
-
-
-def _kraus_apply(
-    spectrum: Spectrum, rho0: np.ndarray, gamma: float, t: float, terms: int
-) -> tuple[np.ndarray, float]:
-    v = spectrum.eigenvectors
-    evolved = np.zeros_like(rho0)
-    completeness = np.zeros_like(rho0)
-    for k in range(terms):
-        m_k = (v * _kraus_diagonal(spectrum.eigenvalues, gamma, t, k)) @ v.conj().T
-        evolved = evolved + m_k @ rho0 @ m_k.conj().T
-        completeness = completeness + m_k @ m_k.conj().T
-    deficit = float(np.abs(completeness - np.eye(completeness.shape[0])).max())
-    return 0.5 * (evolved + evolved.conj().T), deficit
-
-
 def milburn_kraus(
     rho0: DensityMatrix,
     hamiltonian: np.ndarray,
@@ -278,42 +235,12 @@ def milburn_kraus(
     spectrum = hermitian_spectrum(np.asarray(hamiltonian))
     if terms is None:
         terms = _adaptive_kraus_terms(spectrum.eigenvalues, gamma, t)
-    evolved, deficit = _kraus_apply(spectrum, rho0.matrix, gamma, t, terms)
-    return DensityMatrix(rho0.layout, evolved), deficit
-
-
-def evolve_milburn(
-    rho0: DensityMatrix, params: SimParams, times, method: str = "closed"
-) -> EvolutionResult:
-    """Intrinsic-decoherence evolution of a full-layout state over a grid,
-    using the zeta = 1 interaction Hamiltonian.
-
-    ``method`` selects the production closed form or the adaptively
-    truncated Kraus sum (the slower cross-check path).  Both are refused
-    for time-dependent modulation.
-    """
-    if not isinstance(params.modulation, Constant):
-        raise UnsupportedRegimeError(
-            "intrinsic-decoherence evolution requires a time-independent "
-            "coupling profile; got a time-dependent modulation"
-        )
-    times = _check_times(times)
-    if rho0.layout != full_layout(params.fock_cutoff):
-        raise ValueError("initial state layout does not match params.fock_cutoff")
-    spectrum = hermitian_spectrum(build_full_hamiltonian(params))
-    if method == "closed":
-        states = tuple(
-            DensityMatrix(rho0.layout, _closed_form_matrix(spectrum, rho0.matrix, params.gamma, t))
-            for t in times
-        )
-        return EvolutionResult(times, states, "milburn-closed")
-    if method == "kraus":
-        states = []
-        most_terms = 1
-        for t in times:
-            terms = _adaptive_kraus_terms(spectrum.eigenvalues, params.gamma, float(t))
-            most_terms = max(most_terms, terms)
-            evolved, _ = _kraus_apply(spectrum, rho0.matrix, params.gamma, float(t), terms)
-            states.append(DensityMatrix(rho0.layout, evolved))
-        return EvolutionResult(times, tuple(states), f"milburn-kraus[K={most_terms}]")
-    raise ValueError(f"unknown method {method!r}; choose 'closed' or 'kraus'")
+    v = spectrum.eigenvectors
+    evolved = np.zeros_like(rho0.matrix)
+    completeness = np.zeros_like(rho0.matrix)
+    for k in range(terms):
+        m_k = (v * _kraus_diagonal(spectrum.eigenvalues, gamma, t, k)) @ v.conj().T
+        evolved = evolved + m_k @ rho0.matrix @ m_k.conj().T
+        completeness = completeness + m_k @ m_k.conj().T
+    deficit = float(np.abs(completeness - np.eye(completeness.shape[0])).max())
+    return DensityMatrix(rho0.layout, 0.5 * (evolved + evolved.conj().T)), deficit

@@ -16,9 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, hermitian_spectrum
-from .dynamics import UnsupportedRegimeError, evolve_pure
-from .entanglement import Bipartition, i_concurrence_pure, negativity, relative_entropy_measure
+from .core import DensityMatrix, HilbertLayout, PureState, hermitian_spectrum, reduced_density
+from .dynamics import check_times, coherence_damping, evolve_pure
+from .entanglement import (
+    Bipartition,
+    i_concurrence_values,
+    negativity,
+    relative_entropy_measure,
+)
 from .ionmodel import build_full_hamiltonian, full_index, full_layout
 from .params import Constant, Sech, SimParams
 
@@ -32,6 +37,10 @@ ION_VS_ION = Bipartition(("ion1",), ("ion2",))
 
 class IncompatibleMeasureError(ValueError):
     """The requested measure is undefined for the state the run produces."""
+
+
+class UnsupportedRegimeError(ValueError):
+    """Requested evolution is outside the regime where the method is exact."""
 
 
 @dataclass(frozen=True)
@@ -150,27 +159,22 @@ def _measure_mixed(rho: DensityMatrix, measure: str, cut: Bipartition) -> float:
     return relative_entropy_measure(rho, cut)
 
 
-def _pure_values(states, measure: str, cut: Bipartition, covers_full: bool) -> np.ndarray:
-    values = np.empty(len(states))
-    for i, psi in enumerate(states):
-        if measure == "i_concurrence":
-            if not covers_full:
-                raise IncompatibleMeasureError(
-                    "i_concurrence needs the global pure state; the cut must cover all factors"
-                )
-            values[i] = i_concurrence_pure(psi, cut)
-        elif covers_full:
-            values[i] = _measure_mixed(psi.to_density(), measure, cut)
-        else:
-            values[i] = _measure_mixed(psi.reduced(cut.labels), measure, cut)
-    return values
+def _pure_values(
+    states: np.ndarray, layout: HilbertLayout, measure: str, cut: Bipartition
+) -> np.ndarray:
+    if measure == "i_concurrence":
+        return i_concurrence_values(states, layout, cut)
+    return np.array(
+        [_measure_mixed(reduced_density(amps, layout, cut.labels), measure, cut) for amps in states]
+    )
 
 
 def _milburn_values(
     psi0: PureState, params: SimParams, times: np.ndarray, measure: str, cut: Bipartition
 ) -> np.ndarray:
-    """Closed-form intrinsic-decoherence series, reducing to the factors of
-    the cut without materializing the full density matrix when possible."""
+    """Closed-form intrinsic-decoherence series.  Each step contracts the
+    damped eigenbasis state straight onto the factors of the cut, so the
+    full density matrix is formed only when the cut covers every factor."""
     layout = psi0.layout
     dims = layout.dims
     spectrum = hermitian_spectrum(build_full_hamiltonian(params))
@@ -179,27 +183,22 @@ def _milburn_values(
     coeffs = v.conj().T @ psi0.amplitudes
     rho_eig0 = np.outer(coeffs, coeffs.conj())
 
-    covers_full = cut.labels == set(layout.labels)
     keep_axes = [i for i, label in enumerate(layout.labels) if label in cut.labels]
-    n_factors = len(dims)
+    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
+    order = keep_axes + drop_axes + [len(dims)]
     dim_keep = math.prod(dims[i] for i in keep_axes)
-    v_tensor = v.reshape(dims + (v.shape[1],))
-    x_sub = list(range(n_factors)) + [2 * n_factors]
-    v_sub = [i if i not in keep_axes else n_factors + i for i in range(n_factors)] + [2 * n_factors]
-    out_sub = [i for i in keep_axes] + [n_factors + i for i in keep_axes]
 
+    def kept_rows(matrix: np.ndarray) -> np.ndarray:
+        """Rows of a (dim, D) matrix split as (kept factors, dropped factors x D)."""
+        return matrix.reshape(dims + (matrix.shape[1],)).transpose(order).reshape(dim_keep, -1)
+
+    v_kept_dag = kept_rows(v).conj().T
+    kept_layout = layout.keep(cut.labels)
     values = np.empty(times.size)
     for i, t in enumerate(times):
-        rho_eig = rho_eig0 * np.exp(-1j * gaps * t - 0.5 * params.gamma * t * gaps**2)
-        if covers_full:
-            full = v @ rho_eig @ v.conj().T
-            rho_t = DensityMatrix(layout, 0.5 * (full + full.conj().T))
-        else:
-            half = (v @ rho_eig).reshape(dims + (v.shape[1],))
-            reduced = np.einsum(half, x_sub, v_tensor.conj(), v_sub, out_sub).reshape(
-                dim_keep, dim_keep
-            )
-            rho_t = DensityMatrix(layout.keep(cut.labels), 0.5 * (reduced + reduced.conj().T))
+        rho_eig = rho_eig0 * coherence_damping(gaps, params.gamma, t)
+        reduced = kept_rows(v @ rho_eig) @ v_kept_dag
+        rho_t = DensityMatrix(kept_layout, 0.5 * (reduced + reduced.conj().T))
         values[i] = _measure_mixed(rho_t, measure, cut)
     return values
 
@@ -219,7 +218,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     unknown = cut.labels - set(layout.labels)
     if unknown:
         raise ValueError(f"cut names unknown factors {sorted(unknown)}")
-    times = np.asarray(times, dtype=np.float64)
+    times = check_times(times)
     field = truncated_coherent(params.nbar, params.fock_cutoff)
     psi0 = prepare_initial(params.theta, params.phi, field)
 
@@ -236,8 +235,11 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
             )
         values = _milburn_values(psi0, params, times, measure, cut)
     else:
-        result = evolve_pure(psi0, params, times)
-        values = _pure_values(result.states, measure, cut, cut.labels == set(layout.labels))
+        if measure == "i_concurrence" and cut.labels != set(layout.labels):
+            raise IncompatibleMeasureError(
+                "i_concurrence needs the global pure state; the cut must cover all factors"
+            )
+        values = _pure_values(evolve_pure(psi0, params, times), layout, measure, cut)
     return MeasureSeries(measure, cut, params, times, values, field.deficit)
 
 
@@ -272,18 +274,6 @@ def run_sweep(
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_run_series_cell, jobs))
-
-
-def run_theta_sweep(
-    params: SimParams,
-    theta_grid,
-    times,
-    measure: str = "i_concurrence",
-    cut: Bipartition = ION_VS_REST,
-    workers: int = 1,
-) -> list[MeasureSeries]:
-    """Sweep over theta at the gamma recorded in ``params``."""
-    return run_sweep(params, theta_grid, [params.gamma], measure, cut, times, workers)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ _BLOCK_TEMPLATE = (
     (2, "c", "c"),
 )
 
-# Test hook: selftest corrupts this in a throwaway process to prove the
-# oracle checks can fail.  Never set it anywhere else.
+# Test hook: selftest corrupts this for the duration of one run to prove the
+# oracle checks can fail, then restores it.  Never set it anywhere else.
 _FAULT_SCALE = 1.0
 
 
@@ -257,20 +257,3 @@ def build_full_hamiltonian(params: SimParams) -> np.ndarray:
         h += lam * np.kron(flip[upper], np.kron(eye3, raise_op))
         h += lam * np.kron(eye3, np.kron(flip[upper], raise_op))
     return h + h.conj().T
-
-
-def assemble_from_blocks(params: SimParams) -> np.ndarray:
-    """Full Hamiltonian as the direct sum of every block coupling matrix
-    (including the cutoff-truncated ceiling blocks) under the
-    block-to-full embedding."""
-    dim = 9 * (params.fock_cutoff + 1)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for n in block_indices(params.fock_cutoff):
-        basis = block_basis(n, params.fock_cutoff)
-        coupling = _assemble_coupling(basis, params)
-        idx = np.array(
-            [full_index(f, l1, l2, params.fock_cutoff) for f, l1, l2 in basis.states],
-            dtype=np.intp,
-        )
-        h[np.ix_(idx, idx)] = coupling
-    return h

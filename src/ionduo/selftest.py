@@ -53,10 +53,7 @@ def _check_block_vs_dense() -> CheckResult:
     times = np.linspace(0.0, 5.0, 51)
     block = dynamics.evolve_pure(psi0, params, times)
     dense = dynamics.evolve_pure_dense(psi0, params, times)
-    worst = max(
-        float(np.abs(b.amplitudes - d.amplitudes).max())
-        for b, d in zip(block.states, dense.states)
-    )
+    worst = float(np.abs(block - dense).max())
     return CheckResult("block-vs-dense", worst <= 1e-8, worst, 1e-8)
 
 
@@ -130,27 +127,34 @@ def _claim_reports() -> list[dict]:
 def run_selftest(inject_fault: str | None = None, include_claims: bool = True, stream=None) -> int:
     """Run the oracle suite; returns 0 iff every hard check passes.
 
-    ``inject_fault='mode_strength'`` corrupts the mode function before
-    running, as a negative control proving the checks can fail.
+    ``inject_fault='mode_strength'`` corrupts the mode function while the
+    checks run, as a negative control proving they can fail; the mode
+    function and the spectrum cache are clean again when this returns.
     """
     stream = stream if stream is not None else sys.stdout
-    if inject_fault == "mode_strength":
-        ionmodel._FAULT_SCALE = 1.001
-    elif inject_fault is not None:
+    if inject_fault not in (None, "mode_strength"):
         raise ValueError(f"unknown fault {inject_fault!r}")
 
     failures = 0
-    for check in _CHECKS:
-        result = check()
-        status = "PASS" if result.passed else "FAIL"
-        extra = f"  [{result.detail}]" if result.detail else ""
-        print(
-            f"{status} {result.name:24s} max deviation {result.deviation:.3e} "
-            f"(tol {result.tolerance:.1e}){extra}",
-            file=stream,
-        )
-        if not result.passed:
-            failures += 1
+    try:
+        if inject_fault == "mode_strength":
+            ionmodel._FAULT_SCALE = 1.001
+            ionmodel.get_block_system.cache_clear()
+        for check in _CHECKS:
+            result = check()
+            status = "PASS" if result.passed else "FAIL"
+            extra = f"  [{result.detail}]" if result.detail else ""
+            print(
+                f"{status} {result.name:24s} max deviation {result.deviation:.3e} "
+                f"(tol {result.tolerance:.1e}){extra}",
+                file=stream,
+            )
+            if not result.passed:
+                failures += 1
+    finally:
+        if inject_fault is not None:
+            ionmodel._FAULT_SCALE = 1.0
+            ionmodel.get_block_system.cache_clear()
 
     if include_claims and failures == 0:
         for report in _claim_reports():

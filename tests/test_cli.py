@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from ionduo import Sech, __version__
 from ionduo.cli import ConfigError, build_config, figure_config, load_config, main
+from ionduo.selftest import run_selftest
 
 MINIMAL = """
 [sweep]
@@ -271,3 +273,8 @@ class TestVersionAndSelftest:
         )
         assert proc.returncode == 1
         assert "FAIL mode-function-reference" in proc.stdout
+
+    def test_injected_fault_does_not_outlive_its_run(self):
+        out = io.StringIO()
+        assert run_selftest(inject_fault="mode_strength", include_claims=False, stream=out) == 1
+        assert run_selftest(include_claims=False, stream=out) == 0

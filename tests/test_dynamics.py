@@ -11,18 +11,17 @@ from ionduo import (
     PureState,
     Sech,
     SimParams,
-    UnsupportedRegimeError,
-    evolve_milburn,
+    Spectrum,
     evolve_pure,
     evolve_pure_dense,
     hermitian_spectrum,
-    kraus_completeness_deficit,
     milburn_closed_form,
     milburn_kraus,
     modulation_integral,
     prepare_initial,
     truncated_coherent,
 )
+from ionduo import dynamics, ionmodel
 from ionduo.ionmodel import CutoffError, build_full_hamiltonian, full_index, full_layout
 
 
@@ -80,23 +79,22 @@ class TestEvolvePure:
     def test_zero_generator_freezes_state(self):
         params = SimParams(fock_cutoff=10, nbar=2.0, lambda1=0.0, lambda2=0.0)
         psi0 = ion_state()
-        result = evolve_pure(psi0, params, np.linspace(0.0, 5.0, 6))
-        for state in result.states:
-            assert np.abs(state.amplitudes - psi0.amplitudes).max() <= 1e-14
+        states = evolve_pure(psi0, params, np.linspace(0.0, 5.0, 6))
+        assert np.abs(states - psi0.amplitudes).max() <= 1e-14
 
     def test_restart_matches_direct_constant(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
         psi0 = ion_state()
         direct = evolve_pure(psi0, params, [0.0, 1.3, 2.2])
-        restart = evolve_pure(direct.states[1], params, [0.0, 0.9], t_offset=1.3)
-        assert np.abs(restart.states[1].amplitudes - direct.states[2].amplitudes).max() <= 1e-12
+        restart = evolve_pure(PureState(psi0.layout, direct[1]), params, [0.0, 0.9], t_offset=1.3)
+        assert np.abs(restart[1] - direct[2]).max() <= 1e-12
 
     def test_restart_matches_direct_sech(self):
         params = SimParams(fock_cutoff=10, nbar=2.0, modulation=Sech(2.0))
         psi0 = ion_state()
         direct = evolve_pure(psi0, params, [0.0, 1.0, 2.0])
-        restart = evolve_pure(direct.states[1], params, [0.0, 1.0], t_offset=1.0)
-        assert np.abs(restart.states[1].amplitudes - direct.states[2].amplitudes).max() <= 1e-12
+        restart = evolve_pure(PureState(psi0.layout, direct[1]), params, [0.0, 1.0], t_offset=1.0)
+        assert np.abs(restart[1] - direct[2]).max() <= 1e-12
 
     def test_sech_equals_constant_at_accumulated_phase(self):
         # the shared scalar profile only enters through its integral
@@ -106,15 +104,15 @@ class TestEvolvePure:
         psi0 = ion_state()
         t = 3.0
         theta = modulation_integral(Sech(tau), t)
-        via_sech = evolve_pure(psi0, params_sech, [0.0, t]).states[1]
-        via_const = evolve_pure(psi0, params_const, [0.0, theta]).states[1]
-        assert np.abs(via_sech.amplitudes - via_const.amplitudes).max() <= 1e-12
+        via_sech = evolve_pure(psi0, params_sech, [0.0, t])[1]
+        via_const = evolve_pure(psi0, params_const, [0.0, theta])[1]
+        assert np.abs(via_sech - via_const).max() <= 1e-12
 
     def test_norm_conserved_on_grid(self):
         params = SimParams(fock_cutoff=12, nbar=3.0)
-        result = evolve_pure(ion_state(12, 3.0), params, np.linspace(0.0, 20.0, 41))
-        for state in result.states:
-            assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) <= 1e-10
+        states = evolve_pure(ion_state(12, 3.0), params, np.linspace(0.0, 20.0, 41))
+        for state in states:
+            assert abs(np.vdot(state, state).real - 1.0) <= 1e-10
 
     def test_support_on_ceiling_blocks_rejected(self):
         params = SimParams(fock_cutoff=6, nbar=0.0)
@@ -124,28 +122,49 @@ class TestEvolvePure:
         with pytest.raises(CutoffError, match="cutoff"):
             evolve_pure(PureState(layout, amps), params, [0.0, 1.0])
 
+    @pytest.mark.parametrize("evolve", [evolve_pure, evolve_pure_dense])
+    def test_norm_drift_rejected(self, evolve, monkeypatch):
+        honest = hermitian_spectrum
+
+        def stretched(matrix):
+            spectrum = honest(matrix)
+            return Spectrum(spectrum.eigenvalues, 1.001 * spectrum.eigenvectors)
+
+        monkeypatch.setattr(ionmodel, "hermitian_spectrum", stretched)
+        monkeypatch.setattr(dynamics, "hermitian_spectrum", stretched)
+        ionmodel.get_block_system.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not normalized"):
+                evolve(ion_state(), SimParams(fock_cutoff=10, nbar=2.0), [0.0, 1.0])
+        finally:
+            ionmodel.get_block_system.cache_clear()
+
     def test_times_must_start_at_zero(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
         with pytest.raises(ValueError, match="start at 0"):
             evolve_pure(ion_state(), params, [1.0, 2.0])
 
-    def test_method_tag(self):
+    def test_returns_read_only_time_by_dim_array(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
-        assert evolve_pure(ion_state(), params, [0.0, 1.0]).method == "block-eigen"
+        states = evolve_pure(ion_state(), params, [0.0, 1.0, 2.0])
+        assert states.shape == (3, full_layout(10).total_dim)
+        assert states.dtype == np.complex128
+        with pytest.raises(ValueError):
+            states[0, 0] = 0.0
 
 
 class TestEvolvePureDense:
     def test_identity_at_time_zero(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
         psi0 = ion_state()
-        result = evolve_pure_dense(psi0, params, [0.0, 1.0])
-        assert np.abs(result.states[0].amplitudes - psi0.amplitudes).max() <= 1e-12
+        states = evolve_pure_dense(psi0, params, [0.0, 1.0])
+        assert np.abs(states[0] - psi0.amplitudes).max() <= 1e-12
 
     def test_unitarity(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
-        result = evolve_pure_dense(ion_state(), params, np.linspace(0.0, 10.0, 11))
-        for state in result.states:
-            assert abs(abs(np.vdot(state.amplitudes, state.amplitudes)) - 1.0) <= 1e-12
+        states = evolve_pure_dense(ion_state(), params, np.linspace(0.0, 10.0, 11))
+        for state in states:
+            assert abs(abs(np.vdot(state, state)) - 1.0) <= 1e-12
 
     def test_agrees_with_block_evolution(self):
         params = SimParams(fock_cutoff=12, nbar=2.0, theta=math.pi / 4)
@@ -153,10 +172,7 @@ class TestEvolvePureDense:
         times = np.linspace(0.0, 5.0, 21)
         block = evolve_pure(psi0, params, times)
         dense = evolve_pure_dense(psi0, params, times)
-        worst = max(
-            np.abs(b.amplitudes - d.amplitudes).max() for b, d in zip(block.states, dense.states)
-        )
-        assert worst <= 1e-8
+        assert np.abs(block - dense).max() <= 1e-8
 
     def test_sech_evolution_matches_direct_integration(self):
         # time-ordered ODE oracle: the shared scalar profile means the
@@ -178,7 +194,7 @@ class TestEvolvePureDense:
             rtol=1e-11,
             atol=1e-13,
         )
-        shortcut = evolve_pure(psi0, params, [0.0, 4.0]).states[1].amplitudes
+        shortcut = evolve_pure(psi0, params, [0.0, 4.0])[1]
         assert np.abs(solution.y[:, -1] - shortcut).max() <= 1e-7
 
 
@@ -246,11 +262,6 @@ class TestMilburnClosedForm:
         residual = derivative - (-1j * commutator - 0.5 * gamma * double)
         assert np.abs(residual).max() <= 1e-6
 
-    def test_time_dependent_modulation_refused(self, rng):
-        rho0 = random_density(rng, 3)
-        with pytest.raises(UnsupportedRegimeError):
-            milburn_closed_form(rho0, np.eye(3), 0.1, 1.0, modulation=Sech(2.0))
-
     def test_negative_gamma_rejected(self, rng):
         with pytest.raises(ValueError, match="gamma"):
             milburn_closed_form(random_density(rng, 3), np.eye(3), -0.1, 1.0)
@@ -276,8 +287,13 @@ class TestMilburnKraus:
         assert deficit <= 1e-12
 
     def test_deficit_non_increasing_in_terms(self, rng):
+        # the deficit depends on the operators alone; the zero-energy
+        # eigenprojector is left intact by every truncation, so each
+        # truncated sum still returns a valid state
         h = spread_hamiltonian(rng, [0.0, 0.8, 1.9, 3.4])
-        deficits = [kraus_completeness_deficit(h, 0.6, 2.0, k) for k in (1, 2, 4, 8, 16, 32)]
+        ground = hermitian_spectrum(h).eigenvectors[:, 0]
+        rho0 = DensityMatrix(HilbertLayout((("sys", 4),)), np.outer(ground, ground.conj()))
+        deficits = [milburn_kraus(rho0, h, 0.6, 2.0, terms=k)[1] for k in (1, 2, 4, 8, 16, 32)]
         for earlier, later in zip(deficits, deficits[1:]):
             assert later <= earlier + 1e-15
 
@@ -289,37 +305,23 @@ class TestMilburnKraus:
 
 
 class TestEvolveMilburn:
-    def test_method_tag_and_grid(self):
-        params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.05)
-        rho0 = ion_state(8, 1.0).to_density()
-        result = evolve_milburn(rho0, params, [0.0, 1.0, 2.0])
-        assert result.method == "milburn-closed"
-        assert len(result.states) == 3
-
-    def test_sech_refused(self):
-        params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.05, modulation=Sech(3.0))
-        rho0 = ion_state(8, 1.0).to_density()
-        with pytest.raises(UnsupportedRegimeError):
-            evolve_milburn(rho0, params, [0.0, 1.0])
-
     def test_kraus_grid_matches_closed_grid(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.3)
         rho0 = ion_state(8, 1.0).to_density()
-        times = [0.0, 1.0, 3.0]
-        closed = evolve_milburn(rho0, params, times, method="closed")
-        kraus = evolve_milburn(rho0, params, times, method="kraus")
-        assert kraus.method.startswith("milburn-kraus[K=")
-        worst = max(
-            np.abs(a.matrix - b.matrix).max() for a, b in zip(closed.states, kraus.states)
-        )
+        hamiltonian = build_full_hamiltonian(params)
+        worst = 0.0
+        for t in (0.0, 1.0, 3.0):
+            closed = milburn_closed_form(rho0, hamiltonian, params.gamma, t)
+            kraus, _ = milburn_kraus(rho0, hamiltonian, params.gamma, t)
+            worst = max(worst, np.abs(closed.matrix - kraus.matrix).max())
         assert worst <= 1e-10
 
     def test_gamma_zero_limit_matches_pure_projector(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.0)
         psi0 = ion_state(8, 1.0)
         times = [0.0, 1.5, 4.0]
-        channel = evolve_milburn(psi0.to_density(), params, times)
-        pure = evolve_pure(psi0, params, times)
-        for rho, psi in zip(channel.states, pure.states):
-            projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        hamiltonian = build_full_hamiltonian(params)
+        for t, psi in zip(times, evolve_pure(psi0, params, times)):
+            rho = milburn_closed_form(psi0.to_density(), hamiltonian, 0.0, t)
+            projector = np.outer(psi, psi.conj())
             assert np.abs(rho.matrix - projector).max() <= 1e-10

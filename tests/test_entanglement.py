@@ -13,10 +13,12 @@ from ionduo import (
     negativity,
     partial_trace,
     prepare_initial,
+    purity,
     relative_entropy_measure,
     truncated_coherent,
     von_neumann_entropy,
 )
+from ionduo.entanglement import i_concurrence_values
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
 QUTRIT_PAIR = HilbertLayout((("A", 3), ("B", 3)))
@@ -123,6 +125,26 @@ class TestIConcurrence:
             vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             psi = PureState(QUTRIT_PAIR, vec / np.linalg.norm(vec))
             assert i_concurrence_pure(psi, CUT_AB) <= math.sqrt(4 / 3) + 1e-10
+
+    def test_ceiling_breach_raises_value_error(self):
+        # only an unnormalized input can exceed the ceiling; half a Bell pair
+        # has marginal purity 1/32 and concurrence sqrt(31) / 4 > sqrt(1 / 2)
+        halved = 0.5 * bell_pair().amplitudes
+        with pytest.raises(ValueError, match="ceiling"):
+            i_concurrence_values(np.stack([bell_pair().amplitudes, halved]), QUBIT_PAIR, CUT_AB)
+
+    def test_rows_match_reduced_state_purity(self, rng):
+        # each row against sqrt(2 (1 - tr rho_A^2)) from its own reduced state,
+        # on cuts whose factors are out of layout order and on either side
+        layout = HilbertLayout((("A", 2), ("B", 3), ("C", 2)))
+        rows = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        for cut in (Bipartition(("B",), ("A", "C")), Bipartition(("A", "C"), ("B",))):
+            expected = [
+                math.sqrt(2.0 * (1.0 - purity(PureState(layout, row).reduced(cut.side_a))))
+                for row in rows
+            ]
+            assert np.abs(i_concurrence_values(rows, layout, cut) - expected).max() <= 1e-12
 
 
 class TestNegativity:

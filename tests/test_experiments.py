@@ -22,7 +22,6 @@ from ionduo import (
     report_sech_birth_delay,
     run_series,
     run_sweep,
-    run_theta_sweep,
     truncated_coherent,
 )
 
@@ -135,6 +134,13 @@ class TestRunSeries:
         with pytest.raises(IncompatibleMeasureError):
             run_series(params, "i_concurrence", ION_VS_ION, [0.0, 1.0])
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [1.0, 2.0], [0.0, -1.0]])
+    def test_bad_time_grid_rejected_on_both_paths(self, gamma, times):
+        params = SimParams(fock_cutoff=8, nbar=1.0, gamma=gamma)
+        with pytest.raises(ValueError, match="strictly increasing and start at 0"):
+            run_series(params, "negativity", ION_VS_ION, times)
+
     def test_negativity_series_on_reduced_state(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.02)
         series = run_series(params, "negativity", ION_VS_ION, np.linspace(0.0, 3.0, 4))
@@ -146,28 +152,31 @@ class TestThetaSweep:
     def test_symmetry_about_half_pi_at_t0(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
         grid = np.linspace(0.0, math.pi, 21)
-        sweep = run_theta_sweep(params, grid, np.linspace(0.0, 1.0, 3))
+        sweep = run_sweep(
+            params, grid, [0.0], "i_concurrence", ION_VS_REST, np.linspace(0.0, 1.0, 3)
+        )
         t0 = np.array([series.values[0] for series in sweep])
         assert np.abs(t0 - t0[::-1]).max() <= 1e-12
 
     def test_t0_maxima_at_odd_quarter_pi(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
         grid = np.linspace(0.0, math.pi, 9)  # step pi/8, includes pi/4 and 3 pi/4
-        sweep = run_theta_sweep(params, grid, [0.0, 0.5])
+        sweep = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, [0.0, 0.5])
         t0 = np.array([series.values[0] for series in sweep])
         best = np.flatnonzero(t0 >= t0.max() - 1e-12)
         assert set(best) == {2, 6}  # pi/4 and 3 pi/4
 
     def test_t0_zeros_at_separable_angles(self):
         params = SimParams(fock_cutoff=10, nbar=2.0)
-        sweep = run_theta_sweep(params, [0.0, math.pi / 2, math.pi], [0.0, 0.5])
+        grid = [0.0, math.pi / 2, math.pi]
+        sweep = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, [0.0, 0.5])
         for series in sweep:
             assert series.values[0] <= 1e-12
 
     def test_empty_grid_rejected(self):
         params = SimParams(fock_cutoff=8, nbar=1.0)
         with pytest.raises(ValueError, match="nonempty"):
-            run_theta_sweep(params, [], [0.0, 1.0])
+            run_sweep(params, [], [0.0], "i_concurrence", ION_VS_REST, [0.0, 1.0])
 
     def test_deterministic_across_worker_counts(self):
         params = SimParams(fock_cutoff=8, nbar=1.0)

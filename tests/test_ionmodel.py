@@ -8,7 +8,7 @@ from ionduo import SimParams, build_block, build_full_hamiltonian, laguerre, mod
 from ionduo.ionmodel import (
     LEVEL_INDEX,
     CutoffError,
-    assemble_from_blocks,
+    _assemble_coupling,
     block_basis,
     block_indices,
     full_index,
@@ -25,6 +25,22 @@ CANONICAL_NINE = (
     (2, "c", "b"),
     (2, "c", "c"),
 )
+
+
+def assemble_from_blocks(params):
+    """Full Hamiltonian as the direct sum of every block coupling matrix
+    (including the cutoff-truncated ceiling blocks) under the
+    block-to-full embedding."""
+    dim = 9 * (params.fock_cutoff + 1)
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for n in block_indices(params.fock_cutoff):
+        basis = block_basis(n, params.fock_cutoff)
+        idx = np.array(
+            [full_index(f, l1, l2, params.fock_cutoff) for f, l1, l2 in basis.states],
+            dtype=np.intp,
+        )
+        h[np.ix_(idx, idx)] = _assemble_coupling(basis, params)
+    return h
 
 
 def fig_params(fock_cutoff=12, **overrides):
