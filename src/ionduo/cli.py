@@ -1,42 +1,12 @@
 """Command-line front end: parse a run configuration, execute sweeps and
 write plot-ready CSV datasets with a JSON metadata sidecar.
 
-Configuration grammar (INI-style, ``#`` comments allowed)::
-
-    [params]
-    lambda1 = 1                # complex literals accepted, e.g. 0.5+0.1j
-    lambda2 = 0.01
-    eta = 0.202
-    epsilon = 0.01
-    nbar = 5
-    phi = 0
-    modulation = constant      # constant | sech
-    tau = 5                    # required when modulation = sech
-    fock_cutoff = auto         # auto | positive integer
-    standard_matrix_element = false
-    nu = 0
-    omega1 = 0
-    omega2 = 0
-
-    [sweep]
-    theta = linspace:0:pi:121  # or a comma-separated list
-    gamma = 0
-    time = linspace:0:30:601
-
-    [measure]
-    name = i_concurrence       # i_concurrence | negativity | relative_entropy
-    cut = ion1 | ion2,field
-
-    [output]
-    prefix = dataset
-    deficit = 1e-10
-    event_threshold = 1e-3
-    workers = 1
-
-Numbers may use ``pi`` (``pi``, ``pi/4``, ``0.5*pi``).  Grids are either
-comma-separated numbers or ``linspace:<start>:<stop>:<count>``.  The JSON
-sidecar written next to each dataset can itself be fed back through
-``--config`` and reproduces the dataset byte for byte.
+The INI configuration grammar (sections ``params``, ``sweep``, ``measure``
+and ``output``) is documented key by key in the README.  Numbers may use
+``pi`` (``pi``, ``pi/4``, ``0.5*pi``).  Grids are either comma-separated
+numbers or ``linspace:<start>:<stop>:<count>``.  The JSON sidecar written
+next to each dataset can itself be fed back through ``--config`` and
+reproduces the dataset byte for byte.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation).
@@ -48,6 +18,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dynamics import check_times
 from .entanglement import Bipartition
 from .experiments import (
     MEASURES,
@@ -309,15 +281,13 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
 
     theta_grid = parse("sweep", "theta", _parse_grid, required=True)
     gamma_grid = parse("sweep", "gamma", _parse_grid, default=(0.0,))
-    time_grid = parse("sweep", "time", _parse_grid, required=True)
+    time_grid = parse(
+        "sweep", "time", lambda value: check_times(_parse_grid(value)).tolist(), required=True
+    )
     if not theta_grid:
         fail("sweep", "theta", "grid is empty")
     if not gamma_grid:
         fail("sweep", "gamma", "grid is empty")
-    if len(time_grid) < 1 or time_grid[0] != 0.0 or any(
-        later <= earlier for earlier, later in zip(time_grid, time_grid[1:])
-    ):
-        fail("sweep", "time", "time grid must start at 0 and increase strictly")
     for theta in theta_grid:
         if not 0.0 <= theta <= 2 * math.pi:
             fail("sweep", "theta", f"theta {theta} outside [0, 2 pi]")
@@ -429,7 +399,6 @@ def write_dataset(
             lines.append(
                 f"{_fmt(theta)},{_fmt(gamma)},{_fmt(nbar)},{_fmt(t)},{series.measure},{_fmt(value)}"
             )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     events = []
     separable_flags = []
@@ -471,9 +440,21 @@ def write_dataset(
     }
     if isinstance(config.params.modulation, Sech):
         sidecar["modulation_note"] = "runs start at t = 0, the peak of the sech profile"
-    json_path.write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    # Both files go to temporary siblings first and are moved into place only
+    # once both are written, so a failure leaves an earlier pair as it was.
+    texts = {
+        csv_path: "\n".join(lines) + "\n",
+        json_path: json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+    }
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts]
+    try:
+        for temp, text in zip(temps, texts.values()):
+            temp.write_text(text, encoding="utf-8", newline="\n")
+        for temp, path in zip(temps, texts):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     return csv_path, json_path
 
 
@@ -490,23 +471,32 @@ def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
     return write_dataset(config, series_list, preset=preset)
 
 
-def cmd_simulate(config_path: str, out: str | None, workers: int | None) -> int:
+def _run(make_config, preset: str | None = None) -> int:
+    """Build the config, run it and write the dataset; returns the exit code."""
     try:
-        config = load_config(config_path)
-        if out is not None:
-            config = replace(config, out_prefix=out)
-        if workers is not None:
-            config = replace(config, workers=workers)
+        config = make_config()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        csv_path, json_path = execute(config)
+        csv_path, json_path = execute(config, preset=preset)
     except (UnsupportedRegimeError, IncompatibleMeasureError, CutoffError) as exc:
         print(f"infeasible run: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {csv_path} and {json_path}")
     return 0
+
+
+def cmd_simulate(config_path: str, out: str | None, workers: int | None) -> int:
+    def make_config():
+        config = load_config(config_path)
+        if out is not None:
+            config = replace(config, out_prefix=out)
+        if workers is not None:
+            config = replace(config, workers=workers)
+        return config
+
+    return _run(make_config)
 
 
 def figure_config(
@@ -515,27 +505,20 @@ def figure_config(
     """Preset sweeps mirroring the reference surfaces: theta x time at
     nbar = 5 and 15, a gamma sweep at fixed theta, and a sech-modulated
     theta x time sweep (tau mandatory, no reference value exists)."""
-    theta_full = "linspace:0:pi:121"
     time_grid = "linspace:0:30:601"
+    theta_sweep = {"theta": "linspace:0:pi:121", "gamma": "0", "time": time_grid}
+    concurrence = {"name": "i_concurrence", "cut": "ion1 | ion2,field"}
     presets = {
-        "fig1": {
-            "sweep": {"theta": theta_full, "gamma": "0", "time": time_grid},
-            "measure": {"name": "i_concurrence", "cut": "ion1 | ion2,field"},
-            "params": {"nbar": 5},
-        },
-        "fig2": {
-            "sweep": {"theta": theta_full, "gamma": "0", "time": time_grid},
-            "measure": {"name": "i_concurrence", "cut": "ion1 | ion2,field"},
-            "params": {"nbar": 15},
-        },
+        "fig1": {"sweep": theta_sweep, "measure": concurrence, "params": {"nbar": 5}},
+        "fig2": {"sweep": theta_sweep, "measure": concurrence, "params": {"nbar": 15}},
         "fig3": {
             "sweep": {"theta": "pi/4", "gamma": "0, 0.01, 0.05, 0.1", "time": time_grid},
             "measure": {"name": "negativity", "cut": "ion1 | ion2"},
             "params": {"nbar": 5},
         },
         "fig4": {
-            "sweep": {"theta": theta_full, "gamma": "0", "time": time_grid},
-            "measure": {"name": "i_concurrence", "cut": "ion1 | ion2,field"},
+            "sweep": theta_sweep,
+            "measure": concurrence,
             "params": {"nbar": 5, "modulation": "sech"},
         },
     }
@@ -557,18 +540,7 @@ def figure_config(
 
 
 def cmd_figure(name: str, tau: float | None, out: str | None, workers: int | None) -> int:
-    try:
-        config = figure_config(name, tau=tau, out=out, workers=workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        csv_path, json_path = execute(config, preset=name)
-    except (UnsupportedRegimeError, IncompatibleMeasureError, CutoffError) as exc:
-        print(f"infeasible run: {exc}", file=sys.stderr)
-        return 3
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _run(lambda: figure_config(name, tau=tau, out=out, workers=workers), preset=name)
 
 
 def main(argv=None) -> int:

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertLayout, PureState, hermitian_spectrum, reduced_density
-from .dynamics import check_times, coherence_damping, evolve_pure
+from .core import DensityMatrix, HilbertLayout, PureState, reduced_density
+from .dynamics import check_times, evolve_pure, milburn_reduced
 from .entanglement import (
     Bipartition,
     i_concurrence_values,
     negativity,
     relative_entropy_measure,
 )
-from .ionmodel import build_full_hamiltonian, full_index, full_layout
+from .ionmodel import full_index, full_layout
 from .params import Constant, Sech, SimParams
 
 MEASURES = ("i_concurrence", "negativity", "relative_entropy")
@@ -172,35 +173,15 @@ def _pure_values(
 def _milburn_values(
     psi0: PureState, params: SimParams, times: np.ndarray, measure: str, cut: Bipartition
 ) -> np.ndarray:
-    """Closed-form intrinsic-decoherence series.  Each step contracts the
-    damped eigenbasis state straight onto the factors of the cut, so the
-    full density matrix is formed only when the cut covers every factor."""
-    layout = psi0.layout
-    dims = layout.dims
-    spectrum = hermitian_spectrum(build_full_hamiltonian(params))
-    v = spectrum.eigenvectors
-    gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    coeffs = v.conj().T @ psi0.amplitudes
-    rho_eig0 = np.outer(coeffs, coeffs.conj())
-
-    keep_axes = [i for i, label in enumerate(layout.labels) if label in cut.labels]
-    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
-    order = keep_axes + drop_axes + [len(dims)]
-    dim_keep = math.prod(dims[i] for i in keep_axes)
-
-    def kept_rows(matrix: np.ndarray) -> np.ndarray:
-        """Rows of a (dim, D) matrix split as (kept factors, dropped factors x D)."""
-        return matrix.reshape(dims + (matrix.shape[1],)).transpose(order).reshape(dim_keep, -1)
-
-    v_kept_dag = kept_rows(v).conj().T
-    kept_layout = layout.keep(cut.labels)
-    values = np.empty(times.size)
-    for i, t in enumerate(times):
-        rho_eig = rho_eig0 * coherence_damping(gaps, params.gamma, t)
-        reduced = kept_rows(v @ rho_eig) @ v_kept_dag
-        rho_t = DensityMatrix(kept_layout, 0.5 * (reduced + reduced.conj().T))
-        values[i] = _measure_mixed(rho_t, measure, cut)
-    return values
+    """Closed-form intrinsic-decoherence series on the factors of the cut."""
+    kept_layout = psi0.layout.keep(cut.labels)
+    return np.array(
+        [
+            _measure_mixed(DensityMatrix(kept_layout, rho), measure, cut)
+            for chunk in milburn_reduced(psi0, params, times, cut.labels)
+            for rho in chunk
+        ]
+    )
 
 
 def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
@@ -258,7 +239,8 @@ def run_sweep(
     workers: int = 1,
 ) -> list[MeasureSeries]:
     """Cartesian sweep over (theta, gamma), emitted in deterministic
-    (theta index, gamma index) order regardless of worker count."""
+    (theta index, gamma index) order regardless of worker count.  At most
+    one worker process per cell and per CPU is started."""
     theta_grid = [float(t) for t in np.atleast_1d(theta_grid)]
     gamma_grid = [float(g) for g in np.atleast_1d(gamma_grid)]
     if not theta_grid or not gamma_grid:
@@ -269,7 +251,8 @@ def run_sweep(
         for theta in theta_grid
         for gamma in gamma_grid
     ]
-    if workers <= 1 or len(jobs) == 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_series_cell(job) for job in jobs]
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

@@ -17,13 +17,13 @@ possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .core import HilbertLayout, Spectrum, hermitian_spectrum
-from .params import SimParams
+from .params import Constant, SimParams
 
 LEVELS = ("a", "b", "c")
 LEVEL_INDEX = {"a": 0, "b": 1, "c": 2}
@@ -200,7 +200,6 @@ class BlockSystem:
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.layout = full_layout(params.fock_cutoff)
         self._blocks: dict[int, BlockMatrix] = {}
         self._indices: dict[int, np.ndarray] = {}
 
@@ -224,9 +223,22 @@ class BlockSystem:
         return self._indices[n]
 
 
-@lru_cache(maxsize=16)
+# Fields of SimParams that do not enter the blocks, pinned for the cache key.
+_OUTSIDE_BLOCKS = dict(
+    gamma=0.0, nbar=0.0, theta=0.0, phi=0.0, modulation=Constant(), nu=0.0, omega1=0.0, omega2=0.0
+)
+_cached_block_system = lru_cache(maxsize=16)(BlockSystem)
+
+
 def get_block_system(params: SimParams) -> BlockSystem:
-    return BlockSystem(params)
+    """Cached block family of the Hamiltonian of ``params``: runs that differ
+    only in fields outside the blocks share one entry.  ``cache_info`` and
+    ``cache_clear`` reach the cache."""
+    return _cached_block_system(replace(params, **_OUTSIDE_BLOCKS))
+
+
+get_block_system.cache_info = _cached_block_system.cache_info
+get_block_system.cache_clear = _cached_block_system.cache_clear
 
 
 def build_full_hamiltonian(params: SimParams) -> np.ndarray:

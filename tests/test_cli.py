@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,41 @@ class TestSimulateCommand:
         # theta = 0 is a separable angle, so the zero-entanglement flag exists
         assert sidecar["separable_start_check"][0]["theta"] == 0.0
         assert sidecar["separable_start_check"][0]["value_at_t0"] <= 1e-10
+
+    def _outputs(self, tmp_path, name):
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.glob(f"*{name}*"))}
+
+    def test_failed_sidecar_leaves_previous_pair(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "pair"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        before = self._outputs(tmp_path, "pair")
+        assert set(before) == {"pair.csv", "pair.json"}
+
+        def broken_dumps(*args, **kwargs):
+            raise RuntimeError("sidecar failed")
+
+        monkeypatch.setattr(json, "dumps", broken_dumps)
+        text = MINIMAL.format(prefix=tmp_path / "pair").replace("theta = 0", "theta = 0.4")
+        with pytest.raises(RuntimeError, match="sidecar failed"):
+            main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))])
+        assert self._outputs(tmp_path, "pair") == before
+
+    def test_failed_second_file_removes_first_temporary(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "pair"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        before = self._outputs(tmp_path, "pair")
+        write_text = Path.write_text
+
+        def failing_json_write(self, *args, **kwargs):
+            if ".json." in self.name:
+                raise OSError("disk full")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_json_write)
+        text = MINIMAL.format(prefix=tmp_path / "pair").replace("theta = 0", "theta = 0.4")
+        with pytest.raises(OSError, match="disk full"):
+            main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))])
+        assert self._outputs(tmp_path, "pair") == before
 
 
 class TestFigurePresets:

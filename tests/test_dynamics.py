@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from ionduo import (
+    Bipartition,
     Constant,
     DensityMatrix,
     HilbertLayout,
@@ -18,10 +21,12 @@ from ionduo import (
     milburn_closed_form,
     milburn_kraus,
     modulation_integral,
+    partial_trace,
     prepare_initial,
     truncated_coherent,
 )
 from ionduo import dynamics, ionmodel
+from ionduo.dynamics import milburn_reduced
 from ionduo.ionmodel import CutoffError, build_full_hamiltonian, full_index, full_layout
 
 
@@ -325,3 +330,78 @@ class TestEvolveMilburn:
             rho = milburn_closed_form(psi0.to_density(), hamiltonian, 0.0, t)
             projector = np.outer(psi, psi.conj())
             assert np.abs(rho.matrix - projector).max() <= 1e-10
+
+
+# Every shape of kept factors a bipartition can name, the full cut included.
+CUT_SHAPES = (
+    Bipartition(("ion1",), ("ion2",)),
+    Bipartition(("ion1",), ("field",)),
+    Bipartition(("field",), ("ion2",)),
+    Bipartition(("ion1",), ("ion2", "field")),
+)
+
+couplings = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+def dense_reduced(psi0, params, t, keep):
+    """Oracle: the dense closed form on the full space, then the partial trace."""
+    rho = milburn_closed_form(psi0.to_density(), build_full_hamiltonian(params), params.gamma, t)
+    return rho.matrix if set(keep) == set(rho.layout.labels) else partial_trace(rho, keep).matrix
+
+
+class TestMilburnReduced:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        fock_cutoff=st.integers(3, 7),
+        nbar=st.floats(0.0, 2.0),
+        gamma=st.floats(0.0, 0.2, exclude_min=True),
+        lambda1=couplings,
+        lambda2=couplings,
+        eta=st.floats(0.0, 1.0),
+        epsilon=st.floats(0.05, 2.0),
+        theta=st.floats(0.0, 2 * math.pi),
+        phi=st.floats(0.0, math.pi),
+        later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+        cut=st.sampled_from(CUT_SHAPES),
+    )
+    def test_matches_dense_closed_form_and_partial_trace(
+        self, fock_cutoff, nbar, gamma, lambda1, lambda2, eta, epsilon, theta, phi, later, cut
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            gamma=gamma,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            theta=theta,
+            phi=phi,
+        )
+        psi0 = ion_state(fock_cutoff, nbar, theta, phi)
+        times = [0.0] + sorted(later)
+        chunks = list(milburn_reduced(psi0, params, times, cut.labels))
+        reduced = np.concatenate(chunks)
+        assert reduced.shape[0] == len(times)
+        for t, rho in zip(times, reduced):
+            assert np.abs(rho - dense_reduced(psi0, params, t, cut.labels)).max() <= 1e-10
+
+    @pytest.mark.parametrize("cut", CUT_SHAPES)
+    def test_streamed_chunks_match_one_chunk(self, cut, monkeypatch):
+        params = SimParams(fock_cutoff=8, nbar=1.5, gamma=0.1, epsilon=0.8, theta=0.5, phi=0.3)
+        psi0 = ion_state(8, 1.5, 0.5, 0.3)
+        times = np.linspace(0.0, 12.0, 7)
+        whole = np.concatenate(list(milburn_reduced(psi0, params, times, cut.labels)))
+        dim = whole.shape[1]
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dim * dim)
+        chunks = list(milburn_reduced(psi0, params, times, cut.labels))
+        assert [len(chunk) for chunk in chunks] == [2, 2, 2, 1]
+        assert np.abs(np.concatenate(chunks) - whole).max() <= 1e-15
+
+    def test_support_on_ceiling_blocks_rejected(self):
+        params = SimParams(fock_cutoff=6, nbar=0.0, gamma=0.05)
+        layout = full_layout(6)
+        amps = np.zeros(layout.total_dim, dtype=complex)
+        amps[full_index(6, "a", "a", 6)] = 1.0  # lives in block 6 = N_max
+        with pytest.raises(CutoffError, match="cutoff"):
+            list(milburn_reduced(PureState(layout, amps), params, [0.0, 1.0], ("ion1", "ion2")))

@@ -24,6 +24,7 @@ from ionduo import (
     run_sweep,
     truncated_coherent,
 )
+from ionduo import experiments
 
 
 def synthetic_series(values, step=0.1):
@@ -186,6 +187,37 @@ class TestThetaSweep:
         parallel = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times, workers=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.values, b.values)  # bit identical
+
+    @pytest.mark.parametrize(
+        "workers, thetas, cpus, expected",
+        [(1000, 3, 8, 3), (1000, 3, 2, 2), (2, 3, 8, 2), (1000, 3, None, None), (4, 1, 8, None)],
+    )
+    def test_worker_pool_is_clamped(self, monkeypatch, workers, thetas, cpus, expected):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        params = SimParams(fock_cutoff=8, nbar=1.0)
+        grid = [0.3, 0.7, 1.1][:thetas]
+        times = np.linspace(0.0, 2.0, 5)
+        swept = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times, workers)
+        assert started == ([] if expected is None else [expected])
+        serial = [run_series(s.params, "i_concurrence", ION_VS_REST, times) for s in swept]
+        for a, b in zip(serial, swept):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestSuddenEvents:

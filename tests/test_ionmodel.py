@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from ionduo import SimParams, build_block, build_full_hamiltonian, laguerre, mode_strength
+from ionduo import (
+    Sech,
+    SimParams,
+    build_block,
+    build_full_hamiltonian,
+    get_block_system,
+    laguerre,
+    mode_strength,
+)
 from ionduo.ionmodel import (
     LEVEL_INDEX,
     CutoffError,
@@ -261,3 +269,34 @@ class TestFullHamiltonian:
 
     def test_levels_map_matches_layout_order(self):
         assert LEVEL_INDEX == {"a": 0, "b": 1, "c": 2}
+
+
+class TestBlockSystemCache:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"theta": 0.3},
+            {"gamma": 0.1},
+            {"nbar": 2.0},
+            {"phi": 1.0},
+            {"modulation": Sech(2.0)},
+            {"nu": 3.0, "omega1": 1.0, "omega2": 2.0},
+        ],
+    )
+    def test_fields_outside_the_hamiltonian_hit(self, change):
+        get_block_system.cache_clear()
+        first = get_block_system(fig_params(fock_cutoff=8))
+        assert get_block_system(fig_params(fock_cutoff=8, **change)) is first
+        info = get_block_system.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("change", [{"eta": 0.3}, {"lambda2": 0.5}])
+    def test_hamiltonian_fields_miss(self, change):
+        get_block_system.cache_clear()
+        first = get_block_system(fig_params(fock_cutoff=8))
+        other = get_block_system(fig_params(fock_cutoff=8, **change))
+        assert other is not first
+        info = get_block_system.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        expected = build_block(0, fig_params(fock_cutoff=8, **change)).coupling
+        assert np.array_equal(other.block(0).coupling, expected)
