@@ -29,7 +29,6 @@ from .entanglement import (
 from .experiments import (
     ION_VS_ION,
     ION_VS_REST,
-    FieldPreparation,
     IncompatibleMeasureError,
     MeasureSeries,
     SuddenEvents,
@@ -45,52 +44,38 @@ from .experiments import (
     truncated_coherent,
 )
 from .ionmodel import (
-    BlockBasis,
-    BlockMatrix,
-    BlockSystem,
     CutoffError,
-    block_basis,
-    block_indices,
     build_block,
     build_full_hamiltonian,
-    full_layout,
     get_block_system,
     laguerre,
     mode_strength,
 )
-from .params import Constant, Modulation, Sech, SimParams
+from .params import Constant, Sech, SimParams
 
 __all__ = [
     "__version__",
     "Bipartition",
-    "BlockBasis",
-    "BlockMatrix",
-    "BlockSystem",
     "Constant",
     "CutoffError",
     "DensityMatrix",
-    "FieldPreparation",
     "HilbertLayout",
     "ION_VS_ION",
     "ION_VS_REST",
     "IncompatibleMeasureError",
     "MeasureSeries",
-    "Modulation",
     "PureState",
     "Sech",
     "SimParams",
     "Spectrum",
     "SuddenEvents",
     "UnsupportedRegimeError",
-    "block_basis",
-    "block_indices",
     "build_block",
     "build_full_hamiltonian",
     "coherent_amplitudes",
     "detect_sudden_events",
     "evolve_pure",
     "evolve_pure_dense",
-    "full_layout",
     "get_block_system",
     "hermitian_spectrum",
     "i_concurrence_pure",

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,21 +146,15 @@ class RunConfig:
         mod_dict = {"kind": "sech", "tau": modulation.tau} if isinstance(modulation, Sech) else {
             "kind": "constant"
         }
+        params = {key: getattr(self.params, key) for key in _PARAM_PARSERS}
+        params.update(
+            lambda1=str(self.params.lambda1),
+            lambda2=str(self.params.lambda2),
+            modulation=mod_dict,
+            fock_cutoff=self.params.fock_cutoff,
+        )
         return {
-            "params": {
-                "lambda1": str(self.params.lambda1),
-                "lambda2": str(self.params.lambda2),
-                "eta": self.params.eta,
-                "epsilon": self.params.epsilon,
-                "nbar": self.params.nbar,
-                "phi": self.params.phi,
-                "modulation": mod_dict,
-                "fock_cutoff": self.params.fock_cutoff,
-                "standard_matrix_element": self.params.standard_matrix_element,
-                "nu": self.params.nu,
-                "omega1": self.params.omega1,
-                "omega2": self.params.omega2,
-            },
+            "params": params,
             "sweep": {
                 "theta": list(self.theta_grid),
                 "gamma": list(self.gamma_grid),
@@ -176,22 +170,22 @@ class RunConfig:
         }
 
 
+# [params] keys parsed straight into the SimParams field of the same name;
+# modulation, tau and fock_cutoff are resolved in build_config.
+_PARAM_PARSERS = {
+    "lambda1": _parse_complex,
+    "lambda2": _parse_complex,
+    "eta": _parse_number,
+    "epsilon": _parse_number,
+    "nbar": _parse_number,
+    "phi": _parse_number,
+    "standard_matrix_element": _parse_bool,
+}
+
 _KNOWN_KEYS = {
-    "params": (
-        "lambda1",
-        "lambda2",
-        "eta",
-        "epsilon",
-        "nbar",
-        "phi",
-        "modulation",
-        "tau",
-        "fock_cutoff",
-        "standard_matrix_element",
-        "nu",
-        "omega1",
-        "omega2",
-    ),
+    # nu, omega1 and omega2 are accepted and dropped: 0.1.0 sidecars wrote
+    # them, and the dynamics never read them.
+    "params": (*_PARAM_PARSERS, "modulation", "tau", "fock_cutoff", "nu", "omega1", "omega2"),
     "sweep": ("theta", "gamma", "time"),
     "measure": ("name", "cut"),
     "output": ("prefix", "deficit", "event_threshold", "workers"),
@@ -265,19 +259,6 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
     deficit = parse("output", "deficit", _parse_number, default=1e-10)
     if deficit <= 0:
         fail("output", "deficit", f"deficit must be > 0, got {deficit}")
-    nbar = parse("params", "nbar", _parse_number, default=5.0)
-
-    cutoff_value = get("params", "fock_cutoff", "auto")
-    if isinstance(cutoff_value, str) and cutoff_value.strip().lower() == "auto":
-        try:
-            fock_cutoff = coherent_amplitudes(nbar, deficit).cutoff
-        except ValueError as exc:
-            fail("params", "fock_cutoff", str(exc))
-    else:
-        try:
-            fock_cutoff = int(cutoff_value)
-        except (TypeError, ValueError):
-            fail("params", "fock_cutoff", f"expected 'auto' or an integer, got {cutoff_value!r}")
 
     theta_grid = parse("sweep", "theta", _parse_grid, required=True)
     gamma_grid = parse("sweep", "gamma", _parse_grid, default=(0.0,))
@@ -307,27 +288,33 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
     if event_threshold <= 0:
         fail("output", "event_threshold", f"event_threshold must be > 0, got {event_threshold}")
 
+    defaults = {f.name: f.default for f in fields(SimParams)}
+    parsed = {
+        key: parse("params", key, parser, default=defaults[key])
+        for key, parser in _PARAM_PARSERS.items()
+    }
+    cutoff = get("params", "fock_cutoff", "auto")
+    auto = str(cutoff).strip().lower() == "auto"
+    if not auto:
+        try:
+            cutoff = int(cutoff)
+        except (TypeError, ValueError):
+            fail("params", "fock_cutoff", f"expected 'auto' or an integer, got {cutoff!r}")
+    # The cutoff follows the field preparation's own rule; its errors and
+    # those of SimParams start with the name of the offending key.
     try:
+        nbar = parsed["nbar"]
+        field = coherent_amplitudes(nbar, deficit) if auto else truncated_coherent(nbar, cutoff)
         params = SimParams(
-            fock_cutoff=fock_cutoff,
-            lambda1=parse("params", "lambda1", _parse_complex, default=1.0 + 0.0j),
-            lambda2=parse("params", "lambda2", _parse_complex, default=0.01 + 0.0j),
-            eta=parse("params", "eta", _parse_number, default=0.202),
-            epsilon=parse("params", "epsilon", _parse_number, default=0.01),
+            fock_cutoff=field.cutoff,
             gamma=gamma_grid[0],
-            nbar=nbar,
             theta=theta_grid[0],
-            phi=parse("params", "phi", _parse_number, default=0.0),
             modulation=modulation,
-            nu=parse("params", "nu", _parse_number, default=0.0),
-            omega1=parse("params", "omega1", _parse_number, default=0.0),
-            omega2=parse("params", "omega2", _parse_number, default=0.0),
-            standard_matrix_element=parse(
-                "params", "standard_matrix_element", _parse_bool, default=False
-            ),
+            **parsed,
         )
     except (ValueError, TypeError) as exc:
-        raise ConfigError("params", "", str(exc)) from None
+        key = str(exc).split(" ", 1)[0]
+        fail("params", key if key in _PARAM_PARSERS else "fock_cutoff", str(exc))
 
     return RunConfig(
         params=params,

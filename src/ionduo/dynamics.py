@@ -80,13 +80,6 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-def _theta_grid(params: SimParams, times: np.ndarray, t_offset: float) -> np.ndarray:
-    if t_offset < 0:
-        raise ValueError("t_offset must be >= 0")
-    base = modulation_integral(params.modulation, t_offset)
-    return modulation_integral(params.modulation, t_offset + times) - base
-
-
 def _check_block_support(psi0: PureState, params: SimParams) -> None:
     """Reject states with weight on the blocks truncated by the cutoff
     ceiling; those cannot be evolved faithfully under hard truncation."""
@@ -120,7 +113,7 @@ def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     return states
 
 
-def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> np.ndarray:
+def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Exact pure-state evolution via per-block eigendecomposition.
 
     Returns a read-only (T, dim) complex array on the layout of ``psi0``
@@ -128,16 +121,14 @@ def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0
     drifts from 1 by more than NORM_TOL raises ValueError.  The initial
     state must be expressed on the full layout of ``params.fock_cutoff``
     and must not populate the blocks truncated by the cutoff ceiling (those
-    cannot be evolved faithfully).  ``t_offset`` restarts the modulation
-    clock at a later point of the profile, so that evolving in two legs
-    agrees with one direct leg.
+    cannot be evolved faithfully).
     """
     times = check_times(times)
     _check_block_support(psi0, params)
     system = get_block_system(params)
     amps = psi0.amplitudes
 
-    theta = _theta_grid(params, times, t_offset)
+    theta = modulation_integral(params.modulation, times)
     out = np.zeros((times.size, psi0.layout.total_dim), dtype=np.complex128)
     norm_sq = np.zeros(times.size)
     for n in system.evolvable_indices:
@@ -156,14 +147,14 @@ def evolve_pure(psi0: PureState, params: SimParams, times, t_offset: float = 0.0
     return _checked_states(out, norm_sq)
 
 
-def evolve_pure_dense(psi0: PureState, params: SimParams, times, t_offset: float = 0.0) -> np.ndarray:
+def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
     single eigendecomposition of the assembled Hamiltonian.  Same contract
     as evolve_pure."""
     times = check_times(times)
     _check_block_support(psi0, params)
     spectrum = hermitian_spectrum(build_full_hamiltonian(params))
-    theta = _theta_grid(params, times, t_offset)
+    theta = modulation_integral(params.modulation, times)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
     out = (phases * coeffs) @ spectrum.eigenvectors.T

@@ -104,6 +104,8 @@ def coherent_amplitudes(nbar: float, target_deficit: float) -> FieldPreparation:
 
 def truncated_coherent(nbar: float, fock_cutoff: int, headroom: int = 2) -> FieldPreparation:
     """Coherent field on a fixed cutoff, occupying n <= cutoff - headroom."""
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
     top = fock_cutoff - headroom
     if top < 0:
         raise ValueError(f"fock_cutoff {fock_cutoff} leaves no room below headroom {headroom}")

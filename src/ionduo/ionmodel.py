@@ -113,7 +113,6 @@ class BlockBasis:
     index lies in [0, N_max].
     """
 
-    block_index: int
     states: tuple[tuple[int, str, str], ...]
 
     @property
@@ -128,7 +127,7 @@ def block_basis(n: int, fock_cutoff: int) -> BlockBasis:
     )
     if not states:
         raise ValueError(f"block {n} is empty under cutoff {fock_cutoff}")
-    return BlockBasis(n, states)
+    return BlockBasis(states)
 
 
 def block_indices(fock_cutoff: int) -> range:
@@ -224,9 +223,7 @@ class BlockSystem:
 
 
 # Fields of SimParams that do not enter the blocks, pinned for the cache key.
-_OUTSIDE_BLOCKS = dict(
-    gamma=0.0, nbar=0.0, theta=0.0, phi=0.0, modulation=Constant(), nu=0.0, omega1=0.0, omega2=0.0
-)
+_OUTSIDE_BLOCKS = dict(gamma=0.0, nbar=0.0, theta=0.0, phi=0.0, modulation=Constant())
 _cached_block_system = lru_cache(maxsize=16)(BlockSystem)
 
 

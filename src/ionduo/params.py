@@ -30,10 +30,14 @@ Modulation = Constant | Sech
 
 @dataclass(frozen=True)
 class SimParams:
-    """All physical and numerical knobs of the two-ion simulation.
+    """All physical and numerical inputs of the two-ion simulation, with
+    their defaults.  This is the one place the defaults are written: the
+    configuration grammar and the JSON sidecar are derived from these fields.
 
     Times are measured in units of 1/|lambda1| (scaled time); the
-    conventional choice is |lambda1| = 1.
+    conventional choice is |lambda1| = 1.  The interaction picture at exact
+    resonance is assumed, so the trap and electronic frequencies drop out.
+    A rejected value raises an error whose message starts with its field name.
 
     Parameters
     ----------
@@ -57,10 +61,6 @@ class SimParams:
     fock_cutoff : int >= 1
         Hard truncation N_max of the vibrational Fock space
         (dimension N_max + 1).
-    nu, omega1, omega2 : float
-        Trap and electronic frequencies.  Recorded for documentation
-        only; the interaction-picture dynamics never uses them
-        (exact resonance is assumed).
     standard_matrix_element : bool
         If True, the vibrational mode function uses the textbook
         sideband matrix element (sqrt of the factorial ratio and an
@@ -77,9 +77,6 @@ class SimParams:
     theta: float = math.pi / 4
     phi: float = 0.0
     modulation: Modulation = field(default_factory=Constant)
-    nu: float = 0.0
-    omega1: float = 0.0
-    omega2: float = 0.0
     standard_matrix_element: bool = False
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ionduo import Sech, __version__
+from ionduo import Sech, SimParams, __version__
 from ionduo.cli import ConfigError, build_config, figure_config, load_config, main
 from ionduo.selftest import run_selftest
 
@@ -28,6 +28,31 @@ fock_cutoff = 10
 [output]
 prefix = {prefix}
 """
+
+# A sidecar as written by ionduo 0.1.0, which also recorded nu, omega1 and omega2.
+LEGACY_SIDECAR = {
+    "version": "0.1.0",
+    "preset": None,
+    "config": {
+        "params": {
+            "lambda1": "(1+0j)",
+            "lambda2": "(0.01+0j)",
+            "eta": 0.202,
+            "epsilon": 0.01,
+            "nbar": 2.0,
+            "phi": 0.0,
+            "modulation": {"kind": "constant"},
+            "fock_cutoff": 10,
+            "standard_matrix_element": False,
+            "nu": 0.0,
+            "omega1": 0.0,
+            "omega2": 0.0,
+        },
+        "sweep": {"theta": [0.0, 0.7], "gamma": [0.0], "time": [0.0, 0.5, 1.0]},
+        "measure": {"name": "i_concurrence", "cut": "ion1 | ion2,field"},
+        "output": {"prefix": "legacy", "deficit": 1e-10, "event_threshold": 0.001, "workers": 1},
+    },
+}
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -89,6 +114,25 @@ class TestConfigParsing:
             }
         )
         assert config.params.fock_cutoff == 27  # Poisson tail 1e-10 plus headroom
+
+    def test_defaults_come_from_simparams(self):
+        config = build_config(
+            {"sweep": {"theta": "0.3", "time": "0,1"}, "measure": {"name": "i_concurrence"}}
+        )
+        # 27 is the auto cutoff at the default nbar and deficit
+        assert config.params == SimParams(fock_cutoff=27, theta=0.3, gamma=0.0)
+
+    @pytest.mark.parametrize(
+        "key, value", [("eta", "abc"), ("lambda1", "1+"), ("nbar", "-1")]
+    )
+    def test_params_error_names_its_key_and_line(self, tmp_path, key, value):
+        # no fock_cutoff, so nbar = -1 meets the auto cutoff rule
+        text = f"[params]\n{key} = {value}\n\n[sweep]\ntheta = 0\ntime = 0, 1\n"
+        text += "\n[measure]\nname = i_concurrence\n"
+        with pytest.raises(ConfigError) as caught:
+            load_config(write_config(tmp_path, text))
+        assert (caught.value.section, caught.value.key, caught.value.line) == ("params", key, 2)
+        assert str(caught.value).count("[params]") == 1
 
     def test_bad_cut_rejected(self):
         with pytest.raises(ConfigError, match="cut"):
@@ -157,6 +201,27 @@ class TestSimulateCommand:
         text = MINIMAL.format(prefix=tmp_path / "x").replace("gamma = 0", "gamma = -1")
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["1", "-3"])
+    def test_cutoff_without_headroom_is_config_error(self, tmp_path, capsys, cutoff):
+        text = MINIMAL.format(prefix=tmp_path / "x").replace(
+            "fock_cutoff = 10", f"fock_cutoff = {cutoff}"
+        )
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        assert "[params] fock_cutoff (line 13)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_legacy_sidecar_reproduces_csv(self, tmp_path):
+        legacy = write_config(tmp_path, json.dumps(LEGACY_SIDECAR), "legacy.json")
+        current = json.loads(json.dumps(LEGACY_SIDECAR["config"]))
+        for key in ("nu", "omega1", "omega2"):
+            del current["params"][key]
+        current = write_config(tmp_path, json.dumps(current), "current.json")
+        assert main(["simulate", "--config", str(legacy), "--out", str(tmp_path / "old")]) == 0
+        assert main(["simulate", "--config", str(current), "--out", str(tmp_path / "new")]) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+        sidecar = json.loads((tmp_path / "old.json").read_text())
+        assert not {"nu", "omega1", "omega2"} & set(sidecar["config"]["params"])
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2

@@ -280,7 +280,6 @@ class TestBlockSystemCache:
             {"nbar": 2.0},
             {"phi": 1.0},
             {"modulation": Sech(2.0)},
-            {"nu": 3.0, "omega1": 1.0, "omega2": 2.0},
         ],
     )
     def test_fields_outside_the_hamiltonian_hit(self, change):
