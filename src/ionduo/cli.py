@@ -72,6 +72,13 @@ def _parse_number(text) -> float:
         raise ValueError(f"cannot parse number {text!r}") from None
 
 
+def _parse_int(value) -> int:
+    """An integer; a bool or a float with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value) if isinstance(value, (int, float)) else int(str(value).strip())
+
+
 def _parse_grid(value) -> tuple[float, ...]:
     if isinstance(value, (list, tuple, np.ndarray)):
         return tuple(_parse_number(v) for v in value)
@@ -81,7 +88,7 @@ def _parse_grid(value) -> tuple[float, ...]:
         if len(parts) != 4:
             raise ValueError(f"linspace needs start:stop:count, got {value!r}")
         start, stop = _parse_number(parts[1]), _parse_number(parts[2])
-        count = int(parts[3])
+        count = _parse_int(parts[3])
         if count < 1:
             raise ValueError(f"linspace count must be >= 1, got {count}")
         return tuple(float(x) for x in np.linspace(start, stop, count))
@@ -281,7 +288,7 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
         fail("measure", "name", f"unknown measure {measure!r}; choose from {MEASURES}")
     cut = parse("measure", "cut", _parse_cut, default=Bipartition(("ion1",), ("ion2", "field")))
 
-    workers = parse("output", "workers", int, default=1)
+    workers = parse("output", "workers", _parse_int, default=1)
     if workers < 1:
         fail("output", "workers", f"workers must be >= 1, got {workers}")
     event_threshold = parse("output", "event_threshold", _parse_number, default=1e-3)
@@ -297,7 +304,7 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
     auto = str(cutoff).strip().lower() == "auto"
     if not auto:
         try:
-            cutoff = int(cutoff)
+            cutoff = _parse_int(cutoff)
         except (TypeError, ValueError):
             fail("params", "fock_cutoff", f"expected 'auto' or an integer, got {cutoff!r}")
     # The cutoff follows the field preparation's own rule; its errors and
@@ -326,7 +333,7 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
         out_prefix=str(parse("output", "prefix", str, default="dataset")),
         deficit=float(deficit),
         event_threshold=float(event_threshold),
-        workers=int(workers),
+        workers=workers,
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class HilbertLayout:
         if len(set(labels)) != len(labels):
             raise ValueError(f"factor labels must be unique, got {labels}")
         if not self.factors or any(dim < 1 for _, dim in self.factors):
-            raise ValueError(f"factor dimensions must be positive, got {self.factors}")
+            raise ValueError(f"a layout needs factors of positive dimension, got {self.factors}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -60,6 +61,25 @@ class HilbertLayout:
         if unknown:
             raise KeyError(f"unknown factor labels {sorted(unknown)}; have {self.labels}")
         return HilbertLayout(tuple(f for f in self.factors if f[0] in wanted))
+
+    def split(self, array: np.ndarray, labels) -> np.ndarray:
+        """``array``, whose last axis is a vector index on this layout (any
+        leading axes), as (..., kept, traced): the named factors, then the
+        others, each group in layout order.  Reshapes and one transpose, so
+        a view wherever NumPy can make one.  Unknown labels raise KeyError."""
+        order, dim_kept = _split_plan(self, frozenset(labels))
+        lead = array.shape[:-1]
+        tensor = array.reshape(lead + self.dims)
+        tensor = tensor.transpose(*range(len(lead)), *(len(lead) + i for i in order))
+        return tensor.reshape(lead + (dim_kept, array.shape[-1] // dim_kept))
+
+
+@lru_cache(maxsize=64)
+def _split_plan(layout: HilbertLayout, labels: frozenset) -> tuple[tuple[int, ...], int]:
+    """Axis order (kept factors first) and kept dimension of a split."""
+    kept = layout.keep(labels).factors
+    order = sorted(range(len(layout.factors)), key=lambda i: layout.factors[i] not in kept)
+    return tuple(order), math.prod(dim for _, dim in kept)
 
 
 def _as_readonly(array: np.ndarray) -> np.ndarray:
@@ -138,15 +158,7 @@ def reduced_density(amplitudes: np.ndarray, layout: HilbertLayout, keep) -> Dens
     these amplitudes (partial trace of the projector, computed without
     forming the full outer product).  Keeping every factor gives the
     projector itself."""
-    keep = set(keep)
-    axes_keep = [i for i, label in enumerate(layout.labels) if label in keep]
-    if not axes_keep or len(axes_keep) != len(keep):
-        layout.keep(keep)  # raises on unknown labels
-        raise ValueError("keep must be a nonempty subset of factor labels")
-    axes_drop = [i for i in range(len(layout.dims)) if i not in axes_keep]
-    tensor = amplitudes.reshape(layout.dims).transpose(axes_keep + axes_drop)
-    dim_keep = math.prod(layout.dims[i] for i in axes_keep)
-    matrix = tensor.reshape(dim_keep, -1)
+    matrix = layout.split(amplitudes, keep)
     return DensityMatrix(layout.keep(keep), matrix @ matrix.conj().T)
 
 
@@ -166,36 +178,18 @@ def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues, eigenvectors)
 
 
-def _trace_out(matrix: np.ndarray, dims: tuple[int, ...], keep_axes: list[int]) -> np.ndarray:
-    """Partial trace of a raw square matrix over the axes not in keep_axes."""
-    n_factors = len(dims)
-    tensor = matrix.reshape(dims + dims)
-    row = list(range(n_factors))
-    col = [n_factors + i if i in keep_axes else i for i in range(n_factors)]
-    out = [i for i in keep_axes] + [n_factors + i for i in keep_axes]
-    reduced = np.einsum(tensor, row + col, out)
-    dim_keep = math.prod(dims[i] for i in keep_axes)
-    return reduced.reshape(dim_keep, dim_keep)
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every factor not named in ``keep``.
 
     The returned layout contains exactly the kept factors in their original
     order.  ``keep`` must be a nonempty proper subset of the layout labels.
     """
-    keep = set(keep)
-    labels = rho.layout.labels
-    unknown = keep - set(labels)
-    if unknown:
-        raise KeyError(f"unknown factor labels {sorted(unknown)}; have {labels}")
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if keep == set(labels):
+    keep, layout = set(keep), rho.layout
+    if keep == set(layout.labels):
         raise ValueError("keep equals the full factor set; partial trace would be a no-op")
-    keep_axes = [i for i, label in enumerate(labels) if label in keep]
-    reduced = _trace_out(rho.matrix, rho.layout.dims, keep_axes)
-    return DensityMatrix(rho.layout.keep(keep), reduced)
+    rows = layout.split(rho.matrix.T, keep)  # (column, kept row, traced row)
+    tensor = layout.split(rows.transpose(1, 2, 0), keep)  # rows, then columns
+    return DensityMatrix(layout.keep(keep), np.einsum("ajbj->ab", tensor))
 
 
 def clipped_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:

@@ -34,10 +34,9 @@ import numpy as np
 
 from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
 from .ionmodel import (
+    LEVEL_INDEX,
     CutoffError,
-    block_basis,
     build_full_hamiltonian,
-    full_index,
     full_layout,
     get_block_system,
 )
@@ -85,16 +84,28 @@ def _check_block_support(psi0: PureState, params: SimParams) -> None:
     ceiling; those cannot be evolved faithfully under hard truncation."""
     if psi0.layout != full_layout(params.fock_cutoff):
         raise ValueError("initial state layout does not match params.fock_cutoff")
-    leak = 0.0
-    for n in range(params.fock_cutoff - 1, params.fock_cutoff + 1):
-        basis = block_basis(n, params.fock_cutoff)
-        idx = [full_index(f, l1, l2, params.fock_cutoff) for f, l1, l2 in basis.states]
-        leak += float(np.sum(np.abs(psi0.amplitudes[idx]) ** 2))
+    ion1, ion2, fock = np.indices((3, 3, params.fock_cutoff + 1))
+    block = fock - (ion1 != LEVEL_INDEX["a"]) - (ion2 != LEVEL_INDEX["a"])
+    leak = float(np.sum(np.abs(psi0.amplitudes[block.ravel() >= params.fock_cutoff - 1]) ** 2))
     if leak > 1e-12:
         raise CutoffError(
             f"initial state has weight {leak:.3e} on blocks truncated by the cutoff; "
             f"raise fock_cutoff"
         )
+
+
+def _occupied_blocks(psi0: PureState, params: SimParams) -> Iterator[tuple]:
+    """Yield (full indices, energies, eigenvectors, V^dag a0) of each
+    evolvable block that ``psi0`` occupies, after the ceiling-block check."""
+    _check_block_support(psi0, params)
+    system = get_block_system(params)
+    for n in system.evolvable_indices:
+        idx = system.full_indices(n)
+        a0 = psi0.amplitudes[idx]
+        if np.any(a0):
+            spectrum = system.block(n).spectrum
+            v = spectrum.eigenvectors
+            yield idx, spectrum.eigenvalues, v, v.conj().T @ a0
 
 
 def _row_norm_sq(states: np.ndarray) -> np.ndarray:
@@ -124,22 +135,10 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     cannot be evolved faithfully).
     """
     times = check_times(times)
-    _check_block_support(psi0, params)
-    system = get_block_system(params)
-    amps = psi0.amplitudes
-
     theta = modulation_integral(params.modulation, times)
     out = np.zeros((times.size, psi0.layout.total_dim), dtype=np.complex128)
     norm_sq = np.zeros(times.size)
-    for n in system.evolvable_indices:
-        idx = system.full_indices(n)
-        a0 = amps[idx]
-        if not np.any(a0):
-            continue
-        block = system.block(n)
-        z = block.spectrum.eigenvalues
-        v = block.spectrum.eigenvectors
-        coeffs = v.conj().T @ a0
+    for idx, z, v, coeffs in _occupied_blocks(psi0, params):
         phases = np.exp(-1j * np.outer(theta, z))
         block_states = (phases * coeffs) @ v.T
         out[:, idx] = block_states
@@ -179,27 +178,15 @@ def milburn_reduced(psi0: PureState, params: SimParams, times, keep) -> Iterator
     traced factors; pairs n > m are the conjugate transpose of n < m.
     """
     times = check_times(times)
-    _check_block_support(psi0, params)
-    system = get_block_system(params)
-    layout = psi0.layout
-    keep_axes = sorted(layout.axis(label) for label in set(keep))
-    drop_axes = [i for i in range(len(layout.dims)) if i not in keep_axes]
-    dim_keep = math.prod(layout.dims[i] for i in keep_axes)
     # Entry (k, d) of the table is the full index with kept part k and dropped part d.
-    table = np.arange(layout.total_dim).reshape(layout.dims).transpose(keep_axes + drop_axes)
-    table = table.reshape(dim_keep, -1)
-    kept, dropped = np.empty((2, layout.total_dim), dtype=np.intp)
+    table = psi0.layout.split(np.arange(psi0.layout.total_dim), keep)
+    dim_keep, dim_traced = table.shape
+    kept, dropped = np.empty((2, table.size), dtype=np.intp)
     kept[table], dropped[table] = np.indices(table.shape)
-
-    blocks = []  # (energies, W, kept index, dropped index) of each occupied block
-    for n in system.evolvable_indices:
-        idx = system.full_indices(n)
-        a0 = psi0.amplitudes[idx]
-        if not np.any(a0):
-            continue
-        spectrum = system.block(n).spectrum
-        v = spectrum.eigenvectors
-        blocks.append((spectrum.eigenvalues, v * (v.conj().T @ a0), kept[idx], dropped[idx]))
+    blocks = [  # (energies, W, kept index, dropped index) of each occupied block
+        (z, v * coeffs, kept[idx], dropped[idx])
+        for idx, z, v, coeffs in _occupied_blocks(psi0, params)
+    ]
 
     pairs = []  # (W_n, gaps, W_m^dag, [(rows, cols, kept rows, kept cols) per shared trace])
     for i, (energies_n, w_n, keep_n, drop_n) in enumerate(blocks):
@@ -221,7 +208,7 @@ def milburn_reduced(psi0: PureState, params: SimParams, times, keep) -> Iterator
         for w_n, gaps, w_m_dag, shared in pairs:
             product = w_n @ coherence_damping(gaps, params.gamma, t) @ w_m_dag
             for rows, cols, kept_rows, kept_cols in shared:
-                if drop_axes:
+                if dim_traced > 1:
                     half[:, kept_rows, kept_cols] += product[:, rows, cols]
                 else:  # nothing traced: the pair owns its block of the state
                     half[:, kept_rows, kept_cols] = product

@@ -60,16 +60,12 @@ class Bipartition:
         return set(self.side_a) | set(self.side_b)
 
 
-def _split_axes(layout: HilbertLayout, cut: Bipartition) -> tuple[list[int], list[int]]:
-    """Axis positions of the two sides, each in layout order; raises if the
-    cut does not cover the layout exactly."""
+def _check_cut(layout: HilbertLayout, cut: Bipartition) -> None:
+    """Raise if the cut does not cover the layout exactly."""
     if cut.labels != set(layout.labels):
         raise ValueError(
             f"bipartition {sorted(cut.labels)} does not cover layout factors {sorted(layout.labels)}"
         )
-    axes_a = [i for i, label in enumerate(layout.labels) if label in cut.side_a]
-    axes_b = [i for i, label in enumerate(layout.labels) if label in cut.side_b]
-    return axes_a, axes_b
 
 
 def i_concurrence_pure(psi: PureState, cut: Bipartition) -> float:
@@ -84,16 +80,14 @@ def i_concurrence_values(states: np.ndarray, layout: HilbertLayout, cut: Biparti
     Raises ValueError if a value exceeds the dimension ceiling, which only
     an unnormalized input can reach.
     """
-    axes_a, axes_b = _split_axes(layout, cut)
-    dims = layout.dims
-    dim_a = math.prod(dims[i] for i in axes_a)
-    dim_b = math.prod(dims[i] for i in axes_b)
+    _check_cut(layout, cut)
+    dim_a = layout.keep(cut.side_a).total_dim
+    dim_b = layout.total_dim // dim_a
     d = min(dim_a, dim_b)
-    order = [0] + [1 + i for i in axes_a + axes_b]
     values = np.empty(len(states))
     for start in range(0, len(states), _ROWS_PER_BATCH):
         rows = states[start : start + _ROWS_PER_BATCH]
-        tensor = rows.reshape((len(rows),) + dims).transpose(order).reshape(len(rows), dim_a, dim_b)
+        tensor = layout.split(rows, cut.side_a)
         if dim_a > dim_b:
             tensor = tensor.swapaxes(1, 2)  # both marginals have the same purity
         marginal = (tensor @ tensor.conj().swapaxes(1, 2)).reshape(len(rows), 1, d * d)
@@ -106,17 +100,12 @@ def i_concurrence_values(states: np.ndarray, layout: HilbertLayout, cut: Biparti
     return values
 
 
-def _permute_to_cut(rho: DensityMatrix, cut: Bipartition) -> tuple[np.ndarray, int, int]:
-    """Density matrix reordered to (side_a factors, side_b factors)."""
-    axes_a, axes_b = _split_axes(rho.layout, cut)
-    dims = rho.layout.dims
-    n = len(dims)
-    perm = axes_a + axes_b
-    tensor = rho.matrix.reshape(dims + dims).transpose(perm + [n + i for i in perm])
-    dim_a = math.prod(dims[i] for i in axes_a)
-    dim_b = math.prod(dims[i] for i in axes_b)
-    total = dim_a * dim_b
-    return tensor.reshape(total, total), dim_a, dim_b
+def _permute_to_cut(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
+    """Density matrix as a (side_a, side_b, side_a, side_b) tensor, each
+    side's factors in layout order."""
+    _check_cut(rho.layout, cut)
+    rows = rho.layout.split(rho.matrix.T, cut.side_a)  # (column, row a, row b)
+    return rho.layout.split(rows.transpose(1, 2, 0), cut.side_a)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -125,12 +114,8 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     Zero for every separable state (the converse does not hold), which makes
     this a one-directional entanglement witness valid for mixed states.
     """
-    matrix, dim_a, dim_b = _permute_to_cut(rho, cut)
-    transposed = (
-        matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(dim_a * dim_b, dim_a * dim_b)
-    )
+    dim = rho.layout.total_dim
+    transposed = _permute_to_cut(rho, cut).transpose(0, 3, 2, 1).reshape(dim, dim)
     eigenvalues = np.linalg.eigvalsh(transposed)
     return float(-eigenvalues[eigenvalues < 0].sum())
 
@@ -151,14 +136,12 @@ def relative_entropy_measure(rho: DensityMatrix, cut: Bipartition) -> float:
     populations = populations[populations > EIG_ZERO]
     rho_log_rho = float(np.sum(populations * np.log(populations)))
 
-    matrix, dim_a, dim_b = _permute_to_cut(rho, cut)
     eig_a, basis_a = np.linalg.eigh(rho_a.matrix)
     eig_b, basis_b = np.linalg.eigh(rho_b.matrix)
     eig_a = clipped_eigenvalues(eig_a)
     eig_b = clipped_eigenvalues(eig_b)
 
-    tensor = matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    half = np.einsum("ai,abcd,ci->ibd", basis_a.conj(), tensor, basis_a)
+    half = np.einsum("ai,abcd,ci->ibd", basis_a.conj(), _permute_to_cut(rho, cut), basis_a)
     occupation = np.einsum("bj,ibd,dj->ij", basis_b.conj(), half, basis_b).real
 
     null = (eig_a[:, None] <= EIG_ZERO) | (eig_b[None, :] <= EIG_ZERO)

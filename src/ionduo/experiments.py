@@ -139,7 +139,6 @@ class MeasureSeries:
     params: SimParams
     times: np.ndarray
     values: np.ndarray
-    field_deficit: float = 0.0
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64, copy=True)
@@ -223,7 +222,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
                 "i_concurrence needs the global pure state; the cut must cover all factors"
             )
         values = _pure_values(evolve_pure(psi0, params, times), layout, measure, cut)
-    return MeasureSeries(measure, cut, params, times, values, field.deficit)
+    return MeasureSeries(measure, cut, params, times, values)
 
 
 def _run_series_cell(job) -> MeasureSeries:

@@ -223,6 +223,19 @@ class TestSimulateCommand:
         sidecar = json.loads((tmp_path / "old.json").read_text())
         assert not {"nu", "omega1", "omega2"} & set(sidecar["config"]["params"])
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("params", "fock_cutoff", 10.7), ("output", "workers", 2.9), ("output", "workers", True)],
+    )
+    def test_non_integer_json_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        config = json.loads(json.dumps(LEGACY_SIDECAR["config"]))
+        config[section][key] = value
+        config["output"]["prefix"] = str(tmp_path / "x")
+        path = write_config(tmp_path, json.dumps(config), "bad.json")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"[{section}] {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,36 @@ from ionduo import (
     purity,
     von_neumann_entropy,
 )
+from ionduo.core import reduced_density
 
 LAYOUT_334 = HilbertLayout((("A", 3), ("B", 3), ("C", 4)))
+LAYOUT_25 = HilbertLayout((("P", 2), ("Q", 5)))
+
+
+def subsets(layout, proper=False):
+    sizes = range(1, len(layout.labels) + (0 if proper else 1))
+    return [set(c) for r in sizes for c in itertools.combinations(layout.labels, r)]
+
+
+def layout_cases(proper=False):
+    return [
+        pytest.param(layout, labels, id=",".join(sorted(labels)))
+        for layout in (LAYOUT_334, LAYOUT_25)
+        for labels in subsets(layout, proper)
+    ]
+
+
+def kept_and_traced(layout, labels):
+    """Brute force: the (kept, traced) index pair of every flat index."""
+    dims = np.array(layout.dims)
+    kept = np.array([label in labels for label in layout.labels])
+    pairs = []
+    for flat in range(layout.total_dim):
+        digits = np.array(np.unravel_index(flat, layout.dims))
+        k = np.ravel_multi_index(tuple(digits[kept]), tuple(dims[kept]))
+        t = np.ravel_multi_index(tuple(digits[~kept]), tuple(dims[~kept]))
+        pairs.append((int(k), int(t)))
+    return pairs
 
 
 def random_pure(rng, layout):
@@ -52,7 +81,44 @@ class TestHilbertLayout:
         assert LAYOUT_334.keep({"C", "A"}).labels == ("A", "C")
 
 
+class TestSplit:
+    @pytest.mark.parametrize("layout, labels", layout_cases())
+    def test_matches_unravel_table(self, layout, labels):
+        pairs = kept_and_traced(layout, labels)
+        table = np.zeros((max(k for k, _ in pairs) + 1, max(t for _, t in pairs) + 1), dtype=int)
+        for flat, (k, t) in enumerate(pairs):
+            table[k, t] = flat
+        np.testing.assert_array_equal(layout.split(np.arange(layout.total_dim), labels), table)
+        rows = np.arange(3 * layout.total_dim).reshape(3, 1, layout.total_dim)
+        expected = table + layout.total_dim * np.arange(3)[:, None, None, None]
+        np.testing.assert_array_equal(layout.split(rows, labels), expected)
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(KeyError):
+            LAYOUT_334.split(np.arange(36), {"A", "Z"})
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("layout, labels", layout_cases(proper=True))
+    def test_mixed_state_matches_index_sum(self, rng, layout, labels):
+        rho = random_density(rng, layout)
+        pairs = kept_and_traced(layout, labels)
+        dim_keep = layout.keep(labels).total_dim
+        oracle = np.zeros((dim_keep, dim_keep), dtype=complex)
+        for i, (ki, ti) in enumerate(pairs):
+            for j, (kj, tj) in enumerate(pairs):
+                if ti == tj:
+                    oracle[ki, kj] += rho.matrix[i, j]
+        reduced = partial_trace(rho, labels)
+        assert reduced.layout == layout.keep(labels)
+        assert np.abs(reduced.matrix - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("layout, labels", layout_cases(proper=True))
+    def test_reduced_density_equals_partial_trace_of_projector(self, rng, layout, labels):
+        psi = random_pure(rng, layout)
+        direct = reduced_density(psi.amplitudes, layout, labels)
+        assert np.abs(direct.matrix - partial_trace(psi.to_density(), labels).matrix).max() <= 1e-12
+
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         rho_b = np.diag([0.5, 0.25, 0.25]).astype(complex)
