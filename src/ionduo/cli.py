@@ -15,12 +15,13 @@ Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +58,21 @@ class ConfigError(ValueError):
 
 
 def _parse_number(text) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
     expr = str(text).strip().lower().replace(" ", "")
     try:
         if expr == "pi":
-            return math.pi
-        if expr.endswith("*pi"):
-            return float(expr[:-3]) * math.pi
-        if expr.startswith("pi/"):
-            return math.pi / float(expr[3:])
-        return float(expr)
-    except ValueError:
+            value = math.pi
+        elif expr.endswith("*pi"):
+            value = float(expr[:-3]) * math.pi
+        elif expr.startswith("pi/"):
+            value = math.pi / float(expr[3:])
+        else:
+            value = float(expr)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(value) -> int:
@@ -107,9 +110,10 @@ def _parse_bool(value) -> bool:
 
 
 def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    return complex(str(value).strip().replace(" ", ""))
+    number = complex(str(value).strip().replace(" ", ""))
+    if not cmath.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_cut(value) -> Bipartition:
@@ -483,12 +487,14 @@ def _run(make_config, preset: str | None = None) -> int:
 
 def cmd_simulate(config_path: str, out: str | None, workers: int | None) -> int:
     def make_config():
-        config = load_config(config_path)
+        # The flags replace the file's values in its resolved sidecar form,
+        # so they pass the same [output] checks.
+        sections = load_config(config_path).to_json_dict()
         if out is not None:
-            config = replace(config, out_prefix=out)
+            sections["output"]["prefix"] = out
         if workers is not None:
-            config = replace(config, workers=workers)
-        return config
+            sections["output"]["workers"] = workers
+        return build_config(sections)
 
     return _run(make_config)
 

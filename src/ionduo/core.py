@@ -103,7 +103,7 @@ class PureState:
                 f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.total_dim}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
     def to_density(self) -> "DensityMatrix":
@@ -128,13 +128,13 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, layout needs ({dim}, {dim})")
         herm_dev = float(np.abs(mat - mat.conj().T).max())
-        if herm_dev > HERMITICITY_TOL:
+        if not herm_dev <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
         trace_dev = abs(float(np.trace(mat).real) - 1.0)
-        if trace_dev > TRACE_TOL:
+        if not trace_dev <= TRACE_TOL:
             raise ValueError(f"matrix is not unit trace: |tr - 1| = {trace_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < EIG_FLOOR:
+        if not min_eig >= EIG_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
 
 
@@ -172,7 +172,7 @@ def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     dev = float(np.abs(matrix - matrix.conj().T).max())
-    if dev > HERMITIAN_INPUT_TOL:
+    if not dev <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return Spectrum(eigenvalues, eigenvectors)
@@ -201,7 +201,7 @@ def clipped_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     low = float(eigenvalues.min()) if eigenvalues.size else 0.0
-    if low < EIG_FLOOR:
+    if not low >= EIG_FLOOR:
         raise ValueError(f"eigenvalue {low:.3e} below the clipping floor {EIG_FLOOR:.0e}")
     return np.clip(eigenvalues, 0.0, None)
 

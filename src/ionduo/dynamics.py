@@ -34,9 +34,10 @@ import numpy as np
 
 from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
 from .ionmodel import (
-    LEVEL_INDEX,
     CutoffError,
+    block_index,
     build_full_hamiltonian,
+    evolvable_blocks,
     full_layout,
     get_block_system,
 )
@@ -57,7 +58,7 @@ def modulation_integral(modulation: Modulation, t):
     Accepts scalars or arrays, t >= 0.
     """
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("modulation_integral requires t >= 0")
     if isinstance(modulation, Constant):
         out = t.copy()
@@ -74,7 +75,7 @@ def check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d grid")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    if times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing and start at 0")
     return times
 
@@ -84,9 +85,8 @@ def _check_block_support(psi0: PureState, params: SimParams) -> None:
     ceiling; those cannot be evolved faithfully under hard truncation."""
     if psi0.layout != full_layout(params.fock_cutoff):
         raise ValueError("initial state layout does not match params.fock_cutoff")
-    ion1, ion2, fock = np.indices((3, 3, params.fock_cutoff + 1))
-    block = fock - (ion1 != LEVEL_INDEX["a"]) - (ion2 != LEVEL_INDEX["a"])
-    leak = float(np.sum(np.abs(psi0.amplitudes[block.ravel() >= params.fock_cutoff - 1]) ** 2))
+    truncated = ~np.isin(block_index(params.fock_cutoff), evolvable_blocks(params.fock_cutoff))
+    leak = float(np.sum(np.abs(psi0.amplitudes[truncated]) ** 2))
     if leak > 1e-12:
         raise CutoffError(
             f"initial state has weight {leak:.3e} on blocks truncated by the cutoff; "
@@ -99,13 +99,12 @@ def _occupied_blocks(psi0: PureState, params: SimParams) -> Iterator[tuple]:
     evolvable block that ``psi0`` occupies, after the ceiling-block check."""
     _check_block_support(psi0, params)
     system = get_block_system(params)
-    for n in system.evolvable_indices:
-        idx = system.full_indices(n)
+    for n, block in system.blocks.items():
+        idx = system.positions[n]
         a0 = psi0.amplitudes[idx]
         if np.any(a0):
-            spectrum = system.block(n).spectrum
-            v = spectrum.eigenvectors
-            yield idx, spectrum.eigenvalues, v, v.conj().T @ a0
+            v = block.spectrum.eigenvectors
+            yield idx, block.spectrum.eigenvalues, v, v.conj().T @ a0
 
 
 def _row_norm_sq(states: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def _row_norm_sq(states: np.ndarray) -> np.ndarray:
 
 def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     drift = float(np.abs(norm_sq - 1.0).max())
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise ValueError(f"state is not normalized: |norm^2 - 1| = {drift:.3e}")
     states.flags.writeable = False
     return states
@@ -178,11 +177,11 @@ def milburn_reduced(psi0: PureState, params: SimParams, times, keep) -> Iterator
     traced factors; pairs n > m are the conjugate transpose of n < m.
     """
     times = check_times(times)
-    # Entry (k, d) of the table is the full index with kept part k and dropped part d.
+    # Entry (k, d) of the table is the full index with kept part k and dropped
+    # part d; (kept[i], dropped[i]) is the entry that holds full index i.
     table = psi0.layout.split(np.arange(psi0.layout.total_dim), keep)
     dim_keep, dim_traced = table.shape
-    kept, dropped = np.empty((2, table.size), dtype=np.intp)
-    kept[table], dropped[table] = np.indices(table.shape)
+    kept, dropped = np.unravel_index(np.argsort(table, axis=None), table.shape)
     blocks = [  # (energies, W, kept index, dropped index) of each occupied block
         (z, v * coeffs, kept[idx], dropped[idx])
         for idx, z, v, coeffs in _occupied_blocks(psi0, params)
@@ -221,9 +220,9 @@ def milburn_closed_form(
 ) -> DensityMatrix:
     """Closed-form solution of the intrinsic-decoherence master equation
     for a time-independent Hamiltonian."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     spectrum = hermitian_spectrum(np.asarray(hamiltonian))
     v = spectrum.eigenvectors

@@ -28,7 +28,6 @@ from .core import (
     HilbertLayout,
     PureState,
     clipped_eigenvalues,
-    partial_trace,
 )
 
 # States per batched contraction in i_concurrence_values; bounds the
@@ -129,19 +128,17 @@ def relative_entropy_measure(rho: DensityMatrix, cut: Bipartition) -> float:
     marginal product (only possible through round-off pathologies), the
     measure is +inf by convention.
     """
-    rho_a = partial_trace(rho, cut.side_a)
-    rho_b = partial_trace(rho, cut.side_b)
-
+    tensor = _permute_to_cut(rho, cut)
     populations = clipped_eigenvalues(np.linalg.eigvalsh(rho.matrix))
     populations = populations[populations > EIG_ZERO]
     rho_log_rho = float(np.sum(populations * np.log(populations)))
 
-    eig_a, basis_a = np.linalg.eigh(rho_a.matrix)
-    eig_b, basis_b = np.linalg.eigh(rho_b.matrix)
+    eig_a, basis_a = np.linalg.eigh(np.einsum("ajbj->ab", tensor))  # marginal on side_a
+    eig_b, basis_b = np.linalg.eigh(np.einsum("iaib->ab", tensor))  # marginal on side_b
     eig_a = clipped_eigenvalues(eig_a)
     eig_b = clipped_eigenvalues(eig_b)
 
-    half = np.einsum("ai,abcd,ci->ibd", basis_a.conj(), _permute_to_cut(rho, cut), basis_a)
+    half = np.einsum("ai,abcd,ci->ibd", basis_a.conj(), tensor, basis_a)
     occupation = np.einsum("bj,ibd,dj->ij", basis_b.conj(), half, basis_b).real
 
     null = (eig_a[:, None] <= EIG_ZERO) | (eig_b[None, :] <= EIG_ZERO)

@@ -35,6 +35,10 @@ ION_VS_REST = Bipartition(("ion1",), ("ion2", "field"))
 #: Default bipartition for mixed-state sweeps on the two-ion reduced state.
 ION_VS_ION = Bipartition(("ion1",), ("ion2",))
 
+# Empty Fock slots kept above the occupied field range, so the
+# phonon-raising dynamics stays clear of the cutoff ceiling.
+_HEADROOM = 2
+
 
 class IncompatibleMeasureError(ValueError):
     """The requested measure is undefined for the state the run produces."""
@@ -66,7 +70,7 @@ class FieldPreparation:
         if amps.shape != (self.cutoff + 1,):
             raise ValueError(f"need {self.cutoff + 1} amplitudes, got {amps.shape}")
         norm_sq = float(np.dot(amps, amps))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"field amplitudes are not normalized: sum q^2 = {norm_sq}")
 
 
@@ -85,13 +89,11 @@ def coherent_amplitudes(nbar: float, target_deficit: float) -> FieldPreparation:
     """Coherent field truncated by a Poisson tail bound.
 
     The occupied range ends at the smallest N whose tail mass is at most
-    ``target_deficit``; the cutoff adds two empty headroom slots so the
-    phonon-raising dynamics stays clear of the truncation ceiling.
+    ``target_deficit``; the cutoff adds the empty headroom slots above it.
+    ``nbar`` is checked by ``truncated_coherent``.
     """
-    if target_deficit <= 0:
+    if not target_deficit > 0:
         raise ValueError(f"target_deficit must be > 0, got {target_deficit}")
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
     mass = math.exp(-nbar)
     weight = mass
     top = 0
@@ -99,16 +101,17 @@ def coherent_amplitudes(nbar: float, target_deficit: float) -> FieldPreparation:
         top += 1
         weight *= nbar / top
         mass += weight
-    return truncated_coherent(nbar, top + 2)
+    return truncated_coherent(nbar, top + _HEADROOM)
 
 
-def truncated_coherent(nbar: float, fock_cutoff: int, headroom: int = 2) -> FieldPreparation:
-    """Coherent field on a fixed cutoff, occupying n <= cutoff - headroom."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    top = fock_cutoff - headroom
+def truncated_coherent(nbar: float, fock_cutoff: int) -> FieldPreparation:
+    """Coherent field on a fixed cutoff, occupying the Fock states below the
+    headroom slots."""
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    top = fock_cutoff - _HEADROOM
     if top < 0:
-        raise ValueError(f"fock_cutoff {fock_cutoff} leaves no room below headroom {headroom}")
+        raise ValueError(f"fock_cutoff {fock_cutoff} leaves no room below headroom {_HEADROOM}")
     q, tail = _poisson_sqrt(nbar, top)
     amps = np.zeros(fock_cutoff + 1)
     amps[: top + 1] = q / math.sqrt(float(np.dot(q, q)))
@@ -291,7 +294,7 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
     follow a run shorter than two points are treated as grazing and ignored,
     which keeps the recorded events alternating.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if series.times.size < 3:
         raise ValueError("grid too coarse for event detection (need >= 3 points)")

@@ -28,19 +28,6 @@ from .params import Constant, SimParams
 LEVELS = ("a", "b", "c")
 LEVEL_INDEX = {"a": 0, "b": 1, "c": 2}
 
-# Relative order of the nine block states: (Fock offset from n, ion1, ion2).
-_BLOCK_TEMPLATE = (
-    (0, "a", "a"),
-    (1, "a", "b"),
-    (1, "a", "c"),
-    (1, "b", "a"),
-    (2, "b", "b"),
-    (2, "b", "c"),
-    (1, "c", "a"),
-    (2, "c", "b"),
-    (2, "c", "c"),
-)
-
 # Test hook: selftest corrupts this for the duration of one run to prove the
 # oracle checks can fail, then restores it.  Never set it anywhere else.
 _FAULT_SCALE = 1.0
@@ -58,6 +45,20 @@ def full_layout(fock_cutoff: int) -> HilbertLayout:
 def full_index(fock: int, ion1: str, ion2: str, fock_cutoff: int) -> int:
     """Flat index of |ion1, ion2; fock> in the full layout."""
     return (LEVEL_INDEX[ion1] * 3 + LEVEL_INDEX[ion2]) * (fock_cutoff + 1) + fock
+
+
+def block_index(fock_cutoff: int) -> np.ndarray:
+    """Block index n = (Fock number) - (ions not in ``a``) of every basis
+    state of the full layout, in layout order."""
+    ion1, ion2, fock = np.indices((3, 3, fock_cutoff + 1))
+    return (fock - (ion1 != LEVEL_INDEX["a"]) - (ion2 != LEVEL_INDEX["a"])).ravel()
+
+
+def evolvable_blocks(fock_cutoff: int) -> range:
+    """Blocks n with n + 2 <= N_max, which keep all their states under the
+    cutoff.  The blocks above are truncated by the cutoff ceiling and cannot
+    be evolved faithfully."""
+    return range(-2, fock_cutoff - 1)
 
 
 def laguerre(n: int, k: int, x: float) -> float:
@@ -107,10 +108,10 @@ def mode_strength(n: int, k: int, params: SimParams) -> float:
 class BlockBasis:
     """Ordered basis of one excitation-conserving block.
 
-    ``states`` lists (fock, ion1 level, ion2 level) tuples.  Interior blocks
-    (n >= 0 with n + 2 <= N_max) have all nine states; blocks at the Fock
-    floor (n = -1, -2) or at the cutoff ceiling keep the subset whose Fock
-    index lies in [0, N_max].
+    ``states`` lists (fock, ion1 level, ion2 level) tuples in layout order.
+    Interior blocks have all nine states; blocks at the Fock floor
+    (n = -1, -2) or at the cutoff ceiling keep the subset whose Fock index
+    lies in [0, N_max].
     """
 
     states: tuple[tuple[int, str, str], ...]
@@ -121,13 +122,13 @@ class BlockBasis:
 
 
 def block_basis(n: int, fock_cutoff: int) -> BlockBasis:
-    """Basis of block n under the given cutoff."""
-    states = tuple(
-        (n + off, l1, l2) for off, l1, l2 in _BLOCK_TEMPLATE if 0 <= n + off <= fock_cutoff
-    )
-    if not states:
+    """Basis of block n under the given cutoff: the states whose block index
+    is n, in layout order."""
+    positions = np.flatnonzero(block_index(fock_cutoff) == n)
+    if not positions.size:
         raise ValueError(f"block {n} is empty under cutoff {fock_cutoff}")
-    return BlockBasis(states)
+    ion1, ion2, fock = np.unravel_index(positions, (3, 3, fock_cutoff + 1))
+    return BlockBasis(tuple((int(f), LEVELS[i], LEVELS[j]) for f, i, j in zip(fock, ion1, ion2)))
 
 
 def block_indices(fock_cutoff: int) -> range:
@@ -176,17 +177,12 @@ def _assemble_coupling(basis: BlockBasis, params: SimParams) -> np.ndarray:
 
 
 def build_block(n: int, params: SimParams) -> BlockMatrix:
-    """Coupling matrix and cached spectrum of block n.
-
-    Requires n + 2 <= N_max so the block carries its full complement of
-    states; blocks truncated by the cutoff ceiling cannot be evolved
-    faithfully and are refused.
-    """
-    if n < -2:
-        raise ValueError(f"block index must be >= -2, got {n}")
-    if n + 2 > params.fock_cutoff:
+    """Coupling matrix and cached spectrum of block n, which must be one of
+    the evolvable blocks of the cutoff."""
+    evolvable = evolvable_blocks(params.fock_cutoff)
+    if n not in evolvable:
         raise CutoffError(
-            f"block {n} needs Fock states up to {n + 2}, beyond cutoff {params.fock_cutoff}"
+            f"block {n} is outside the evolvable blocks {evolvable} of cutoff {params.fock_cutoff}"
         )
     basis = block_basis(n, params.fock_cutoff)
     coupling = _assemble_coupling(basis, params)
@@ -194,32 +190,15 @@ def build_block(n: int, params: SimParams) -> BlockMatrix:
 
 
 class BlockSystem:
-    """Family of blocks for one parameter set, with cached spectra and the
-    index arrays embedding each block into the full layout."""
+    """The evolvable blocks of one parameter set, built when the system is
+    created: ``blocks[n]`` holds block n with its spectrum and
+    ``positions[n]`` its states' indices in the full layout."""
 
     def __init__(self, params: SimParams):
-        self.params = params
-        self._blocks: dict[int, BlockMatrix] = {}
-        self._indices: dict[int, np.ndarray] = {}
-
-    @property
-    def evolvable_indices(self) -> range:
-        """Blocks with their full complement of states under the cutoff."""
-        return range(-2, self.params.fock_cutoff - 1)
-
-    def block(self, n: int) -> BlockMatrix:
-        if n not in self._blocks:
-            self._blocks[n] = build_block(n, self.params)
-        return self._blocks[n]
-
-    def full_indices(self, n: int) -> np.ndarray:
-        if n not in self._indices:
-            basis = self.block(n).basis
-            self._indices[n] = np.array(
-                [full_index(f, l1, l2, self.params.fock_cutoff) for f, l1, l2 in basis.states],
-                dtype=np.intp,
-            )
-        return self._indices[n]
+        table = block_index(params.fock_cutoff)
+        evolvable = evolvable_blocks(params.fock_cutoff)
+        self.positions = {n: np.flatnonzero(table == n) for n in evolvable}
+        self.blocks = {n: build_block(n, params) for n in evolvable}
 
 
 # Fields of SimParams that do not enter the blocks, pinned for the cache key.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +22,8 @@ class Sech:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"sech modulation requires tau > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"sech modulation requires a finite tau > 0, got {self.tau}")
 
 
 Modulation = Constant | Sech
@@ -41,16 +42,16 @@ class SimParams:
 
     Parameters
     ----------
-    lambda1, lambda2 : complex
+    lambda1, lambda2 : finite complex
         Laser coupling strengths of the two sideband transitions
         (lower level to first / second upper level).
-    eta : float >= 0
+    eta : finite float >= 0
         Lamb-Dicke parameter.
-    epsilon : float
+    epsilon : finite float
         Laser amplitude scale entering the vibrational mode function.
-    gamma : float >= 0
+    gamma : finite float >= 0
         Intrinsic-decoherence rate of the double-commutator channel.
-    nbar : float >= 0
+    nbar : finite float >= 0
         Mean phonon number of the initial coherent field.
     theta : float in [0, 2 pi]
         Superposition angle of the two-ion initial state.
@@ -84,12 +85,12 @@ class SimParams:
         object.__setattr__(self, "lambda2", complex(self.lambda2))
         if self.fock_cutoff < 1:
             raise ValueError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        for name in ("lambda1", "lambda2", "epsilon"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("eta", "gamma", "nbar"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.theta <= 2 * math.pi:
             raise ValueError(f"theta must lie in [0, 2 pi], got {self.theta}")
         if not 0.0 <= self.phi <= math.pi:

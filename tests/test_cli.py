@@ -236,6 +236,39 @@ class TestSimulateCommand:
         assert f"[{section}] {key}: " in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edits, where",
+        [
+            (
+                {"nbar = 2\nfock_cutoff = 10": "nbar = 5\nfock_cutoff = auto",
+                 "[output]": "[output]\ndeficit = nan"},
+                "[output] deficit (line 16)",
+            ),
+            ({"gamma = 0": "gamma = nan"}, "[sweep] gamma (line 4)"),
+            ({"[output]": "[output]\nevent_threshold = nan"}, "[output] event_threshold (line 16)"),
+            ({"nbar = 2": "nbar = 2\neta = nan"}, "[params] eta (line 13)"),
+            ({"nbar = 2": "nbar = 2\nepsilon = inf"}, "[params] epsilon (line 13)"),
+            ({"nbar = 2": "nbar = 2\nlambda1 = nan"}, "[params] lambda1 (line 13)"),
+            ({"nbar = 2": "nbar = nan"}, "[params] nbar (line 12)"),
+            ({"theta = 0": "theta = pi/0"}, "[sweep] theta (line 3)"),
+        ],
+        ids=["deficit", "gamma", "event_threshold", "eta", "epsilon", "lambda1", "nbar", "theta"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, edits, where):
+        text = MINIMAL.format(prefix=tmp_path / "x")
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_workers_flag_is_checked_like_the_config_value(self, tmp_path, capsys):
+        config = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
+        assert main(["simulate", "--config", str(config), "--workers", "0"]) == 2
+        assert "[output] workers: workers must be >= 1" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
 

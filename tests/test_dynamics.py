@@ -334,6 +334,43 @@ CUT_SHAPES = (
 )
 
 couplings = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+modulations = st.one_of(st.just(Constant()), st.builds(Sech, st.floats(0.2, 5.0)))
+
+
+class TestBlockAgainstDense:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        lambda1=couplings,
+        lambda2=couplings,
+        eta=st.floats(0.0, 1.0),
+        epsilon=st.floats(-2.0, 2.0),
+        modulation=modulations,
+        later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evolve_pure_matches_dense_on_random_states(
+        self, fock_cutoff, lambda1, lambda2, eta, epsilon, modulation, later, seed
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            modulation=modulation,
+        )
+        layout = full_layout(fock_cutoff)
+        # every basis state with Fock number <= N_max - 2, whatever its ion levels
+        support = np.flatnonzero(np.arange(layout.total_dim) % (fock_cutoff + 1) <= fock_cutoff - 2)
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(layout.total_dim, dtype=complex)
+        amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        psi0 = PureState(layout, amps / np.linalg.norm(amps))
+        times = [0.0] + sorted(later)
+        block = evolve_pure(psi0, params, times)
+        deviation = float(np.abs(block - evolve_pure_dense(psi0, params, times)).max())
+        assert deviation <= 1e-10
 
 
 def dense_reduced(psi0, params, t, keep):

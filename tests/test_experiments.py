@@ -25,6 +25,9 @@ from ionduo import (
     truncated_coherent,
 )
 from ionduo import experiments
+from ionduo.core import DensityMatrix, HilbertLayout, PureState
+from ionduo.dynamics import check_times, milburn_closed_form, modulation_integral
+from ionduo.experiments import FieldPreparation
 
 
 def synthetic_series(values, step=0.1):
@@ -32,6 +35,48 @@ def synthetic_series(values, step=0.1):
     times = np.arange(values.size) * step
     params = SimParams(fock_cutoff=4, nbar=0.0)
     return MeasureSeries("i_concurrence", ION_VS_REST, params, times, values)
+
+
+QUBIT = HilbertLayout((("q", 2),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SimParams(fock_cutoff=10, eta=math.inf),
+        lambda: SimParams(fock_cutoff=10, eta=math.nan),
+        lambda: SimParams(fock_cutoff=10, epsilon=math.nan),
+        lambda: SimParams(fock_cutoff=10, epsilon=-math.inf),
+        lambda: SimParams(fock_cutoff=10, lambda1=complex(1.0, math.nan)),
+        lambda: SimParams(fock_cutoff=10, lambda2=math.inf),
+        lambda: SimParams(fock_cutoff=10, gamma=math.nan),
+        lambda: SimParams(fock_cutoff=10, nbar=math.inf),
+        lambda: Sech(math.inf),
+        lambda: Sech(math.nan),
+        lambda: truncated_coherent(math.nan, 10),
+        lambda: truncated_coherent(math.inf, 10),
+        lambda: coherent_amplitudes(5.0, math.nan),
+        lambda: coherent_amplitudes(math.nan, 1e-10),
+        lambda: coherent_amplitudes(math.inf, 1e-10),
+        lambda: FieldPreparation(0.0, 2, [math.nan, 0.0, 0.0], 0.0),
+        lambda: detect_sudden_events(synthetic_series([0.0, 1.0, 1.0, 0.0]), math.nan),
+        lambda: check_times([0.0, math.nan, 2.0]),
+        lambda: modulation_integral(Sech(1.0), [0.0, math.nan]),
+        lambda: PureState(QUBIT, [math.nan, 0.0]),
+        lambda: DensityMatrix(QUBIT, np.full((2, 2), math.nan)),
+        lambda: milburn_closed_form(DensityMatrix(QUBIT, np.eye(2) / 2), np.eye(2), math.nan, 1.0),
+    ],
+    ids=[
+        "eta-inf", "eta-nan", "epsilon-nan", "epsilon-inf", "lambda1-nan", "lambda2-inf",
+        "gamma-nan", "nbar-inf", "sech-inf", "sech-nan", "truncated-nbar-nan",
+        "truncated-nbar-inf", "coherent-deficit-nan", "coherent-nbar-nan", "coherent-nbar-inf",
+        "field-nan", "events-threshold-nan", "times-nan", "profile-time-nan", "pure-state-nan",
+        "density-nan", "channel-gamma-nan",
+    ],
+)
+def test_non_finite_input_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestCoherentAmplitudes:
@@ -86,8 +131,7 @@ class TestPrepareInitial:
         psi = prepare_initial(params.theta, params.phi, field)
         system = get_block_system(params)
         rebuilt = np.zeros_like(psi.amplitudes)
-        for n in system.evolvable_indices:
-            idx = system.full_indices(n)
+        for idx in system.positions.values():
             rebuilt[idx] = psi.amplitudes[idx]
         assert np.abs(rebuilt - psi.amplitudes).max() <= 1e-14
 

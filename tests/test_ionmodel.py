@@ -298,4 +298,4 @@ class TestBlockSystemCache:
         info = get_block_system.cache_info()
         assert (info.hits, info.misses) == (0, 2)
         expected = build_block(0, fig_params(fock_cutoff=8, **change)).coupling
-        assert np.array_equal(other.block(0).coupling, expected)
+        assert np.array_equal(other.blocks[0].coupling, expected)
