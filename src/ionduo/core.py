@@ -47,13 +47,6 @@ class HilbertLayout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def axis(self, label: str) -> int:
-        """Position of a factor in the tensor-product order."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown factor label {label!r}; have {self.labels}") from None
-
     def keep(self, labels) -> "HilbertLayout":
         """Sub-layout of the given factors, in original order."""
         wanted = set(labels)
@@ -110,8 +103,11 @@ class PureState:
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def reduced(self, keep) -> "DensityMatrix":
-        """Reduced density matrix of the given factors."""
-        return reduced_density(self.amplitudes, self.layout, keep)
+        """Reduced density matrix of the given factors (partial trace of the
+        projector, computed without forming the full outer product).
+        Keeping every factor gives the projector itself."""
+        matrix = self.layout.split(self.amplitudes, keep)
+        return DensityMatrix(self.layout.keep(keep), matrix @ matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -151,15 +147,6 @@ class Spectrum:
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
-
-
-def reduced_density(amplitudes: np.ndarray, layout: HilbertLayout, keep) -> DensityMatrix:
-    """Reduced density matrix of the given factors for the pure state with
-    these amplitudes (partial trace of the projector, computed without
-    forming the full outer product).  Keeping every factor gives the
-    projector itself."""
-    matrix = layout.split(amplitudes, keep)
-    return DensityMatrix(layout.keep(keep), matrix @ matrix.conj().T)
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:
@@ -206,12 +193,18 @@ def clipped_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     return np.clip(eigenvalues, 0.0, None)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho ln rho) in nats; eigenvalues below EIG_ZERO
-    contribute zero (0 ln 0 := 0)."""
-    populations = clipped_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+def matrix_entropy(matrix: np.ndarray) -> float:
+    """-tr(M ln M) in nats for a Hermitian positive-semidefinite array;
+    eigenvalues are clipped by clipped_eigenvalues, and those below
+    EIG_ZERO contribute zero (0 ln 0 := 0)."""
+    populations = clipped_eigenvalues(np.linalg.eigvalsh(matrix))
     populations = populations[populations > EIG_ZERO]
     return float(-np.sum(populations * np.log(populations)))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -tr(rho ln rho) in nats."""
+    return matrix_entropy(rho.matrix)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertLayout, PureState, reduced_density
+from .core import DensityMatrix, PureState
 from .dynamics import check_times, evolve_pure, milburn_reduced
 from .entanglement import (
     Bipartition,
@@ -158,34 +158,20 @@ class MeasureSeries:
             raise ValueError(f"series contains negative values below tolerance: {values.min()}")
 
 
-def _measure_mixed(rho: DensityMatrix, measure: str, cut: Bipartition) -> float:
-    if measure == "negativity":
-        return negativity(rho, cut)
-    return relative_entropy_measure(rho, cut)
-
-
-def _pure_values(
-    states: np.ndarray, layout: HilbertLayout, measure: str, cut: Bipartition
-) -> np.ndarray:
-    if measure == "i_concurrence":
-        return i_concurrence_values(states, layout, cut)
-    return np.array(
-        [_measure_mixed(reduced_density(amps, layout, cut.labels), measure, cut) for amps in states]
-    )
-
-
-def _milburn_values(
+def _mixed_values(
     psi0: PureState, params: SimParams, times: np.ndarray, measure: str, cut: Bipartition
 ) -> np.ndarray:
-    """Closed-form intrinsic-decoherence series on the factors of the cut."""
+    """Mixed-state measure of the state on the factors of the cut at each
+    time: the reduced pure evolution at gamma = 0, the closed-form
+    intrinsic-decoherence channel at gamma > 0."""
     kept_layout = psi0.layout.keep(cut.labels)
-    return np.array(
-        [
-            _measure_mixed(DensityMatrix(kept_layout, rho), measure, cut)
-            for chunk in milburn_reduced(psi0, params, times, cut.labels)
-            for rho in chunk
-        ]
-    )
+    if params.gamma > 0:
+        rows = (rho for chunk in milburn_reduced(psi0, params, times, cut.labels) for rho in chunk)
+    else:
+        split = (psi0.layout.split(amps, cut.labels) for amps in evolve_pure(psi0, params, times))
+        rows = (t @ t.conj().T for t in split)
+    evaluate = negativity if measure == "negativity" else relative_entropy_measure
+    return np.array([evaluate(DensityMatrix(kept_layout, rho), cut) for rho in rows])
 
 
 def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
@@ -218,13 +204,14 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
                 "i_concurrence is defined for pure states only; gamma > 0 produces "
                 "mixed states, use negativity or relative_entropy"
             )
-        values = _milburn_values(psi0, params, times, measure, cut)
+    elif measure == "i_concurrence" and cut.labels != set(layout.labels):
+        raise IncompatibleMeasureError(
+            "i_concurrence needs the global pure state; the cut must cover all factors"
+        )
+    if measure == "i_concurrence":
+        values = i_concurrence_values(evolve_pure(psi0, params, times), layout, cut)
     else:
-        if measure == "i_concurrence" and cut.labels != set(layout.labels):
-            raise IncompatibleMeasureError(
-                "i_concurrence needs the global pure state; the cut must cover all factors"
-            )
-        values = _pure_values(evolve_pure(psi0, params, times), layout, measure, cut)
+        values = _mixed_values(psi0, params, times, measure, cut)
     return MeasureSeries(measure, cut, params, times, values)
 
 

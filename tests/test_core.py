@@ -13,7 +13,6 @@ from ionduo import (
     purity,
     von_neumann_entropy,
 )
-from ionduo.core import reduced_density
 
 LAYOUT_334 = HilbertLayout((("A", 3), ("B", 3), ("C", 4)))
 LAYOUT_25 = HilbertLayout((("P", 2), ("Q", 5)))
@@ -116,7 +115,7 @@ class TestPartialTrace:
     @pytest.mark.parametrize("layout, labels", layout_cases(proper=True))
     def test_reduced_density_equals_partial_trace_of_projector(self, rng, layout, labels):
         psi = random_pure(rng, layout)
-        direct = reduced_density(psi.amplitudes, layout, labels)
+        direct = psi.reduced(labels)
         assert np.abs(direct.matrix - partial_trace(psi.to_density(), labels).matrix).max() <= 1e-12
 
     def test_product_state_recovers_factor(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -301,6 +301,24 @@ class TestMilburnKraus:
         _, deficit = milburn_kraus(rho0, h, 1.0, 3.0)
         assert deficit <= 1e-10
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        dim=st.integers(2, 6),
+        gamma=st.floats(0.0, 2.0),
+        t=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adaptive_terms_match_closed_form_on_random_input(self, dim, gamma, t, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = raw + raw.conj().T
+        h = h / np.abs(np.linalg.eigvalsh(h)).max()  # spectrum within [-1, 1]
+        rho0 = random_density(rng, dim)
+        out, deficit = milburn_kraus(rho0, h, gamma, t)
+        deviation = float(np.abs(out.matrix - milburn_closed_form(rho0, h, gamma, t).matrix).max())
+        assert deviation <= 1e-10
+        assert deficit <= 1e-10
+
 
 class TestEvolveMilburn:
     def test_kraus_grid_matches_closed_grid(self):
@@ -337,8 +355,14 @@ couplings = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 modulations = st.one_of(st.just(Constant()), st.builds(Sech, st.floats(0.2, 5.0)))
 
 
+# The slow property tests skip hypothesis's shrink phase: a failure is
+# reported at once with the falsifying example it found, instead of after
+# minutes of shrinking.
+FAIL_FAST = dict(derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
+
+
 class TestBlockAgainstDense:
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40, **FAIL_FAST)
     @given(
         fock_cutoff=st.integers(3, 8),
         lambda1=couplings,
@@ -380,7 +404,7 @@ def dense_reduced(psi0, params, t, keep):
 
 
 class TestMilburnReduced:
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30, **FAIL_FAST)
     @given(
         fock_cutoff=st.integers(3, 7),
         nbar=st.floats(0.0, 2.0),
@@ -413,8 +437,11 @@ class TestMilburnReduced:
         chunks = list(milburn_reduced(psi0, params, times, cut.labels))
         reduced = np.concatenate(chunks)
         assert reduced.shape[0] == len(times)
-        for t, rho in zip(times, reduced):
-            assert np.abs(rho - dense_reduced(psi0, params, t, cut.labels)).max() <= 1e-10
+        worst = max(
+            float(np.abs(rho - dense_reduced(psi0, params, t, cut.labels)).max())
+            for t, rho in zip(times, reduced)
+        )
+        assert worst <= 1e-10
 
     @pytest.mark.parametrize("cut", CUT_SHAPES)
     def test_streamed_chunks_match_one_chunk(self, cut, monkeypatch):

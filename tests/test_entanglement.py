@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 from ionduo import (
     Bipartition,
@@ -176,7 +177,53 @@ class TestNegativity:
         assert negativity(rho, CUT_AB) <= 1e-10
 
 
+def product_of_marginals(rho, cut):
+    """rho_A x rho_B as a matrix on rho's layout, its factors back in layout
+    order."""
+    layout = rho.layout
+    order = [label for label in layout.labels if label in cut.side_a] + [
+        label for label in layout.labels if label in cut.side_b
+    ]
+    product = np.kron(partial_trace(rho, cut.side_a).matrix, partial_trace(rho, cut.side_b).matrix)
+    dims = [dict(layout.factors)[label] for label in order]
+    back = [order.index(label) for label in layout.labels]
+    tensor = product.reshape(dims + dims).transpose(back + [len(dims) + i for i in back])
+    return tensor.reshape(layout.total_dim, layout.total_dim)
+
+
+def relative_entropy_by_definition(rho, cut):
+    """tr rho (ln rho - ln(rho_A x rho_B)) with matrix logarithms."""
+    difference = logm(rho.matrix) - logm(product_of_marginals(rho, cut))
+    return float(np.trace(rho.matrix @ difference).real)
+
+
+LAYOUT_23 = HilbertLayout((("A", 2), ("B", 3)))
+LAYOUT_223 = HilbertLayout((("A", 2), ("B", 2), ("C", 3)))
+LAYOUT_322 = HilbertLayout((("A", 3), ("B", 2), ("C", 2)))
+ORACLE_CASES = [
+    pytest.param(
+        layout,
+        Bipartition(side_a, side_b),
+        id="x".join(map(str, layout.dims)) + f"-{''.join(side_a)}|{''.join(side_b)}",
+    )
+    for layout, cuts in (
+        (LAYOUT_23, [(("A",), ("B",)), (("B",), ("A",))]),
+        (QUTRIT_PAIR, [(("A",), ("B",))]),
+        (LAYOUT_223, [(("A",), ("B", "C")), (("B",), ("A", "C")), (("C",), ("A", "B"))]),
+        (LAYOUT_322, [(("A", "C"), ("B",)), (("C",), ("B", "A")), (("A", "B"), ("C",))]),
+    )
+    for side_a, side_b in cuts
+]
+
+
 class TestRelativeEntropyMeasure:
+    @pytest.mark.parametrize("layout, cut", ORACLE_CASES)
+    def test_matches_matrix_logarithm_definition(self, rng, layout, cut):
+        for _ in range(3):
+            rho = random_density(rng, layout)  # full rank, so both logarithms exist
+            expected = relative_entropy_by_definition(rho, cut)
+            assert abs(relative_entropy_measure(rho, cut) - expected) <= 1e-10
+
     def test_product_state_has_zero_distance(self, rng):
         rho_a = random_density(rng, HilbertLayout((("A", 2),))).matrix
         rho_b = random_density(rng, HilbertLayout((("B", 3),))).matrix
