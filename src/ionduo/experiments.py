@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +40,9 @@ ION_VS_ION = Bipartition(("ion1",), ("ion2",))
 # Empty Fock slots kept above the occupied field range, so the
 # phonon-raising dynamics stays clear of the cutoff ceiling.
 _HEADROOM = 2
+#: Largest nbar whose vacuum amplitude exp(-nbar / 2) is a normal float,
+#: which the Poisson amplitude recurrence starts from.
+MAX_NBAR = -2.0 * math.log(sys.float_info.min)
 
 
 class IncompatibleMeasureError(ValueError):
@@ -90,25 +95,32 @@ def coherent_amplitudes(nbar: float, target_deficit: float) -> FieldPreparation:
 
     The occupied range ends at the smallest N whose tail mass is at most
     ``target_deficit``; the cutoff adds the empty headroom slots above it.
-    ``nbar`` is checked by ``truncated_coherent``.
+    The Poisson weights come from their logarithms, so none underflows into
+    a stall; past the peak, a weight the sum no longer resolves ends it.
     """
+    _check_nbar(nbar)
     if not target_deficit > 0:
         raise ValueError(f"target_deficit must be > 0, got {target_deficit}")
     mass = math.exp(-nbar)
-    weight = mass
     top = 0
     while 1.0 - mass > target_deficit:
         top += 1
-        weight *= nbar / top
+        weight = math.exp(top * math.log(nbar) - nbar - math.lgamma(top + 1))
+        if top > nbar and mass + weight == mass:
+            break
         mass += weight
     return truncated_coherent(nbar, top + _HEADROOM)
+
+
+def _check_nbar(nbar: float) -> None:
+    if not 0 <= nbar <= MAX_NBAR:
+        raise ValueError(f"nbar must lie in [0, {MAX_NBAR:.1f}], got {nbar}")
 
 
 def truncated_coherent(nbar: float, fock_cutoff: int) -> FieldPreparation:
     """Coherent field on a fixed cutoff, occupying the Fock states below the
     headroom slots."""
-    if not 0 <= nbar < math.inf:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    _check_nbar(nbar)
     top = fock_cutoff - _HEADROOM
     if top < 0:
         raise ValueError(f"fock_cutoff {fock_cutoff} leaves no room below headroom {_HEADROOM}")
@@ -215,11 +227,6 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     return MeasureSeries(measure, cut, params, times, values)
 
 
-def _run_series_cell(job) -> MeasureSeries:
-    params, measure, cut, times = job
-    return run_series(params, measure, cut, times)
-
-
 def run_sweep(
     params: SimParams,
     theta_grid,
@@ -237,17 +244,16 @@ def run_sweep(
     if not theta_grid or not gamma_grid:
         raise ValueError("sweep grids must be nonempty")
     times = np.asarray(times, dtype=np.float64)
-    jobs = [
-        (replace(params, theta=theta, gamma=gamma), measure, cut, times)
-        for theta in theta_grid
-        for gamma in gamma_grid
+    cells = [
+        replace(params, theta=theta, gamma=gamma) for theta in theta_grid for gamma in gamma_grid
     ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    shared = (repeat(measure), repeat(cut), repeat(times))
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        return [_run_series_cell(job) for job in jobs]
+        return list(map(run_series, cells, *shared))
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(_run_series_cell, jobs))
+        return list(pool.map(run_series, cells, *shared))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 from .core import HilbertLayout, Spectrum, hermitian_spectrum
 from .params import Constant, SimParams
 
-LEVELS = ("a", "b", "c")
 LEVEL_INDEX = {"a": 0, "b": 1, "c": 2}
 
 # Test hook: selftest corrupts this for the duration of one run to prove the
@@ -68,8 +67,6 @@ def laguerre(n: int, k: int, x: float) -> float:
         raise ValueError(f"laguerre requires n, k >= 0, got n={n}, k={k}")
     if n == 0:
         return 1.0
-    if n == 1:
-        return 1.0 + k - x
     prev, cur = 1.0, 1.0 + k - x
     for m in range(2, n + 1):
         prev, cur = cur, ((k + 2 * m - x - 1) * cur - (k + m - 1) * prev) / m
@@ -104,89 +101,57 @@ def mode_strength(n: int, k: int, params: SimParams) -> float:
     return -0.5 * params.epsilon * raw * _FAULT_SCALE
 
 
-@dataclass(frozen=True)
-class BlockBasis:
-    """Ordered basis of one excitation-conserving block.
-
-    ``states`` lists (fock, ion1 level, ion2 level) tuples in layout order.
-    Interior blocks have all nine states; blocks at the Fock floor
-    (n = -1, -2) or at the cutoff ceiling keep the subset whose Fock index
-    lies in [0, N_max].
-    """
-
-    states: tuple[tuple[int, str, str], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
+# The interior-block template: state k of every block holds ion1 in level
+# k // 3 and ion2 in level k % 3 (a, b, c = 0, 1, 2) at Fock number
+# n + _OFFSET[k], which is layout order.  A raising pair (_DST, _SRC) lifts one
+# ion from a to level _UPPER while adding one phonon.
+_ION1, _ION2 = np.divmod(np.arange(9), 3)
+_OFFSET = np.sign(_ION1) + np.sign(_ION2)
+_DST, _SRC = np.nonzero(
+    (_OFFSET[:, None] == _OFFSET + 1) & ((_ION1[:, None] == _ION1) | (_ION2[:, None] == _ION2))
+)
+_UPPER = (_ION1 + _ION2)[_DST] - (_ION1 + _ION2)[_SRC]
 
 
-def block_basis(n: int, fock_cutoff: int) -> BlockBasis:
-    """Basis of block n under the given cutoff: the states whose block index
-    is n, in layout order."""
-    positions = np.flatnonzero(block_index(fock_cutoff) == n)
-    if not positions.size:
-        raise ValueError(f"block {n} is empty under cutoff {fock_cutoff}")
-    ion1, ion2, fock = np.unravel_index(positions, (3, 3, fock_cutoff + 1))
-    return BlockBasis(tuple((int(f), LEVELS[i], LEVELS[j]) for f, i, j in zip(fock, ion1, ion2)))
-
-
-def block_indices(fock_cutoff: int) -> range:
-    """All block indices holding at least one state with Fock <= N_max."""
-    return range(-2, fock_cutoff + 1)
+@lru_cache(maxsize=16)
+def mode_couplings(params: SimParams) -> np.ndarray:
+    """g(m) = sqrt(m) E(m), with E(m) = mode_strength(m, 0), for
+    m = 0..N_max: the strength of the raising step that ends at phonon
+    number m, <m| E(n_hat) a_dag |m-1>."""
+    fock = range(params.fock_cutoff + 1)
+    g = np.array([math.sqrt(m) * mode_strength(m, 0, params) for m in fock])
+    g.flags.writeable = False
+    return g
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """One block: its basis, Hermitian coupling matrix and cached spectrum."""
+    """One block: its read-only Hermitian coupling matrix and its spectrum."""
 
-    basis: BlockBasis
     coupling: np.ndarray
     spectrum: Spectrum
-
-    def __post_init__(self):
-        coupling = np.array(self.coupling, dtype=np.complex128, copy=True)
-        coupling.flags.writeable = False
-        object.__setattr__(self, "coupling", coupling)
-
-
-def _assemble_coupling(basis: BlockBasis, params: SimParams) -> np.ndarray:
-    """Matrix elements of the zeta = 1 interaction Hamiltonian on a block.
-
-    Only the raising part is assembled (ion a -> b or a -> c while creating
-    one phonon); the Hermitian conjugate fills the rest.  The mode function
-    is evaluated at the post-raising phonon number:
-    <m+1| E(n_hat) a_dag |m> = sqrt(m+1) * E(m+1).
-    """
-    index = {state: i for i, state in enumerate(basis.states)}
-    raising = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for src, (fock, l1, l2) in enumerate(basis.states):
-        if fock + 1 > params.fock_cutoff:
-            continue
-        element = math.sqrt(fock + 1) * mode_strength(fock + 1, 0, params)
-        for upper, lam in (("b", params.lambda1), ("c", params.lambda2)):
-            if l1 == "a":
-                dst = index.get((fock + 1, upper, l2))
-                if dst is not None:
-                    raising[dst, src] += lam * element
-            if l2 == "a":
-                dst = index.get((fock + 1, l1, upper))
-                if dst is not None:
-                    raising[dst, src] += lam * element
-    return raising + raising.conj().T
 
 
 def build_block(n: int, params: SimParams) -> BlockMatrix:
     """Coupling matrix and cached spectrum of block n, which must be one of
-    the evolvable blocks of the cutoff."""
+    the evolvable blocks of the cutoff.  Each template raising pair carries
+    lambda g(Fock number after raising), the floor blocks (n = -1, -2) keep
+    the template states with Fock number >= 0, and the Hermitian conjugate
+    fills the lowering half."""
     evolvable = evolvable_blocks(params.fock_cutoff)
     if n not in evolvable:
         raise CutoffError(
             f"block {n} is outside the evolvable blocks {evolvable} of cutoff {params.fock_cutoff}"
         )
-    basis = block_basis(n, params.fock_cutoff)
-    coupling = _assemble_coupling(basis, params)
-    return BlockMatrix(basis, coupling, hermitian_spectrum(coupling))
+    fock = n + _OFFSET
+    dst, src, upper = (pairs[fock[_SRC] >= 0] for pairs in (_DST, _SRC, _UPPER))
+    lam = np.array([0.0, params.lambda1, params.lambda2])  # coupling into level a, b, c
+    raising = np.zeros((9, 9), dtype=np.complex128)
+    raising[dst, src] = lam[upper] * mode_couplings(params)[fock[dst]]
+    raising = raising[np.ix_(fock >= 0, fock >= 0)]
+    coupling = raising + raising.conj().T
+    coupling.flags.writeable = False
+    return BlockMatrix(coupling, hermitian_spectrum(coupling))
 
 
 class BlockSystem:
@@ -208,13 +173,18 @@ _cached_block_system = lru_cache(maxsize=16)(BlockSystem)
 
 def get_block_system(params: SimParams) -> BlockSystem:
     """Cached block family of the Hamiltonian of ``params``: runs that differ
-    only in fields outside the blocks share one entry.  ``cache_info`` and
-    ``cache_clear`` reach the cache."""
+    only in fields outside the blocks share one entry.  ``cache_info``
+    reaches the cache; ``cache_clear`` empties it and ``mode_couplings``."""
     return _cached_block_system(replace(params, **_OUTSIDE_BLOCKS))
 
 
+def _cache_clear() -> None:
+    _cached_block_system.cache_clear()
+    mode_couplings.cache_clear()
+
+
 get_block_system.cache_info = _cached_block_system.cache_info
-get_block_system.cache_clear = _cached_block_system.cache_clear
+get_block_system.cache_clear = _cache_clear
 
 
 def build_full_hamiltonian(params: SimParams) -> np.ndarray:
@@ -223,25 +193,18 @@ def build_full_hamiltonian(params: SimParams) -> np.ndarray:
     Assembled from tensor products of single-ion flip operators and the
     truncated phonon raising operator; couplings whose a_dag action would
     exceed N_max vanish because the truncated a_dag annihilates |N_max>.
-    The result equals the direct sum of all block coupling matrices under
+    On each evolvable block it equals that block's coupling matrix under
     the block-to-full embedding.
     """
     n_fock = params.fock_cutoff + 1
-    a_dag = np.zeros((n_fock, n_fock), dtype=np.complex128)
-    for m in range(n_fock - 1):
-        a_dag[m + 1, m] = math.sqrt(m + 1)
+    a_dag = np.diag(np.sqrt(np.arange(1, n_fock)), k=-1).astype(np.complex128)
     mode_diag = np.diag([mode_strength(m, 0, params) for m in range(n_fock)]).astype(np.complex128)
     raise_op = mode_diag @ a_dag  # mode function applied after the raising
 
     eye3 = np.eye(3, dtype=np.complex128)
-    flip = {}
-    for upper in ("b", "c"):
-        op = np.zeros((3, 3), dtype=np.complex128)
-        op[LEVEL_INDEX[upper], LEVEL_INDEX["a"]] = 1.0
-        flip[upper] = op
-
     h = np.zeros((9 * n_fock, 9 * n_fock), dtype=np.complex128)
     for upper, lam in (("b", params.lambda1), ("c", params.lambda2)):
-        h += lam * np.kron(flip[upper], np.kron(eye3, raise_op))
-        h += lam * np.kron(eye3, np.kron(flip[upper], raise_op))
+        flip = np.outer(eye3[LEVEL_INDEX[upper]], eye3[LEVEL_INDEX["a"]])  # |upper><a|
+        h += lam * np.kron(flip, np.kron(eye3, raise_op))
+        h += lam * np.kron(eye3, np.kron(flip, raise_op))
     return h + h.conj().T

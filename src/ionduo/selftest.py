@@ -1,12 +1,13 @@
 """Fast built-in oracle suite behind the ``ionduo selftest`` command.
 
 Hard checks compare independent computation routes (block against dense
-propagation, the block-sparse channel and the truncated Kraus sum against
-the dense closed-form channel, evolved t = 0 concurrence against its closed
-form, the modulation antiderivative against quadrature) plus frozen
-reference values of the vibrational mode function.  Qualitative claims about
-the dynamics are reported as PASS/WARN and never fail the run, since they
-encode expected physics rather than contracts.
+propagation, block spectra against the closed-form bright/dark spectrum, the
+block-sparse channel and the truncated Kraus sum against the dense
+closed-form channel, evolved t = 0 concurrence against its closed form, the
+modulation antiderivative against quadrature) plus frozen reference values
+of the vibrational mode function.  Qualitative claims about the dynamics are
+reported as PASS/WARN and never fail the run, since they encode expected
+physics rather than contracts.
 """
 
 from __future__ import annotations
@@ -80,6 +81,32 @@ def _check_channels_vs_closed() -> CheckResult:
     )
 
 
+def closed_form_spectrum(n: int, params: SimParams) -> np.ndarray:
+    """Ascending eigenvalues of block n: each ion's bright state couples to
+    |a> with Lambda g(m), Lambda^2 = |lambda1|^2 + |lambda2|^2, and its dark
+    state not at all (Morris & Shore), leaving the two-atom Tavis-Cummings
+    spectrum {0 x3, +-Lambda sqrt(2 (g(n+1)^2 + g(n+2)^2)), +-Lambda g(n+2) x2}.
+    The floor blocks take g(m <= 0) = 0 and drop one zero per missing state."""
+    g1, g2 = (math.sqrt(m) * ionmodel.mode_strength(m, 0, params) for m in (max(n + 1, 0), n + 2))
+    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    omega = big * math.sqrt(2 * (g1**2 + g2**2))
+    values = [0.0, 0.0, 0.0, omega, -omega] + [big * g2, -big * g2] * 2
+    for _ in range({-1: 1, -2: 5}.get(n, 0)):
+        values.remove(0.0)
+    return np.sort(values)
+
+
+def _check_spectrum_closed_form() -> CheckResult:
+    params = SimParams(fock_cutoff=12, lambda1=0.7 + 0.3j, lambda2=0.4 - 0.2j, eta=0.3, epsilon=0.4)
+    scale = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    scale *= float(np.abs(ionmodel.mode_couplings(params)).max())
+    worst = max(
+        float(np.abs(block.spectrum.eigenvalues - closed_form_spectrum(n, params)).max())
+        for n, block in ionmodel.get_block_system(params).blocks.items()
+    )
+    return CheckResult("spectrum-vs-closed-form", worst <= 1e-12 * scale, worst / scale, 1e-12)
+
+
 def _check_t0_concurrence() -> CheckResult:
     worst = 0.0
     for theta in np.linspace(0.0, 2 * math.pi, 13):
@@ -115,6 +142,7 @@ def _check_modulation_integral() -> CheckResult:
 _CHECKS = (
     _check_mode_reference,
     _check_block_vs_dense,
+    _check_spectrum_closed_form,
     _check_channels_vs_closed,
     _check_t0_concurrence,
     _check_modulation_integral,

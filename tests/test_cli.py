@@ -263,6 +263,29 @@ class TestSimulateCommand:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_nbar_beyond_the_limit_is_config_error(self, tmp_path, capsys):
+        text = MINIMAL.format(prefix=tmp_path / "x").replace("nbar = 2", "nbar = 1500")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        assert "[params] nbar (line 12): nbar must lie in [0, 1416.8]" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_large_nbar_run_finishes(self, tmp_path):
+        # the field preparation once looped forever here, so bound the wait
+        text = MINIMAL.format(prefix=tmp_path / "x")
+        text = text.replace("nbar = 2\nfock_cutoff = 10", "nbar = 800")
+        text = text.replace("time = 0, 0.5, 1.0", "time = 0, 0.5")
+        config = write_config(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ionduo.cli", "simulate", "--config", str(config)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        field = json.loads((tmp_path / "x.json").read_text())["field"]
+        assert field["fock_cutoff"] == 988
+        assert field["poisson_tail_deficit"] <= 1e-10
+
     def test_workers_flag_is_checked_like_the_config_value(self, tmp_path, capsys):
         config = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
         assert main(["simulate", "--config", str(config), "--workers", "0"]) == 2

@@ -112,6 +112,31 @@ class TestCoherentAmplitudes:
         with pytest.raises(ValueError):
             coherent_amplitudes(5.0, 0.0)
 
+    @pytest.mark.parametrize("nbar", [700.0, 740.0, 800.0, 1000.0, 1400.0])
+    def test_large_nbar_meets_the_tail_target(self, nbar):
+        field = coherent_amplitudes(nbar, 1e-10)
+        assert field.deficit <= 1e-10
+        assert field.cutoff > nbar
+
+    def test_presets_keep_their_cutoffs(self):
+        assert [coherent_amplitudes(nbar, 1e-10).cutoff for nbar in (5.0, 15.0, 100.0)] == [
+            27,
+            48,
+            172,
+        ]
+
+    def test_target_below_float_resolution_ends(self):
+        for nbar in (5.0, 800.0):
+            assert coherent_amplitudes(nbar, 1e-300).deficit <= np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: coherent_amplitudes(1500.0, 1e-10), lambda: truncated_coherent(1500.0, 1800)],
+    )
+    def test_nbar_beyond_the_limit_refused(self, make):
+        with pytest.raises(ValueError, match=r"^nbar must lie in \[0, 1416\.8\]"):
+            make()
+
 
 class TestPrepareInitial:
     def test_theta_zero_is_separable(self):
@@ -249,8 +274,8 @@ class TestThetaSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)

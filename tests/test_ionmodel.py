@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from ionduo import (
@@ -15,12 +18,14 @@ from ionduo import (
 )
 from ionduo.ionmodel import (
     LEVEL_INDEX,
+    BlockSystem,
     CutoffError,
-    _assemble_coupling,
-    block_basis,
-    block_indices,
+    block_index,
+    evolvable_blocks,
     full_index,
+    mode_couplings,
 )
+from ionduo.selftest import closed_form_spectrum
 
 CANONICAL_NINE = (
     (0, "a", "a"),
@@ -36,19 +41,22 @@ CANONICAL_NINE = (
 
 
 def assemble_from_blocks(params):
-    """Full Hamiltonian as the direct sum of every block coupling matrix
-    (including the cutoff-truncated ceiling blocks) under the
-    block-to-full embedding."""
+    """Direct sum of the evolvable blocks' coupling matrices under the
+    block-to-full embedding, and the full indices of their states."""
+    system = BlockSystem(params)
     dim = 9 * (params.fock_cutoff + 1)
     h = np.zeros((dim, dim), dtype=np.complex128)
-    for n in block_indices(params.fock_cutoff):
-        basis = block_basis(n, params.fock_cutoff)
-        idx = np.array(
-            [full_index(f, l1, l2, params.fock_cutoff) for f, l1, l2 in basis.states],
-            dtype=np.intp,
-        )
-        h[np.ix_(idx, idx)] = _assemble_coupling(basis, params)
-    return h
+    for n, block in system.blocks.items():
+        h[np.ix_(system.positions[n], system.positions[n])] = block.coupling
+    return h, np.concatenate(list(system.positions.values()))
+
+
+def block_states(n, params):
+    """(fock, ion1 level, ion2 level) of each state of block n, in order,
+    read off the block's positions in the full layout."""
+    positions = BlockSystem(params).positions[n]
+    ion1, ion2, fock = np.unravel_index(positions, (3, 3, params.fock_cutoff + 1))
+    return [(int(f), "abc"[i], "abc"[j]) for f, i, j in zip(fock, ion1, ion2)]
 
 
 def fig_params(fock_cutoff=12, **overrides):
@@ -162,53 +170,64 @@ def oracle_matrix_element(bra, ket, params):
     return amplitudes.get(bra, 0.0 + 0.0j)
 
 
-class TestBlockBasis:
+class TestBlockPositions:
     def test_interior_block_has_canonical_order(self):
         for n in (0, 3):
-            basis = block_basis(n, 12)
-            assert basis.states == tuple((n + off, l1, l2) for off, l1, l2 in CANONICAL_NINE)
+            assert block_states(n, fig_params()) == [
+                (n + off, l1, l2) for off, l1, l2 in CANONICAL_NINE
+            ]
 
     def test_floor_blocks_drop_negative_fock(self):
-        assert block_basis(-1, 12).dim == 8
-        assert block_basis(-1, 12).states[0] == (0, "a", "b")
-        assert block_basis(-2, 12).states == (
+        system = BlockSystem(fig_params())
+        assert block_states(-1, fig_params()) == [
+            (off - 1, l1, l2) for off, l1, l2 in CANONICAL_NINE[1:]
+        ]
+        assert block_states(-2, fig_params()) == [
             (0, "b", "b"),
             (0, "b", "c"),
             (0, "c", "b"),
             (0, "c", "c"),
-        )
+        ]
+        for n, size in ((-1, 8), (-2, 4)):
+            assert system.positions[n].size == size
+            assert system.blocks[n].coupling.shape == (size, size)
 
     def test_all_fock_indices_within_cutoff(self):
-        for n in block_indices(6):
-            for fock, _, _ in block_basis(n, 6).states:
+        params = fig_params(fock_cutoff=6)
+        for n in evolvable_blocks(6):
+            for fock, l1, l2 in block_states(n, params):
                 assert 0 <= fock <= 6
+                assert fock - (l1 != "a") - (l2 != "a") == n
 
     def test_partition_covers_full_space_exactly_once(self):
         cutoff = 9
-        seen = []
-        for n in block_indices(cutoff):
-            seen.extend(block_basis(n, cutoff).states)
-        assert len(seen) == len(set(seen)) == 9 * (cutoff + 1)
+        seen = np.concatenate(list(BlockSystem(fig_params(fock_cutoff=cutoff)).positions.values()))
+        ceiling = np.flatnonzero(block_index(cutoff) > evolvable_blocks(cutoff)[-1])
+        everything = np.concatenate([seen, ceiling])
+        assert np.array_equal(np.sort(everything), np.arange(9 * (cutoff + 1)))
 
 
 class TestBuildBlock:
     def test_vacuum_floor_block_is_static(self):
         block = build_block(-2, fig_params())
-        assert block.basis.dim == 4
+        assert block.coupling.shape == (4, 4)
         assert np.abs(block.coupling).max() == 0.0
 
     def test_lambda2_zero_decouples_c_states(self):
-        block = build_block(0, fig_params(lambda2=0.0))
-        has_c = [i for i, (_, l1, l2) in enumerate(block.basis.states) if "c" in (l1, l2)]
-        no_c = [i for i in range(block.basis.dim) if i not in has_c]
+        params = fig_params(lambda2=0.0)
+        block = build_block(0, params)
+        states = block_states(0, params)
+        has_c = [i for i, (_, l1, l2) in enumerate(states) if "c" in (l1, l2)]
+        no_c = [i for i in range(len(states)) if i not in has_c]
         assert np.abs(block.coupling[np.ix_(has_c, no_c)]).max() == 0.0
 
     def test_against_dense_operator_oracle(self):
         params = fig_params(lambda1=1.0, lambda2=0.01, eta=0.202, epsilon=0.01)
         block = build_block(0, params)
+        states = block_states(0, params)
         worst = 0.0
-        for j, bra in enumerate(block.basis.states):
-            for k, ket in enumerate(block.basis.states):
+        for j, bra in enumerate(states):
+            for k, ket in enumerate(states):
                 expected = oracle_matrix_element(bra, ket, params)
                 worst = max(worst, abs(block.coupling[j, k] - expected))
         assert worst <= 1e-12
@@ -216,8 +235,9 @@ class TestBuildBlock:
     def test_oracle_on_floor_block_and_complex_couplings(self):
         params = fig_params(lambda1=np.exp(0.3j), lambda2=0.01j, eta=0.25, epsilon=0.4)
         block = build_block(-1, params)
-        for j, bra in enumerate(block.basis.states):
-            for k, ket in enumerate(block.basis.states):
+        states = block_states(-1, params)
+        for j, bra in enumerate(states):
+            for k, ket in enumerate(states):
                 assert block.coupling[j, k] == pytest.approx(
                     oracle_matrix_element(bra, ket, params), abs=1e-12
                 )
@@ -237,6 +257,49 @@ class TestBuildBlock:
             assert np.abs(eigs + eigs[::-1]).max() <= 1e-10
 
 
+STRENGTH = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+class TestClosedFormSpectrum:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        cutoff=st.integers(1, 30),
+        magnitudes=st.tuples(STRENGTH, STRENGTH),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        eta=st.floats(0.0, 1.5),
+        epsilon=st.one_of(st.just(0.0), st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
+        standard=st.booleans(),
+    )
+    def test_block_spectra_match_bright_dark_closed_form(
+        self, cutoff, magnitudes, phases, eta, epsilon, standard
+    ):
+        lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
+        params = SimParams(
+            fock_cutoff=cutoff,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            standard_matrix_element=standard,
+        )
+        scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
+        for n in evolvable_blocks(cutoff):
+            eigenvalues = build_block(n, params).spectrum.eigenvalues
+            closed = closed_form_spectrum(n, params)
+            assert closed.shape == eigenvalues.shape
+            assert np.abs(eigenvalues - closed).max() <= 1e-12 * scale
+
+    def test_interior_spectrum_by_hand(self):
+        # lambda2 = 0 leaves one bright level; n = 0 couples with g(1), g(2)
+        params = fig_params(lambda1=1.0, lambda2=0.0, eta=0.0, epsilon=-2.0)
+        omega = math.sqrt(2 * (1.0 + 2.0))  # g(m) = sqrt(m) at eta = 0, epsilon = -2
+        side = math.sqrt(2.0)
+        expected = sorted([0.0, 0.0, 0.0, omega, -omega, side, -side, side, -side])
+        assert np.allclose(closed_form_spectrum(0, params), expected, rtol=0, atol=1e-15)
+        eigenvalues = build_block(0, params).spectrum.eigenvalues
+        assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-14)
+
+
 class TestFullHamiltonian:
     def test_zero_couplings_give_zero_matrix(self):
         h = build_full_hamiltonian(fig_params(lambda1=0.0, lambda2=0.0))
@@ -247,9 +310,13 @@ class TestFullHamiltonian:
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_block_embedding_equivalence(self):
+        # the ceiling blocks are never built, so compare on the evolvable states
         params = fig_params(fock_cutoff=12)
-        dev = np.abs(build_full_hamiltonian(params) - assemble_from_blocks(params)).max()
+        blocks, kept = assemble_from_blocks(params)
+        dense = build_full_hamiltonian(params)
+        dev = np.abs(dense[np.ix_(kept, kept)] - blocks[np.ix_(kept, kept)]).max()
         assert dev <= 1e-12
+        assert np.abs(dense[kept][:, np.setdiff1d(np.arange(dense.shape[0]), kept)]).max() == 0.0
 
     def test_excitation_conservation_across_blocks(self):
         params = fig_params(fock_cutoff=8)
