@@ -9,7 +9,9 @@ next to each dataset can itself be fed back through ``--config`` and
 reproduces the dataset byte for byte.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
-3 infeasible run (e.g. decoherence combined with sech modulation).
+3 infeasible run (e.g. decoherence combined with sech modulation),
+4 numerical failure during the run (e.g. a norm-drift check); no dataset
+is written then.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from . import __version__
 from .dynamics import check_times
 from .entanglement import Bipartition
 from .experiments import (
+    ION_VS_REST,
     MEASURES,
     IncompatibleMeasureError,
     MeasureSeries,
@@ -39,11 +42,9 @@ from .experiments import (
     run_sweep,
     truncated_coherent,
 )
-from .ionmodel import CutoffError
+from .ionmodel import CutoffError, full_layout
 from .params import Constant, Sech, SimParams
 from .selftest import run_selftest
-
-_FACTOR_LABELS = ("ion1", "ion2", "field")
 
 
 class ConfigError(ValueError):
@@ -75,6 +76,13 @@ def _parse_number(text) -> float:
     return value
 
 
+def _parse_positive(value) -> float:
+    number = _parse_number(value)
+    if number <= 0:
+        raise ValueError(f"expected a number > 0, got {number}")
+    return number
+
+
 def _parse_int(value) -> int:
     """An integer; a bool or a float with a fractional part is refused, not truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -82,20 +90,34 @@ def _parse_int(value) -> int:
     return int(value) if isinstance(value, (int, float)) else int(str(value).strip())
 
 
+def _parse_workers(value) -> int:
+    workers = _parse_int(value)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _parse_grid(value) -> tuple[float, ...]:
     if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(_parse_number(v) for v in value)
-    text = str(value).strip()
-    if text.startswith("linspace:"):
-        parts = text.split(":")
+        grid = tuple(_parse_number(v) for v in value)
+    elif str(value).strip().startswith("linspace:"):
+        parts = str(value).strip().split(":")
         if len(parts) != 4:
             raise ValueError(f"linspace needs start:stop:count, got {value!r}")
         start, stop = _parse_number(parts[1]), _parse_number(parts[2])
         count = _parse_int(parts[3])
         if count < 1:
             raise ValueError(f"linspace count must be >= 1, got {count}")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    return tuple(_parse_number(piece) for piece in text.split(",") if piece.strip())
+        grid = tuple(float(x) for x in np.linspace(start, stop, count))
+    else:
+        grid = tuple(_parse_number(piece) for piece in str(value).split(",") if piece.strip())
+    if not grid:
+        raise ValueError("grid is empty")
+    return grid
+
+
+def _parse_times(value) -> tuple[float, ...]:
+    return tuple(check_times(_parse_grid(value)).tolist())
 
 
 def _parse_bool(value) -> bool:
@@ -116,24 +138,40 @@ def _parse_complex(value) -> complex:
     return number
 
 
+def _parse_text(value) -> str:
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError(f"expected a nonempty string, got {value!r}")
+    return value
+
+
+def _parse_measure(value) -> str:
+    name = str(value).strip()
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {name!r}; choose from {MEASURES}")
+    return name
+
+
 def _parse_cut(value) -> Bipartition:
-    if isinstance(value, dict):
-        return Bipartition(tuple(value["side_a"]), tuple(value["side_b"]))
     sides = str(value).split("|")
     if len(sides) != 2:
         raise ValueError(f"cut must look like 'ion1 | ion2,field', got {value!r}")
-    parsed = tuple(
-        tuple(label.strip() for label in side.split(",") if label.strip()) for side in sides
+    cut = Bipartition(
+        *(tuple(label.strip() for label in side.split(",") if label.strip()) for side in sides)
     )
-    cut = Bipartition(parsed[0], parsed[1])
-    unknown = cut.labels - set(_FACTOR_LABELS)
+    factors = full_layout(0).labels  # the labels do not depend on the cutoff
+    unknown = cut.labels - set(factors)
     if unknown:
-        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {_FACTOR_LABELS}")
+        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {factors}")
     return cut
 
 
-def _cut_to_text(cut: Bipartition) -> str:
-    return f"{','.join(cut.side_a)} | {','.join(cut.side_b)}"
+def _sidecar_value(value):
+    """The JSON form of a parsed value, which its parser reads back unchanged."""
+    if isinstance(value, complex):
+        return str(value)
+    if isinstance(value, Bipartition):
+        return " | ".join(",".join(side) for side in (value.side_a, value.side_b))
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -153,53 +191,62 @@ class RunConfig:
     workers: int
 
     def to_json_dict(self) -> dict:
+        sidecar = {
+            section: {
+                key: _sidecar_value(getattr(self.params if section == "params" else self, attr))
+                for key, (_, _, attr) in keys.items()
+                if attr is not None
+            }
+            for section, keys in _SCHEMA.items()
+        }
         modulation = self.params.modulation
-        mod_dict = {"kind": "sech", "tau": modulation.tau} if isinstance(modulation, Sech) else {
-            "kind": "constant"
-        }
-        params = {key: getattr(self.params, key) for key in _PARAM_PARSERS}
-        params.update(
-            lambda1=str(self.params.lambda1),
-            lambda2=str(self.params.lambda2),
-            modulation=mod_dict,
-            fock_cutoff=self.params.fock_cutoff,
+        sidecar["params"]["modulation"] = (
+            {"kind": "sech", "tau": modulation.tau}
+            if isinstance(modulation, Sech)
+            else {"kind": "constant"}
         )
-        return {
-            "params": params,
-            "sweep": {
-                "theta": list(self.theta_grid),
-                "gamma": list(self.gamma_grid),
-                "time": list(self.time_grid),
-            },
-            "measure": {"name": self.measure, "cut": _cut_to_text(self.cut)},
-            "output": {
-                "prefix": self.out_prefix,
-                "deficit": self.deficit,
-                "event_threshold": self.event_threshold,
-                "workers": self.workers,
-            },
-        }
+        return sidecar
 
 
-# [params] keys parsed straight into the SimParams field of the same name;
-# modulation, tau and fock_cutoff are resolved in build_config.
-_PARAM_PARSERS = {
-    "lambda1": _parse_complex,
-    "lambda2": _parse_complex,
-    "eta": _parse_number,
-    "epsilon": _parse_number,
-    "nbar": _parse_number,
-    "phi": _parse_number,
-    "standard_matrix_element": _parse_bool,
-}
+_REQUIRED = object()
+_UNPARSED = (None, None, None)
 
-_KNOWN_KEYS = {
-    # nu, omega1 and omega2 are accepted and dropped: 0.1.0 sidecars wrote
-    # them, and the dynamics never read them.
-    "params": (*_PARAM_PARSERS, "modulation", "tau", "fock_cutoff", "nu", "omega1", "omega2"),
-    "sweep": ("theta", "gamma", "time"),
-    "measure": ("name", "cut"),
-    "output": ("prefix", "deficit", "event_threshold", "workers"),
+# The grammar: for each [section] key, its parser, its default and the
+# attribute the sidecar writes (of SimParams in [params], else of RunConfig).
+# A [params] key with no default keeps the SimParams default.  Unparsed keys
+# are resolved in build_config, or accepted and dropped: ionduo 0.1.0
+# sidecars wrote nu, omega1 and omega2, and the dynamics never read them.
+_SCHEMA = {
+    "params": {
+        "lambda1": (_parse_complex, None, "lambda1"),
+        "lambda2": (_parse_complex, None, "lambda2"),
+        "eta": (_parse_number, None, "eta"),
+        "epsilon": (_parse_number, None, "epsilon"),
+        "nbar": (_parse_number, None, "nbar"),
+        "phi": (_parse_number, None, "phi"),
+        "modulation": _UNPARSED,
+        "tau": _UNPARSED,
+        "fock_cutoff": (None, None, "fock_cutoff"),
+        "standard_matrix_element": (_parse_bool, None, "standard_matrix_element"),
+        "nu": _UNPARSED,
+        "omega1": _UNPARSED,
+        "omega2": _UNPARSED,
+    },
+    "sweep": {
+        "theta": (_parse_grid, _REQUIRED, "theta_grid"),
+        "gamma": (_parse_grid, (0.0,), "gamma_grid"),
+        "time": (_parse_times, _REQUIRED, "time_grid"),
+    },
+    "measure": {
+        "name": (_parse_measure, _REQUIRED, "measure"),
+        "cut": (_parse_cut, ION_VS_REST, "cut"),
+    },
+    "output": {
+        "prefix": (_parse_text, "dataset", "out_prefix"),
+        "deficit": (_parse_positive, 1e-10, "deficit"),
+        "event_threshold": (_parse_positive, 1e-3, "event_threshold"),
+        "workers": (_parse_workers, 1, "workers"),
+    },
 }
 
 
@@ -212,7 +259,7 @@ def _locate(text: str | None, section: str, key: str) -> int | None:
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-        elif current == section and stripped.split("=")[0].split(":")[0].strip() == key:
+        elif current == section and stripped.split("=")[0].split(":")[0].strip().lower() == key:
             return number
     return None
 
@@ -227,117 +274,84 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
     def fail(section, key, message):
         raise ConfigError(section, key, message, _locate(raw_text, section, key))
 
-    for section, keys in sections.items():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(section, "", "unknown section", None)
-        for key in keys:
-            if key not in _KNOWN_KEYS[section]:
+    parsed = {section: {} for section in _SCHEMA}
+    for section, given in sections.items():
+        if section not in _SCHEMA:
+            raise ConfigError(section, "", "unknown section")
+        if not isinstance(given, dict):
+            raise ConfigError(section, "", f"expected an object of keys, got {given!r}")
+        for key in given:
+            if key not in _SCHEMA[section]:
                 fail(section, key, "unknown key")
-
-    def get(section, key, default=None):
-        return sections.get(section, {}).get(key, default)
-
-    def parse(section, key, parser, default=None, required=False):
-        value = get(section, key)
-        if value is None:
-            if required:
+    for section, keys in _SCHEMA.items():
+        given = sections.get(section, {})
+        for key, (parse, default, attr) in keys.items():
+            if parse is None:
+                continue
+            if key in given:
+                try:
+                    parsed[section][attr] = parse(given[key])
+                except ValueError as exc:
+                    fail(section, key, str(exc))
+            elif default is _REQUIRED:
                 fail(section, key, "required key is missing")
-            return default
-        try:
-            return parser(value)
-        except (ValueError, TypeError, KeyError) as exc:
-            fail(section, key, str(exc))
+            elif default is not None:
+                parsed[section][attr] = default
 
-    modulation_kind = get("params", "modulation", "constant")
-    if isinstance(modulation_kind, dict):
-        tau_value = modulation_kind.get("tau")
-        modulation_kind = modulation_kind.get("kind", "constant")
-    else:
-        tau_value = get("params", "tau")
-        modulation_kind = str(modulation_kind).strip().lower()
-    if modulation_kind == "constant":
-        modulation = Constant()
-    elif modulation_kind == "sech":
-        if tau_value is None:
-            fail("params", "tau", "sech modulation requires an explicit tau (no default exists)")
-        try:
-            modulation = Sech(_parse_number(tau_value))
-        except (ValueError, TypeError) as exc:
-            fail("params", "tau", str(exc))
-    else:
-        fail("params", "modulation", f"expected 'constant' or 'sech', got {modulation_kind!r}")
+    given = sections.get("params", {})
+    kind, tau = given.get("modulation", "constant"), given.get("tau")
+    if isinstance(kind, dict):  # the sidecar form
+        kind, tau = kind.get("kind", "constant"), kind.get("tau")
+    kind = str(kind).strip().lower()
+    if kind not in ("constant", "sech"):
+        fail("params", "modulation", f"expected 'constant' or 'sech', got {kind!r}")
+    if kind == "sech" and tau is None:
+        fail("params", "tau", "sech modulation requires an explicit tau (no default exists)")
+    try:  # a tau is checked even where constant modulation leaves it unused
+        tau = None if tau is None else _parse_number(tau)
+        modulation = Sech(tau) if kind == "sech" else Constant()
+    except ValueError as exc:
+        fail("params", "tau", str(exc))
 
-    deficit = parse("output", "deficit", _parse_number, default=1e-10)
-    if deficit <= 0:
-        fail("output", "deficit", f"deficit must be > 0, got {deficit}")
-
-    theta_grid = parse("sweep", "theta", _parse_grid, required=True)
-    gamma_grid = parse("sweep", "gamma", _parse_grid, default=(0.0,))
-    time_grid = parse(
-        "sweep", "time", lambda value: check_times(_parse_grid(value)).tolist(), required=True
-    )
-    if not theta_grid:
-        fail("sweep", "theta", "grid is empty")
-    if not gamma_grid:
-        fail("sweep", "gamma", "grid is empty")
-    for theta in theta_grid:
-        if not 0.0 <= theta <= 2 * math.pi:
-            fail("sweep", "theta", f"theta {theta} outside [0, 2 pi]")
-    for gamma in gamma_grid:
-        if gamma < 0:
-            fail("sweep", "gamma", f"gamma {gamma} must be >= 0")
-
-    measure = parse("measure", "name", str, required=True).strip()
-    if measure not in MEASURES:
-        fail("measure", "name", f"unknown measure {measure!r}; choose from {MEASURES}")
-    cut = parse("measure", "cut", _parse_cut, default=Bipartition(("ion1",), ("ion2", "field")))
-
-    workers = parse("output", "workers", _parse_int, default=1)
-    if workers < 1:
-        fail("output", "workers", f"workers must be >= 1, got {workers}")
-    event_threshold = parse("output", "event_threshold", _parse_number, default=1e-3)
-    if event_threshold <= 0:
-        fail("output", "event_threshold", f"event_threshold must be > 0, got {event_threshold}")
-
-    defaults = {f.name: f.default for f in fields(SimParams)}
-    parsed = {
-        key: parse("params", key, parser, default=defaults[key])
-        for key, parser in _PARAM_PARSERS.items()
-    }
-    cutoff = get("params", "fock_cutoff", "auto")
+    cutoff = given.get("fock_cutoff", "auto")
     auto = str(cutoff).strip().lower() == "auto"
     if not auto:
         try:
             cutoff = _parse_int(cutoff)
-        except (TypeError, ValueError):
+        except ValueError:
             fail("params", "fock_cutoff", f"expected 'auto' or an integer, got {cutoff!r}")
     # The cutoff follows the field preparation's own rule; its errors and
     # those of SimParams start with the name of the offending key.
+    cell = parsed.pop("params")
     try:
-        nbar = parsed["nbar"]
-        field = coherent_amplitudes(nbar, deficit) if auto else truncated_coherent(nbar, cutoff)
-        params = SimParams(
-            fock_cutoff=field.cutoff,
-            gamma=gamma_grid[0],
-            theta=theta_grid[0],
-            modulation=modulation,
-            **parsed,
+        nbar = cell.get("nbar", SimParams.nbar)
+        field = (
+            coherent_amplitudes(nbar, parsed["output"]["deficit"])
+            if auto
+            else truncated_coherent(nbar, cutoff)
         )
-    except (ValueError, TypeError) as exc:
+        params = SimParams(fock_cutoff=field.cutoff, modulation=modulation, **cell)
+    except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
-        fail("params", key if key in _PARAM_PARSERS else "fock_cutoff", str(exc))
+        fail("params", key if key in cell else "fock_cutoff", str(exc))
 
+    # A [sweep] key naming a SimParams field sweeps it.  Each value is checked
+    # on the cell params built the way run_sweep builds them, so SimParams
+    # states the range; the template takes the first value.
+    swept = {
+        key: parsed["sweep"][attr]
+        for key, (_, _, attr) in _SCHEMA["sweep"].items()
+        if key in {f.name for f in fields(SimParams)}
+    }
+    for key, grid in swept.items():
+        for value in grid:
+            try:
+                replace(params, **{key: value})
+            except ValueError as exc:
+                fail("sweep", key, str(exc))
+    params = replace(params, **{key: grid[0] for key, grid in swept.items()})
     return RunConfig(
-        params=params,
-        theta_grid=tuple(theta_grid),
-        gamma_grid=tuple(gamma_grid),
-        time_grid=tuple(time_grid),
-        measure=measure,
-        cut=cut,
-        out_prefix=str(parse("output", "prefix", str, default="dataset")),
-        deficit=float(deficit),
-        event_threshold=float(event_threshold),
-        workers=workers,
+        params=params, **{attr: v for values in parsed.values() for attr, v in values.items()}
     )
 
 
@@ -346,15 +360,14 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("file", str(path), f"cannot read config: {exc}") from None
-    stripped = text.lstrip()
-    if path.suffix == ".json" or stripped.startswith("{"):
+    if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past the digit limit
             raise ConfigError("file", str(path), f"invalid JSON: {exc}") from None
-        sections = payload.get("config", payload)
+        sections = payload.get("config", payload) if isinstance(payload, dict) else payload
         if not isinstance(sections, dict):
             raise ConfigError("file", str(path), "JSON config must be an object")
         return build_config(sections, raw_text=None)
@@ -469,34 +482,15 @@ def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
     return write_dataset(config, series_list, preset=preset)
 
 
-def _run(make_config, preset: str | None = None) -> int:
-    """Build the config, run it and write the dataset; returns the exit code."""
-    try:
-        config = make_config()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        csv_path, json_path = execute(config, preset=preset)
-    except (UnsupportedRegimeError, IncompatibleMeasureError, CutoffError) as exc:
-        print(f"infeasible run: {exc}", file=sys.stderr)
-        return 3
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
-
-
-def cmd_simulate(config_path: str, out: str | None, workers: int | None) -> int:
-    def make_config():
-        # The flags replace the file's values in its resolved sidecar form,
-        # so they pass the same [output] checks.
-        sections = load_config(config_path).to_json_dict()
-        if out is not None:
-            sections["output"]["prefix"] = out
-        if workers is not None:
-            sections["output"]["workers"] = workers
-        return build_config(sections)
-
-    return _run(make_config)
+def _with_output(sections: dict, out: str | None, workers: int | None) -> RunConfig:
+    """build_config with the ``--out`` and ``--workers`` flags in place of the
+    [output] values, so the flags pass the same checks."""
+    output = sections.setdefault("output", {})
+    if out is not None:
+        output["prefix"] = out
+    if workers is not None:
+        output["workers"] = workers
+    return build_config(sections)
 
 
 def figure_config(
@@ -526,21 +520,8 @@ def figure_config(
         raise ConfigError("figure", "name", f"unknown preset {name!r}")
     sections = presets[name]
     if name == "fig4":
-        if tau is None:
-            raise ConfigError(
-                "params",
-                "tau",
-                "fig4 uses sech modulation and requires --tau (no reference value exists)",
-            )
-        sections["params"]["tau"] = tau
-    sections.setdefault("output", {})["prefix"] = out if out is not None else name
-    if workers is not None:
-        sections["output"]["workers"] = workers
-    return build_config(sections)
-
-
-def cmd_figure(name: str, tau: float | None, out: str | None, workers: int | None) -> int:
-    return _run(lambda: figure_config(name, tau=tau, out=out, workers=workers), preset=name)
+        sections["params"]["tau"] = tau  # build_config refuses sech without a tau
+    return _with_output(sections, name if out is None else out, workers)
 
 
 def main(argv=None) -> int:
@@ -570,16 +551,31 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.out, args.workers)
-    if args.command == "figure":
-        return cmd_figure(args.name, args.tau, args.out, args.workers)
     if args.command == "selftest":
         return run_selftest(
             inject_fault=args.inject_fault, include_claims=not args.skip_claims
         )
-    parser.error(f"unknown command {args.command}")
-    return 2
+    preset = args.name if args.command == "figure" else None
+    try:
+        if preset is None:
+            # The file's values in their resolved sidecar form, with the flags applied.
+            sections = load_config(args.config).to_json_dict()
+            config = _with_output(sections, args.out, args.workers)
+        else:
+            config = figure_config(preset, tau=args.tau, out=args.out, workers=args.workers)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        csv_path, json_path = execute(config, preset=preset)
+    except (UnsupportedRegimeError, IncompatibleMeasureError, CutoffError) as exc:
+        print(f"infeasible run: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # a numerical check failed mid-run
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 4
+    print(f"wrote {csv_path} and {json_path}")
+    return 0
 
 
 if __name__ == "__main__":

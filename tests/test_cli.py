@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ionduo.dynamics
 from ionduo import Sech, SimParams, __version__
 from ionduo.cli import ConfigError, build_config, figure_config, load_config, main
 from ionduo.selftest import run_selftest
@@ -133,6 +134,13 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, text))
         assert (caught.value.section, caught.value.key, caught.value.line) == ("params", key, 2)
         assert str(caught.value).count("[params]") == 1
+
+    def test_mixed_case_key_keeps_its_line(self, tmp_path):
+        text = "[params]\nETA = abc\n\n[sweep]\ntheta = 0\ntime = 0, 1\n"
+        text += "\n[measure]\nname = i_concurrence\n"
+        with pytest.raises(ConfigError) as caught:
+            load_config(write_config(tmp_path, text))
+        assert (caught.value.section, caught.value.key, caught.value.line) == ("params", "eta", 2)
 
     def test_bad_cut_rejected(self):
         with pytest.raises(ConfigError, match="cut"):
@@ -294,6 +302,42 @@ class TestSimulateCommand:
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[1]", "JSON config must be an object"),
+            ('{"sweep": 5}', "[sweep]: expected an object of keys, got 5"),
+            ("1" * 5000, "invalid JSON"),
+        ],
+        ids=["top-level-list", "section-not-object", "integer-past-digit-limit"],
+    )
+    def test_malformed_json_structure_is_config_error(self, tmp_path, capsys, text, where):
+        path = write_config(tmp_path, text, "bad.json")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[params]\nnbar = \xff\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_cut_as_json_object_is_config_error(self, tmp_path, capsys):
+        # Sidecars have always written the cut as text; the object form is refused.
+        config = json.loads(json.dumps(LEGACY_SIDECAR["config"]))
+        config["measure"]["cut"] = {"side_a": ["ion1"], "side_b": ["ion2", "field"]}
+        path = write_config(tmp_path, json.dumps(config), "bad.json")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "[measure] cut: " in capsys.readouterr().err
+
+    def test_numerical_failure_mid_run_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ionduo.dynamics, "NORM_TOL", -1.0)  # every norm check fails
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
+        assert main(["simulate", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: state is not normalized") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_row_order_and_count_for_grid(self, tmp_path):
         text = MINIMAL.format(prefix=tmp_path / "grid")
