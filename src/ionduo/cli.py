@@ -402,14 +402,13 @@ def write_dataset(
     json_path = prefix.parent / (prefix.name + ".json")
 
     lines = ["theta,gamma,nbar,scaled_time,measure,value"]
+    times = [_fmt(t) for t in config.time_grid]  # the grid of every series
     for series in series_list:
-        theta = series.params.theta
-        gamma = series.params.gamma
-        nbar = series.params.nbar
-        for t, value in zip(series.times, series.values):
-            lines.append(
-                f"{_fmt(theta)},{_fmt(gamma)},{_fmt(nbar)},{_fmt(t)},{series.measure},{_fmt(value)}"
-            )
+        cell = ",".join(_fmt(getattr(series.params, key)) for key in ("theta", "gamma", "nbar"))
+        lines.extend(
+            f"{cell},{t},{series.measure},{_fmt(value)}"
+            for t, value in zip(times, series.values.tolist())
+        )
 
     events = []
     separable_flags = []

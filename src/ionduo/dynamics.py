@@ -10,7 +10,10 @@ states evolve block by block as
 
 with (Z, V) the cached spectrum of each block coupling matrix; an
 evolution over a time grid is returned as one read-only (T, dim) array whose
-row i is the state at times[i].
+row i is the state at times[i].  ``exchange_purity`` streams the same
+evolution in time chunks and keeps, per time, only what the I-concurrence of
+every exchange-symmetric initial state cos(theta) |ab> + sin(theta) e^{i phi}
+|ba> needs.
 
 The intrinsic-decoherence master equation
 
@@ -123,6 +126,19 @@ def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     return states
 
 
+def _evolved_rows(blocks: list[tuple], theta: np.ndarray, dim: int) -> np.ndarray:
+    """Norm-checked (len(theta), dim) array of the states at the profile
+    values ``theta``, from the ``_occupied_blocks`` of the initial state."""
+    out = np.zeros((theta.size, dim), dtype=np.complex128)
+    norm_sq = np.zeros(theta.size)
+    for idx, z, v, coeffs in blocks:
+        phases = np.exp(-1j * np.outer(theta, z))
+        block_states = (phases * coeffs) @ v.T
+        out[:, idx] = block_states
+        norm_sq += _row_norm_sq(block_states)
+    return _checked_states(out, norm_sq)
+
+
 def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Exact pure-state evolution via per-block eigendecomposition.
 
@@ -135,14 +151,62 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
-    out = np.zeros((times.size, psi0.layout.total_dim), dtype=np.complex128)
-    norm_sq = np.zeros(times.size)
-    for idx, z, v, coeffs in _occupied_blocks(psi0, params):
-        phases = np.exp(-1j * np.outer(theta, z))
-        block_states = (phases * coeffs) @ v.T
-        out[:, idx] = block_states
-        norm_sq += _row_norm_sq(block_states)
-    return _checked_states(out, norm_sq)
+    blocks = list(_occupied_blocks(psi0, params))
+    return _evolved_rows(blocks, theta, psi0.layout.total_dim)
+
+
+# Partial trace of stacked two-ion operators (T, part, i1, i2, j1, j2) onto
+# the ions kept, the ion side of a cut that covers ion1, ion2 and field.
+_KEEP_IONS = {
+    ("ion1",): "tpikjk->tpij",
+    ("ion2",): "tpkikj->tpij",
+    ("ion1", "ion2"): "tpijkl->tpijkl",
+}
+# Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
+_ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
+
+
+def exchange_purity(
+    psi0: PureState, params: SimParams, times, keep
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta-free trace and purity of the marginal on the ions ``keep`` of
+    psi(theta, t) = cos(theta) psi(t) + sin(theta) e^{i phi} SWAP psi(t),
+    with psi(t) the evolution of ``psi0``, phi = ``params.phi`` and SWAP
+    the ion exchange.
+
+    The Hamiltonian commutes with SWAP, so psi(theta, t) is the evolution
+    of psi(theta, 0) and one evolution serves every theta.  With
+    c = cos(theta), s = sin(theta) and G the two-ion marginal of psi(t),
+    the two-ion marginal of psi(theta, t) is c^2 G + c s X + s^2 SWAP G SWAP
+    with X = e^{-i phi} G SWAP + h.c.; tracing out the other ion keeps one.
+    Returns (T, 3) and (T, 5) arrays with tr rho = sum_j trace[:, j]
+    c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k.
+
+    The state is evolved in time chunks that hold, with their conjugate, at
+    most _CHUNK_ENTRIES entries, each with the per-row norm check of
+    evolve_pure, and contracted over the field at once, so no (T, dim)
+    array is held.
+    """
+    times = check_times(times)
+    theta = modulation_integral(params.modulation, times)
+    subscripts = _KEEP_IONS[tuple(sorted(keep))]
+    blocks = list(_occupied_blocks(psi0, params))
+    dim = psi0.layout.total_dim
+    trace = np.empty((times.size, 3))
+    purity = np.empty((times.size, 5))
+    step = max(1, _CHUNK_ENTRIES // (2 * dim))  # the chunk and its conjugate
+    for start in range(0, times.size, step):
+        ions = _evolved_rows(blocks, theta[start : start + step], dim).reshape(-1, 9, dim // 9)
+        g = (ions @ ions.conj().swapaxes(1, 2)).reshape(-1, 3, 3, 3, 3)
+        cross = np.exp(-1j * params.phi) * g.swapaxes(3, 4)
+        cross += cross.conj().transpose(0, 3, 4, 1, 2)
+        parts = np.stack((g, cross, g.transpose(0, 2, 1, 4, 3)), axis=1)
+        flat = np.einsum(subscripts, parts).reshape(len(parts), 3, -1)
+        gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
+        chunk = slice(start, start + len(parts))
+        trace[chunk] = np.einsum("tpikik->tp", parts).real
+        purity[chunk] = gram.reshape(-1, 9) @ _ANTIDIAGONALS
+    return trace, purity
 
 
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:

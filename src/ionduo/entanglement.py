@@ -24,10 +24,6 @@ import numpy as np
 
 from .core import DensityMatrix, HilbertLayout, PureState, matrix_entropy
 
-# States per batched contraction in i_concurrence_values; bounds the
-# conjugate copy the contraction makes to a few megabytes.
-_ROWS_PER_BATCH = 1024
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -66,22 +62,28 @@ def i_concurrence_values(states: np.ndarray, layout: HilbertLayout, cut: Biparti
     """I-concurrence of each row of a (T, dim) array of normalized states on
     ``layout``.
 
-    Raises ValueError if a value exceeds the dimension ceiling, which only
-    an unnormalized input can reach.
+    Raises ValueError as concurrence_from_purity does.
     """
     _check_cut(layout, cut)
     dim_a = layout.keep(cut.side_a).total_dim
     dim_b = layout.total_dim // dim_a
     d = min(dim_a, dim_b)
-    values = np.empty(len(states))
-    for start in range(0, len(states), _ROWS_PER_BATCH):
-        rows = states[start : start + _ROWS_PER_BATCH]
-        tensor = layout.split(rows, cut.side_a)
-        if dim_a > dim_b:
-            tensor = tensor.swapaxes(1, 2)  # both marginals have the same purity
-        marginal = (tensor @ tensor.conj().swapaxes(1, 2)).reshape(len(rows), 1, d * d)
-        marginal_purity = (marginal.conj() @ marginal.swapaxes(1, 2)).real.ravel()
-        values[start : start + len(rows)] = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - marginal_purity)))
+    tensor = layout.split(states, cut.side_a)
+    if dim_a > dim_b:
+        tensor = tensor.swapaxes(1, 2)  # both marginals have the same purity
+    marginal = (tensor @ tensor.conj().swapaxes(1, 2)).reshape(len(states), 1, d * d)
+    purity = (marginal.conj() @ marginal.swapaxes(1, 2)).real.ravel()
+    return concurrence_from_purity(purity, d)
+
+
+def concurrence_from_purity(purity: np.ndarray, d: int) -> np.ndarray:
+    """I-concurrence sqrt(2 (1 - P)) of marginal purities P, the smaller side
+    of the cut having dimension ``d``.
+
+    Raises ValueError if a value exceeds the dimension ceiling, which only
+    an unnormalized state can reach.
+    """
+    values = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
     ceiling = math.sqrt(2.0 * (d - 1) / d)
     worst = float(values.max())
     if worst > ceiling + 1e-10:

@@ -15,15 +15,16 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .core import DensityMatrix, PureState
-from .dynamics import check_times, evolve_pure, milburn_reduced
+from .dynamics import check_times, evolve_pure, exchange_purity, milburn_reduced
 from .entanglement import (
     Bipartition,
-    i_concurrence_values,
+    concurrence_from_purity,
     negativity,
     relative_entropy_measure,
 )
@@ -186,14 +187,43 @@ def _mixed_values(
     return np.array([evaluate(DensityMatrix(kept_layout, rho), cut) for rho in rows])
 
 
+@lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
+def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tuple[float, ...]):
+    """``exchange_purity`` of the run of ``params`` on the ions ``keep``,
+    evolved from |a b> x field; the callers pin theta, which it leaves out."""
+    field = truncated_coherent(params.nbar, params.fock_cutoff)
+    psi_a = prepare_initial(0.0, 0.0, field)
+    trace, purity = exchange_purity(psi_a, params, times, keep)
+    trace.flags.writeable = False
+    purity.flags.writeable = False
+    return trace, purity
+
+
+def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np.ndarray:
+    """I-concurrence series of a gamma = 0 run on a cut covering all
+    factors, from the cached theta-free data of its ion side, with the
+    purity taken over the squared trace of the marginal."""
+    ions = cut.side_b if "field" in cut.side_a else cut.side_a
+    trace, purity = _exchange_coefficients(
+        replace(params, theta=0.0), tuple(sorted(ions)), tuple(times.tolist())
+    )
+    c, s = math.cos(params.theta), math.sin(params.theta)
+    norm = trace @ [c ** (2 - j) * s**j for j in range(3)]
+    quartic = purity @ [c ** (4 - k) * s**k for k in range(5)]
+    layout = full_layout(params.fock_cutoff)
+    d = min(layout.keep(side).total_dim for side in (cut.side_a, cut.side_b))
+    return concurrence_from_purity(quartic / norm**2, d)
+
+
 def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
     """Entanglement series for one parameter point.
 
-    With gamma = 0 the state is evolved exactly as a pure state; with
-    gamma > 0 the closed-form intrinsic-decoherence channel is used, which
-    requires constant modulation and a mixed-state measure.  A cut covering
-    only some factors evaluates the measure on the correspondingly reduced
-    state.
+    With gamma = 0 the state is evolved exactly as a pure state; the
+    I-concurrence comes from one cached evolution shared by every theta of
+    the other parameters.  With gamma > 0 the closed-form
+    intrinsic-decoherence channel is used, which requires constant
+    modulation and a mixed-state measure.  A cut covering only some factors
+    evaluates the measure on the correspondingly reduced state.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
@@ -202,9 +232,6 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     if unknown:
         raise ValueError(f"cut names unknown factors {sorted(unknown)}")
     times = check_times(times)
-    field = truncated_coherent(params.nbar, params.fock_cutoff)
-    psi0 = prepare_initial(params.theta, params.phi, field)
-
     if params.gamma > 0:
         if not isinstance(params.modulation, Constant):
             raise UnsupportedRegimeError(
@@ -221,8 +248,10 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
             "i_concurrence needs the global pure state; the cut must cover all factors"
         )
     if measure == "i_concurrence":
-        values = i_concurrence_values(evolve_pure(psi0, params, times), layout, cut)
+        values = _i_concurrence(params, cut, times)
     else:
+        field = truncated_coherent(params.nbar, params.fock_cutoff)
+        psi0 = prepare_initial(params.theta, params.phi, field)
         values = _mixed_values(psi0, params, times, measure, cut)
     return MeasureSeries(measure, cut, params, times, values)
 

@@ -3,8 +3,9 @@
 Hard checks compare independent computation routes (block against dense
 propagation, block spectra against the closed-form bright/dark spectrum, the
 block-sparse channel and the truncated Kraus sum against the dense
-closed-form channel, evolved t = 0 concurrence against its closed form, the
-modulation antiderivative against quadrature) plus frozen reference values
+closed-form channel, the I-concurrence shared by every theta against per-cell
+evolution, evolved t = 0 concurrence against its closed form, the modulation
+antiderivative against quadrature) plus frozen reference values
 of the vibrational mode function.  Qualitative claims about the dynamics are
 reported as PASS/WARN and never fail the run, since they encode expected
 physics rather than contracts.
@@ -107,6 +108,29 @@ def _check_spectrum_closed_form() -> CheckResult:
     return CheckResult("spectrum-vs-closed-form", worst <= 1e-12 * scale, worst / scale, 1e-12)
 
 
+#: Parameters of the theta-linear check; a cache outliving a faulted run
+#: would serve this run's data to the next.
+THETA_LINEAR_PARAMS = SimParams(fock_cutoff=10, nbar=1.5, phi=0.7, lambda2=0.3 + 0.2j)
+
+
+def _check_theta_linear() -> CheckResult:
+    """Production I-concurrence, one evolution shared by every theta,
+    against per-cell evolution of each initial state, in C^2."""
+    params = THETA_LINEAR_PARAMS
+    field = experiments.truncated_coherent(params.nbar, params.fock_cutoff)
+    times = np.linspace(0.0, 10.0, 41)
+    layout = ionmodel.full_layout(params.fock_cutoff)
+    cut = experiments.ION_VS_REST
+    worst = 0.0
+    for theta in (0.0, 0.4, math.pi / 2, 2.5):
+        shared = experiments.run_series(replace(params, theta=theta), "i_concurrence", cut, times)
+        psi0 = experiments.prepare_initial(theta, params.phi, field)
+        states = dynamics.evolve_pure(psi0, params, times)
+        per_cell = entanglement.i_concurrence_values(states, layout, cut)
+        worst = max(worst, float(np.abs(shared.values**2 - per_cell**2).max()))
+    return CheckResult("theta-linear-vs-per-cell", worst <= 1e-12, worst, 1e-12)
+
+
 def _check_t0_concurrence() -> CheckResult:
     worst = 0.0
     for theta in np.linspace(0.0, 2 * math.pi, 13):
@@ -144,6 +168,7 @@ _CHECKS = (
     _check_block_vs_dense,
     _check_spectrum_closed_form,
     _check_channels_vs_closed,
+    _check_theta_linear,
     _check_t0_concurrence,
     _check_modulation_integral,
 )
@@ -155,6 +180,12 @@ def _claim_reports() -> list[dict]:
         experiments.report_sech_birth_delay(tau=5.0),
         experiments.report_nbar_smoothing(),
     ]
+
+
+def _clear_caches() -> None:
+    """Empty every cache that holds data derived from the mode function."""
+    ionmodel.get_block_system.cache_clear()
+    experiments._exchange_coefficients.cache_clear()
 
 
 def run_selftest(inject_fault: str | None = None, include_claims: bool = True, stream=None) -> int:
@@ -172,7 +203,7 @@ def run_selftest(inject_fault: str | None = None, include_claims: bool = True, s
     try:
         if inject_fault == "mode_strength":
             ionmodel._FAULT_SCALE = 1.001
-            ionmodel.get_block_system.cache_clear()
+            _clear_caches()
         for check in _CHECKS:
             result = check()
             status = "PASS" if result.passed else "FAIL"
@@ -187,7 +218,7 @@ def run_selftest(inject_fault: str | None = None, include_claims: bool = True, s
     finally:
         if inject_fault is not None:
             ionmodel._FAULT_SCALE = 1.0
-            ionmodel.get_block_system.cache_clear()
+            _clear_caches()
 
     if include_claims and failures == 0:
         for report in _claim_reports():

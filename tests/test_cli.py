@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ionduo.dynamics
-from ionduo import Sech, SimParams, __version__
+import ionduo.experiments
+from ionduo import ION_VS_REST, Sech, SimParams, __version__, run_series
 from ionduo.cli import ConfigError, build_config, figure_config, load_config, main
-from ionduo.selftest import run_selftest
+from ionduo.selftest import THETA_LINEAR_PARAMS, run_selftest
 
 MINIMAL = """
 [sweep]
@@ -333,6 +335,7 @@ class TestSimulateCommand:
 
     def test_numerical_failure_mid_run_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ionduo.dynamics, "NORM_TOL", -1.0)  # every norm check fails
+        ionduo.experiments._exchange_coefficients.cache_clear()  # evolve, not reuse a passed run
         path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
         assert main(["simulate", "--config", str(path)]) == 4
         err = capsys.readouterr().err
@@ -371,6 +374,18 @@ class TestSimulateCommand:
         # theta = 0 is a separable angle, so the zero-entanglement flag exists
         assert sidecar["separable_start_check"][0]["theta"] == 0.0
         assert sidecar["separable_start_check"][0]["value_at_t0"] <= 1e-10
+
+    def test_separable_start_reads_zero_at_large_nbar(self, tmp_path):
+        # The purity is taken over the squared trace of the marginal, so the
+        # round-off in the norm of ~1,000 field amplitudes does not show.
+        text = MINIMAL.format(prefix=tmp_path / "bright")
+        text = text.replace("theta = 0", "theta = 0, pi/2")
+        text = text.replace("time = 0, 0.5, 1.0", "time = 0, 0.5")
+        text = text.replace("nbar = 2\nfock_cutoff = 10", "nbar = 800")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+        checks = json.loads((tmp_path / "bright.json").read_text())["separable_start_check"]
+        assert [check["theta"] for check in checks] == [0.0, math.pi / 2]
+        assert all(check["value_at_t0"] <= 1e-12 for check in checks)
 
     def _outputs(self, tmp_path, name):
         return {p.name: p.read_bytes() for p in sorted(tmp_path.glob(f"*{name}*"))}
@@ -491,4 +506,19 @@ class TestVersionAndSelftest:
     def test_injected_fault_does_not_outlive_its_run(self):
         out = io.StringIO()
         assert run_selftest(inject_fault="mode_strength", include_claims=False, stream=out) == 1
+        # The faulted run filled the caches with the theta-linear check's run.
+        script = (
+            "import json, numpy as np\n"
+            "from ionduo import ION_VS_REST, run_series\n"
+            "from ionduo.selftest import THETA_LINEAR_PARAMS as params\n"
+            "times = np.linspace(0.0, 10.0, 41)\n"
+            "series = run_series(params, 'i_concurrence', ION_VS_REST, times)\n"
+            "print(json.dumps(series.values.tolist()))\n"
+        )
+        after = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert after.returncode == 0, after.stderr
+        values = run_series(
+            THETA_LINEAR_PARAMS, "i_concurrence", ION_VS_REST, np.linspace(0.0, 10.0, 41)
+        ).values
+        assert values.tolist() == json.loads(after.stdout)
         assert run_selftest(include_claims=False, stream=out) == 0

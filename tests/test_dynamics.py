@@ -23,10 +23,12 @@ from ionduo import (
     modulation_integral,
     partial_trace,
     prepare_initial,
+    run_series,
     truncated_coherent,
 )
-from ionduo import dynamics, ionmodel
+from ionduo import dynamics, experiments, ionmodel
 from ionduo.dynamics import milburn_reduced
+from ionduo.entanglement import i_concurrence_values
 from ionduo.ionmodel import CutoffError, build_full_hamiltonian, full_index, full_layout
 
 
@@ -462,3 +464,109 @@ class TestMilburnReduced:
         amps[full_index(6, "a", "a", 6)] = 1.0  # lives in block 6 = N_max
         with pytest.raises(CutoffError, match="cutoff"):
             list(milburn_reduced(PureState(layout, amps), params, [0.0, 1.0], ("ion1", "ion2")))
+
+
+# Every bipartition covering ion1, ion2 and field, each in both orders.
+FULL_CUTS = (
+    Bipartition(("ion1",), ("ion2", "field")),
+    Bipartition(("ion2", "field"), ("ion1",)),
+    Bipartition(("ion2",), ("ion1", "field")),
+    Bipartition(("ion1", "field"), ("ion2",)),
+    Bipartition(("field",), ("ion1", "ion2")),
+    Bipartition(("ion1", "ion2"), ("field",)),
+)
+
+
+def per_cell_concurrence(params, cut, times):
+    """Oracle: evolve this theta's own initial state, then its I-concurrence."""
+    psi0 = ion_state(params.fock_cutoff, params.nbar, params.theta, params.phi)
+    states = evolve_pure(psi0, params, times)
+    return i_concurrence_values(states, full_layout(params.fock_cutoff), cut)
+
+
+class TestExchangeSymmetry:
+    @settings(max_examples=40, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(1, 8),
+        lambda1=couplings,
+        lambda2=couplings,
+        eta=st.floats(0.0, 1.0),
+        epsilon=st.floats(-2.0, 2.0),
+        standard=st.booleans(),
+    )
+    def test_hamiltonian_commutes_with_the_ion_swap(
+        self, fock_cutoff, lambda1, lambda2, eta, epsilon, standard
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            standard_matrix_element=standard,
+        )
+        h = build_full_hamiltonian(params)
+        n = fock_cutoff + 1
+        swap = np.arange(h.shape[0]).reshape(3, 3, n).transpose(1, 0, 2).ravel()
+        assert np.array_equal(h[np.ix_(swap, swap)], h)
+
+    @settings(max_examples=40, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        lambda1=couplings,
+        lambda2=couplings,
+        theta=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, 2 * math.pi)),
+        phi=st.floats(0.0, math.pi),
+        modulation=modulations,
+        later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+        cut=st.sampled_from(FULL_CUTS),
+    )
+    def test_shared_evolution_matches_per_cell(
+        self, fock_cutoff, nbar, lambda1, lambda2, theta, phi, modulation, later, cut
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            theta=theta,
+            phi=phi,
+            modulation=modulation,
+        )
+        times = np.array([0.0] + sorted(later))
+        shared = run_series(params, "i_concurrence", cut, times).values
+        deviation = float(np.abs(shared**2 - per_cell_concurrence(params, cut, times) ** 2).max())
+        assert deviation <= 1e-12
+
+    @pytest.mark.parametrize("cut", FULL_CUTS)
+    def test_chunk_seams_match_per_cell(self, cut, monkeypatch):
+        params = SimParams(fock_cutoff=8, nbar=1.5, epsilon=0.8, theta=0.5, phi=0.3)
+        times = np.linspace(0.0, 12.0, 7)
+        dim = full_layout(8).total_dim
+        psi_a = ion_state(8, 1.5, 0.0, 0.0)
+        ions = cut.side_b if "field" in cut.side_a else cut.side_a
+        whole = dynamics.exchange_purity(psi_a, params, times, ions)
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 4 * dim)  # two times per chunk
+        experiments._exchange_coefficients.cache_clear()  # so run_series evolves in chunks
+        chunked = dynamics.exchange_purity(psi_a, params, times, ions)
+        for one, other in zip(whole, chunked):
+            assert np.abs(one - other).max() <= 1e-15
+        shared = run_series(params, "i_concurrence", cut, times).values
+        deviation = float(np.abs(shared**2 - per_cell_concurrence(params, cut, times) ** 2).max())
+        assert deviation <= 1e-12
+
+    def test_support_on_ceiling_blocks_rejected(self):
+        params = SimParams(fock_cutoff=6, nbar=0.0)
+        layout = full_layout(6)
+        amps = np.zeros(layout.total_dim, dtype=complex)
+        amps[full_index(6, "a", "b", 6)] = 1.0  # lives in block 5 = N_max - 1
+        with pytest.raises(CutoffError, match="cutoff"):
+            dynamics.exchange_purity(PureState(layout, amps), params, [0.0, 1.0], ("ion1",))
+
+    def test_norm_drift_rejected(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            dynamics.exchange_purity(
+                ion_state(theta=0.0), SimParams(fock_cutoff=10, nbar=2.0), [0.0], ("ion1",)
+            )
