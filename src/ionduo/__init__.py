@@ -14,6 +14,7 @@ from .core import (
     von_neumann_entropy,
 )
 from .dynamics import (
+    UnsupportedRegimeError,
     evolve_pure,
     evolve_pure_dense,
     milburn_closed_form,
@@ -32,7 +33,6 @@ from .experiments import (
     IncompatibleMeasureError,
     MeasureSeries,
     SuddenEvents,
-    UnsupportedRegimeError,
     coherent_amplitudes,
     detect_sudden_events,
     prepare_initial,

@@ -29,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import check_times
+from .dynamics import UnsupportedRegimeError, check_times
 from .entanglement import Bipartition
 from .experiments import (
     ION_VS_REST,
     MEASURES,
     IncompatibleMeasureError,
     MeasureSeries,
-    UnsupportedRegimeError,
     coherent_amplitudes,
     detect_sudden_events,
     run_sweep,
@@ -401,15 +400,6 @@ def write_dataset(
     csv_path = prefix.parent / (prefix.name + ".csv")
     json_path = prefix.parent / (prefix.name + ".json")
 
-    lines = ["theta,gamma,nbar,scaled_time,measure,value"]
-    times = [_fmt(t) for t in config.time_grid]  # the grid of every series
-    for series in series_list:
-        cell = ",".join(_fmt(getattr(series.params, key)) for key in ("theta", "gamma", "nbar"))
-        lines.extend(
-            f"{cell},{t},{series.measure},{_fmt(value)}"
-            for t, value in zip(times, series.values.tolist())
-        )
-
     events = []
     separable_flags = []
     for series in series_list:
@@ -450,17 +440,23 @@ def write_dataset(
     }
     if isinstance(config.params.modulation, Sech):
         sidecar["modulation_note"] = "runs start at t = 0, the peak of the sech profile"
-    # Both files go to temporary siblings first and are moved into place only
-    # once both are written, so a failure leaves an earlier pair as it was.
-    texts = {
-        csv_path: "\n".join(lines) + "\n",
-        json_path: json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-    }
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts]
+    # Both files go to temporary siblings first, the CSV series by series, and
+    # move into place once both are written: a failure leaves an earlier pair.
+    paths = (csv_path, json_path)
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    times = [_fmt(t) for t in config.time_grid]  # the grid of every series
     try:
-        for temp, text in zip(temps, texts.values()):
-            temp.write_text(text, encoding="utf-8", newline="\n")
-        for temp, path in zip(temps, texts):
+        with open(temps[0], "w", encoding="utf-8", newline="\n") as out:
+            out.write("theta,gamma,nbar,scaled_time,measure,value\n")
+            for series in series_list:
+                cell = ",".join(_fmt(getattr(series.params, k)) for k in ("theta", "gamma", "nbar"))
+                out.writelines(
+                    f"{cell},{t},{series.measure},{_fmt(value)}\n"
+                    for t, value in zip(times, series.values.tolist())
+                )
+        sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
+        for temp, path in zip(temps, paths):
             os.replace(temp, path)
     finally:
         for temp in temps:

@@ -123,15 +123,23 @@ class DensityMatrix:
         dim = self.layout.total_dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, layout needs ({dim}, {dim})")
-        herm_dev = float(np.abs(mat - mat.conj().T).max())
-        if not herm_dev <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
-        trace_dev = abs(float(np.trace(mat).real) - 1.0)
-        if not trace_dev <= TRACE_TOL:
-            raise ValueError(f"matrix is not unit trace: |tr - 1| = {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if not min_eig >= EIG_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
+        check_density(mat)
+
+
+def check_density(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., d, d) stack after one check of all of it:
+    Hermitian, unit trace, none below EIG_FLOOR, else ValueError (worst case)."""
+    herm_dev = float(np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max())
+    if not herm_dev <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
+    trace_dev = float(np.abs(np.trace(matrices, axis1=-2, axis2=-1).real - 1.0).max())
+    if not trace_dev <= TRACE_TOL:
+        raise ValueError(f"matrix is not unit trace: |tr - 1| = {trace_dev:.3e}")
+    eigenvalues = np.linalg.eigvalsh(matrices)
+    min_eig = float(eigenvalues[..., 0].min())
+    if not min_eig >= EIG_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
+    return eigenvalues
 
 
 @dataclass(frozen=True)
@@ -179,32 +187,21 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(layout.keep(keep), np.einsum("ajbj->ab", tensor))
 
 
-def clipped_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
-    """Apply the round-off clipping rule for populations.
-
-    Values in [EIG_FLOOR, 0) are clipped to 0; anything below EIG_FLOOR
-    raises, since that indicates a genuinely non-positive matrix rather
-    than accumulated round-off.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    low = float(eigenvalues.min()) if eigenvalues.size else 0.0
+def spectral_entropy(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum p ln p in nats over the last axis of an array of eigenvalues p.
+    Values in [EIG_FLOOR, 0) are round-off and clipped to 0, values at most
+    EIG_ZERO contribute 0 (0 ln 0 := 0), and one below EIG_FLOOR raises."""
+    low = float(eigenvalues.min())
     if not low >= EIG_FLOOR:
         raise ValueError(f"eigenvalue {low:.3e} below the clipping floor {EIG_FLOOR:.0e}")
-    return np.clip(eigenvalues, 0.0, None)
-
-
-def matrix_entropy(matrix: np.ndarray) -> float:
-    """-tr(M ln M) in nats for a Hermitian positive-semidefinite array;
-    eigenvalues are clipped by clipped_eigenvalues, and those below
-    EIG_ZERO contribute zero (0 ln 0 := 0)."""
-    populations = clipped_eigenvalues(np.linalg.eigvalsh(matrix))
-    populations = populations[populations > EIG_ZERO]
-    return float(-np.sum(populations * np.log(populations)))
+    populations = np.clip(eigenvalues, 0.0, None)
+    logs = np.log(np.where(populations > EIG_ZERO, populations, 1.0))  # ln 1 = 0 for the rest
+    return -np.sum(populations * logs, axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho ln rho) in nats."""
-    return matrix_entropy(rho.matrix)
+    return float(spectral_entropy(np.linalg.eigvalsh(rho.matrix)))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -19,12 +19,16 @@ The intrinsic-decoherence master equation
 
     d rho / dt = -i [H, rho] - (gamma / 2) [H, [H, rho]]
 
-is solved in closed form in the eigenbasis of H, where every off-diagonal
-element picks up the phase exp(-i (E_m - E_n) t) and the Gaussian decay
-exp(-gamma t (E_m - E_n)^2 / 2).  The production channel,
-``milburn_reduced``, does so block pair by block pair, batched over time and
-contracted straight onto the kept factors.  The dense closed form and a
-truncated Kraus-operator sum are its oracles.  All of them are defined for
+is solved in closed form in the eigenbasis of H, where the coherence across
+a gap dE = E_m - E_n picks up exp(-i dE t - gamma t dE^2 / 2) (Milburn, PRA
+44, 5401, 1991).  That is E[exp(-i dE (t + xi))] with xi ~ N(0, gamma t), so
+rho(t) is the Gaussian average of the pure state evolved to profile value
+t + xi.  The production channel, ``milburn_quadrature``, takes it with a
+K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
+factors.  Each time chunk takes the smallest K whose error bound
+K! (sigma w)^(2K) / (2K)!, at sigma^2 = gamma t and w the spread of the
+occupied energies, meets QUADRATURE_TARGET.  The dense closed form and a
+truncated Kraus-operator sum are its oracles; all of them are defined for
 time-independent coupling only.
 """
 
@@ -48,9 +52,15 @@ from .params import Constant, Modulation, Sech, SimParams
 
 KRAUS_DEFICIT_TARGET = 1e-10
 KRAUS_MAX_TERMS = 512
+QUADRATURE_TARGET = 1e-14
 
-# Complex entries (2 MB) per chunk of milburn_reduced, whatever the kept dimension.
+# Complex entries (2 MB) per time chunk of the evolved states, their conjugates
+# and the channel's reduced states, whatever the kept dimension.
 _CHUNK_ENTRIES = 2**17
+
+
+class UnsupportedRegimeError(ValueError):
+    """Requested evolution is outside the regime where the method is exact."""
 
 
 def modulation_integral(modulation: Modulation, t):
@@ -229,54 +239,67 @@ def coherence_damping(gaps: np.ndarray, gamma: float, t: float) -> np.ndarray:
     return np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
 
 
-def milburn_reduced(psi0: PureState, params: SimParams, times, keep) -> Iterator[np.ndarray]:
-    """Intrinsic-decoherence evolution of a pure initial state under the
-    constant coupling (``params.modulation`` is not read), reduced to the
+def quadrature_bound(terms: int, spread: float) -> float:
+    """Bound K! x^(2K) / (2K)! = prod_j x^2 / (4 j - 2) on the error of the
+    K-node Gauss-Hermite rule for E[exp(-i x X)], X ~ N(0, 1), in its real
+    and imaginary part each; x = sigma w is a gap w at the spread sigma."""
+    square = float(spread) * float(spread)  # a Python float overflows to inf silently
+    return math.prod(square / (4 * j - 2) for j in range(1, terms + 1))
+
+
+def quadrature_terms(spread: float) -> int | None:
+    """Smallest K <= KRAUS_MAX_TERMS whose quadrature_bound at ``spread`` is
+    at most QUADRATURE_TARGET, or None if there is none."""
+    terms = range(1, KRAUS_MAX_TERMS + 1)
+    return next((k for k in terms if quadrature_bound(k, spread) <= QUADRATURE_TARGET), None)
+
+
+def _hermite_rule(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of the Gauss-Hermite rule for N(0, 1)
+    from the eigenvectors of its Jacobi matrix (Golub & Welsch, Math. Comp.
+    23, 221, 1969), which stay finite at hundreds of nodes."""
+    off = np.sqrt(np.arange(1.0, terms))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Iterator[np.ndarray]:
+    """Intrinsic-decoherence evolution of a pure initial state, reduced to the
     factors in ``keep`` (all of them gives the full state).
 
-    Yields Hermitian (Tc, d, d) chunks of consecutive ``times``, at most
-    _CHUNK_ENTRIES entries each.  The pair of blocks (n, m) contributes
-    W_n D_nm(t) W_m^dag, with W_n = V_n diag(V_n^dag a0[n]) and D_nm the
-    damped gaps E_n[k] - E_m[l], on the rows and columns that agree on the
-    traced factors; pairs n > m are the conjugate transpose of n < m.
+    Yields Hermitian (Tc, d, d) chunks of consecutive ``times``, sized by
+    _CHUNK_ENTRIES, each the certified average of the norm-checked pure
+    evolutions to t + sqrt(gamma t) x_k; at gamma = 0, the one node x = 0 under
+    either profile.  Before anything is evolved, raises UnsupportedRegimeError
+    for gamma > 0 under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
-    # Entry (k, d) of the table is the full index with kept part k and dropped
-    # part d; (kept[i], dropped[i]) is the entry that holds full index i.
-    table = psi0.layout.split(np.arange(psi0.layout.total_dim), keep)
-    dim_keep, dim_traced = table.shape
-    kept, dropped = np.unravel_index(np.argsort(table, axis=None), table.shape)
-    blocks = [  # (energies, W, kept index, dropped index) of each occupied block
-        (z, v * coeffs, kept[idx], dropped[idx])
-        for idx, z, v, coeffs in _occupied_blocks(psi0, params)
-    ]
-
-    pairs = []  # (W_n, gaps, W_m^dag, [(rows, cols, kept rows, kept cols) per shared trace])
-    for i, (energies_n, w_n, keep_n, drop_n) in enumerate(blocks):
-        for energies_m, w_m, keep_m, drop_m in blocks[i:]:
-            shared = []
-            for traced in np.intersect1d(drop_n, drop_m):
-                rows = np.flatnonzero(drop_n == traced)[:, None]
-                cols = np.flatnonzero(drop_m == traced)[None, :]
-                shared.append((rows, cols, keep_n[rows], keep_m[cols]))
-            if shared:
-                weight = 0.5 if w_m is w_n else 1.0  # the completion counts n = m twice
-                gaps = energies_n[:, None] - energies_m[None, :]
-                pairs.append((weight * w_n, gaps, w_m.conj().T, shared))
-
-    step = max(1, _CHUNK_ENTRIES // (dim_keep * dim_keep))
+    if params.gamma > 0 and not isinstance(params.modulation, Constant):
+        raise UnsupportedRegimeError(
+            "intrinsic decoherence (gamma > 0) is solvable only for a "
+            "time-independent coupling profile; rerun with constant modulation"
+        )
+    blocks = list(_occupied_blocks(psi0, params))
+    width = float(np.ptp(np.concatenate([z for _, z, _, _ in blocks])))
+    spread = np.sqrt(params.gamma * times)
+    if quadrature_terms(spread[-1] * width) is None:
+        raise UnsupportedRegimeError(
+            f"no Gauss-Hermite rule of at most {KRAUS_MAX_TERMS} nodes certifies the channel "
+            f"to {QUADRATURE_TARGET:.0e} at gamma * t_max = {params.gamma * times[-1]:.6g} "
+            f"with occupied energy spread w = {width:.6g}; shorten the time grid or lower gamma"
+        )
+    theta = modulation_integral(params.modulation, times)
+    dim = psi0.layout.total_dim
+    dim_keep = psi0.layout.keep(keep).total_dim
+    step = max(1, _CHUNK_ENTRIES // (2 * dim + dim_keep * dim_keep))
     for start in range(0, times.size, step):
-        t = times[start : start + step, None, None]
-        half = np.zeros((t.shape[0], dim_keep, dim_keep), dtype=np.complex128)
-        for w_n, gaps, w_m_dag, shared in pairs:
-            product = w_n @ coherence_damping(gaps, params.gamma, t) @ w_m_dag
-            for rows, cols, kept_rows, kept_cols in shared:
-                if dim_traced > 1:
-                    half[:, kept_rows, kept_cols] += product[:, rows, cols]
-                else:  # nothing traced: the pair owns its block of the state
-                    half[:, kept_rows, kept_cols] = product
-        half += half.conj().swapaxes(1, 2)
-        yield half
+        chunk = slice(start, start + step)
+        rho = np.zeros((theta[chunk].size, dim_keep, dim_keep), dtype=np.complex128)
+        for node, weight in zip(*_hermite_rule(quadrature_terms(spread[chunk][-1] * width))):
+            states = _evolved_rows(blocks, theta[chunk] + node * spread[chunk], dim)
+            kept = psi0.layout.split(states, keep)
+            rho += (weight * kept) @ kept.conj().swapaxes(1, 2)
+        yield rho
 
 
 def milburn_closed_form(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertLayout, PureState, matrix_entropy
+from .core import DensityMatrix, HilbertLayout, PureState, check_density, spectral_entropy
 
 
 @dataclass(frozen=True)
@@ -91,34 +91,44 @@ def concurrence_from_purity(purity: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
-def _permute_to_cut(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
-    """Density matrix as a (side_a, side_b, side_a, side_b) tensor, each
-    side's factors in layout order."""
-    _check_cut(rho.layout, cut)
-    rows = rho.layout.split(rho.matrix.T, cut.side_a)  # (column, row a, row b)
-    return rho.layout.split(rows.transpose(1, 2, 0), cut.side_a)
+def _cut_tensor(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
+    """(T, d, d) matrices on ``layout`` as (T, side_a, side_b, side_a, side_b)."""
+    _check_cut(layout, cut)
+    rows = layout.split(matrices.swapaxes(1, 2), cut.side_a)  # (t, column, row a, row b)
+    return layout.split(rows.transpose(0, 2, 3, 1), cut.side_a)
+
+
+def negativity_values(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
+    """Negativity, the sum of |negative eigenvalues| of the partial transpose
+    over side_b, of each density matrix of a (T, d, d) stack on ``layout``,
+    all checked at once by check_density."""
+    check_density(matrices)
+    dim = layout.total_dim
+    transposed = _cut_tensor(matrices, layout, cut).transpose(0, 1, 4, 3, 2)
+    eigenvalues = np.linalg.eigvalsh(transposed.reshape(-1, dim, dim))
+    return -np.minimum(eigenvalues, 0.0).sum(axis=1)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose over side_b.
+    """Negativity of one density matrix: negativity_values of one row."""
+    return float(negativity_values(rho.matrix[None], rho.layout, cut)[0])
 
-    Zero for every separable state (the converse does not hold), which makes
-    this a one-directional entanglement witness valid for mixed states.
-    """
-    dim = rho.layout.total_dim
-    transposed = _permute_to_cut(rho, cut).transpose(0, 3, 2, 1).reshape(dim, dim)
-    eigenvalues = np.linalg.eigvalsh(transposed)
-    return float(-eigenvalues[eigenvalues < 0].sum())
+
+def relative_entropy_values(
+    matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition
+) -> np.ndarray:
+    """S_A + S_B - S_AB of each density matrix of a (T, d, d) stack on
+    ``layout``, all checked at once by check_density: in the product of the
+    marginal eigenbases the diagonal of rho sums to each marginal's spectrum."""
+    populations = check_density(matrices)
+    tensor = _cut_tensor(matrices, layout, cut)
+    return (
+        spectral_entropy(np.linalg.eigvalsh(np.einsum("tajbj->tab", tensor)))  # side_a marginal
+        + spectral_entropy(np.linalg.eigvalsh(np.einsum("tiaib->tab", tensor)))  # side_b marginal
+        - spectral_entropy(populations)
+    )
 
 
 def relative_entropy_measure(rho: DensityMatrix, cut: Bipartition) -> float:
-    """Relative-entropy distance from rho to the product of its marginals,
-    tr rho (ln rho - ln(rho_A x rho_B)) = S(rho_A) + S(rho_B) - S(rho), in
-    nats: in the product of the marginal eigenbases the diagonal of rho sums
-    to the populations of each marginal."""
-    tensor = _permute_to_cut(rho, cut)
-    return (
-        matrix_entropy(np.einsum("ajbj->ab", tensor))  # marginal on side_a
-        + matrix_entropy(np.einsum("iaib->ab", tensor))  # marginal on side_b
-        - matrix_entropy(rho.matrix)
-    )
+    """Relative entropy of one density matrix: relative_entropy_values of one row."""
+    return float(relative_entropy_values(rho.matrix[None], rho.layout, cut)[0])

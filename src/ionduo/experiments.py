@@ -20,16 +20,16 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import DensityMatrix, PureState
-from .dynamics import check_times, evolve_pure, exchange_purity, milburn_reduced
+from .core import PureState
+from .dynamics import check_times, exchange_purity, milburn_quadrature
 from .entanglement import (
     Bipartition,
     concurrence_from_purity,
-    negativity,
-    relative_entropy_measure,
+    negativity_values,
+    relative_entropy_values,
 )
 from .ionmodel import full_index, full_layout
-from .params import Constant, Sech, SimParams
+from .params import Sech, SimParams
 
 MEASURES = ("i_concurrence", "negativity", "relative_entropy")
 
@@ -48,10 +48,6 @@ MAX_NBAR = -2.0 * math.log(sys.float_info.min)
 
 class IncompatibleMeasureError(ValueError):
     """The requested measure is undefined for the state the run produces."""
-
-
-class UnsupportedRegimeError(ValueError):
-    """Requested evolution is outside the regime where the method is exact."""
 
 
 @dataclass(frozen=True)
@@ -171,22 +167,6 @@ class MeasureSeries:
             raise ValueError(f"series contains negative values below tolerance: {values.min()}")
 
 
-def _mixed_values(
-    psi0: PureState, params: SimParams, times: np.ndarray, measure: str, cut: Bipartition
-) -> np.ndarray:
-    """Mixed-state measure of the state on the factors of the cut at each
-    time: the reduced pure evolution at gamma = 0, the closed-form
-    intrinsic-decoherence channel at gamma > 0."""
-    kept_layout = psi0.layout.keep(cut.labels)
-    if params.gamma > 0:
-        rows = (rho for chunk in milburn_reduced(psi0, params, times, cut.labels) for rho in chunk)
-    else:
-        split = (psi0.layout.split(amps, cut.labels) for amps in evolve_pure(psi0, params, times))
-        rows = (t @ t.conj().T for t in split)
-    evaluate = negativity if measure == "negativity" else relative_entropy_measure
-    return np.array([evaluate(DensityMatrix(kept_layout, rho), cut) for rho in rows])
-
-
 @lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
 def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tuple[float, ...]):
     """``exchange_purity`` of the run of ``params`` on the ions ``keep``,
@@ -218,12 +198,9 @@ def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np
 def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
     """Entanglement series for one parameter point.
 
-    With gamma = 0 the state is evolved exactly as a pure state; the
-    I-concurrence comes from one cached evolution shared by every theta of
-    the other parameters.  With gamma > 0 the closed-form
-    intrinsic-decoherence channel is used, which requires constant
-    modulation and a mixed-state measure.  A cut covering only some factors
-    evaluates the measure on the correspondingly reduced state.
+    The I-concurrence (gamma = 0 only) comes from one cached pure evolution
+    shared by every theta.  The mixed-state measures take the channel at every
+    gamma, on the state reduced to the factors of the cut.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
@@ -232,27 +209,24 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     if unknown:
         raise ValueError(f"cut names unknown factors {sorted(unknown)}")
     times = check_times(times)
-    if params.gamma > 0:
-        if not isinstance(params.modulation, Constant):
-            raise UnsupportedRegimeError(
-                "intrinsic decoherence (gamma > 0) is solvable only for a "
-                "time-independent coupling profile; rerun with constant modulation"
-            )
-        if measure == "i_concurrence":
-            raise IncompatibleMeasureError(
-                "i_concurrence is defined for pure states only; gamma > 0 produces "
-                "mixed states, use negativity or relative_entropy"
-            )
-    elif measure == "i_concurrence" and cut.labels != set(layout.labels):
+    if measure == "i_concurrence" and params.gamma > 0:
+        raise IncompatibleMeasureError(
+            "i_concurrence is defined for pure states only; gamma > 0 produces "
+            "mixed states, use negativity or relative_entropy"
+        )
+    if measure == "i_concurrence" and cut.labels != set(layout.labels):
         raise IncompatibleMeasureError(
             "i_concurrence needs the global pure state; the cut must cover all factors"
         )
     if measure == "i_concurrence":
         values = _i_concurrence(params, cut, times)
-    else:
+    else:  # evaluated on each streamed chunk of the channel at once
         field = truncated_coherent(params.nbar, params.fock_cutoff)
         psi0 = prepare_initial(params.theta, params.phi, field)
-        values = _mixed_values(psi0, params, times, measure, cut)
+        kept = psi0.layout.keep(cut.labels)
+        evaluate = negativity_values if measure == "negativity" else relative_entropy_values
+        chunks = milburn_quadrature(psi0, params, times, cut.labels)
+        values = np.concatenate([evaluate(rho, kept, cut) for rho in chunks])
     return MeasureSeries(measure, cut, params, times, values)
 
 

@@ -2,7 +2,7 @@
 
 Hard checks compare independent computation routes (block against dense
 propagation, block spectra against the closed-form bright/dark spectrum, the
-block-sparse channel and the truncated Kraus sum against the dense
+Gauss-Hermite channel and the truncated Kraus sum against the dense
 closed-form channel, the I-concurrence shared by every theta against per-cell
 evolution, evolved t = 0 concurrence against its closed form, the modulation
 antiderivative against quadrature) plus frozen reference values
@@ -72,8 +72,8 @@ def _check_channels_vs_closed() -> CheckResult:
     for gamma_t in (0.1, 1.0, 5.0):
         closed = dynamics.milburn_closed_form(rho0, hamiltonian, gamma_t, 1.0)
         summed, deficit = dynamics.milburn_kraus(rho0, hamiltonian, gamma_t, 1.0)
-        chunk = next(dynamics.milburn_reduced(psi0, replace(params, gamma=gamma_t), [0, 1], keep))
-        block = np.abs(partial_trace(closed, keep).matrix - chunk[1]).max()
+        rho = next(dynamics.milburn_quadrature(psi0, replace(params, gamma=gamma_t), [0, 1], keep))
+        block = np.abs(partial_trace(closed, keep).matrix - rho[1]).max()
         worst = max(worst, float(np.abs(closed.matrix - summed.matrix).max()), float(block))
         worst_deficit = max(worst_deficit, deficit)
     passed = worst <= 1e-10 and worst_deficit <= 1e-10

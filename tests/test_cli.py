@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionduo.core
 import ionduo.dynamics
 import ionduo.experiments
 from ionduo import ION_VS_REST, Sech, SimParams, __version__, run_series
@@ -340,6 +341,38 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("run failed: state is not normalized") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize(
+        "tolerance, value, message",
+        [
+            ("HERMITICITY_TOL", -1.0, "matrix is not Hermitian"),
+            ("TRACE_TOL", -1.0, "matrix is not unit trace"),
+            ("EIG_FLOOR", 1.0, "matrix is not positive semidefinite"),
+        ],
+    )
+    def test_failed_chunk_check_exits_4(
+        self, tmp_path, capsys, monkeypatch, tolerance, value, message
+    ):
+        monkeypatch.setattr(ionduo.core, tolerance, value)  # every density check fails
+        text = MINIMAL.format(prefix=tmp_path / "x").replace("gamma = 0", "gamma = 0, 0.05")
+        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 4
+        assert capsys.readouterr().err.startswith(f"run failed: {message}")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_uncertifiable_channel_exits_3_before_evolving(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ionduo.dynamics, "_evolved_rows", None)  # any evolution would fail
+        text = MINIMAL.format(prefix=tmp_path / "x").replace("gamma = 0", "gamma = 1")
+        text = text.replace("time = 0, 0.5, 1.0", "time = 0, 1e6")
+        text = text.replace("fock_cutoff = 10", "fock_cutoff = 4\nepsilon = 1")
+        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible run: no Gauss-Hermite rule")
+        assert "gamma * t_max = 1e+06" in err and "w = " in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_row_order_and_count_for_grid(self, tmp_path):

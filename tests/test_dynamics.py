@@ -27,7 +27,7 @@ from ionduo import (
     truncated_coherent,
 )
 from ionduo import dynamics, experiments, ionmodel
-from ionduo.dynamics import milburn_reduced
+from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature, quadrature_terms
 from ionduo.entanglement import i_concurrence_values
 from ionduo.ionmodel import CutoffError, build_full_hamiltonian, full_index, full_layout
 
@@ -405,19 +405,27 @@ def dense_reduced(psi0, params, t, keep):
     return rho.matrix if set(keep) == set(rho.layout.labels) else partial_trace(rho, keep).matrix
 
 
+def occupied_spread(psi0, params):
+    """Spread max - min of the energies of the blocks psi0 occupies."""
+    energies = np.concatenate([z for _, z, _, _ in dynamics._occupied_blocks(psi0, params)])
+    return float(energies.max() - energies.min())
+
+
 class TestMilburnReduced:
+    """The Gauss-Hermite channel, milburn_quadrature, reduced to the kept factors."""
+
     @settings(max_examples=30, **FAIL_FAST)
     @given(
         fock_cutoff=st.integers(3, 7),
         nbar=st.floats(0.0, 2.0),
-        gamma=st.floats(0.0, 0.2, exclude_min=True),
+        gamma=st.floats(0.0, 1.0),
         lambda1=couplings,
         lambda2=couplings,
         eta=st.floats(0.0, 1.0),
         epsilon=st.floats(0.05, 2.0),
         theta=st.floats(0.0, 2 * math.pi),
         phi=st.floats(0.0, math.pi),
-        later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+        later=st.lists(st.floats(0.01, 3000.0), min_size=1, max_size=4, unique=True),
         cut=st.sampled_from(CUT_SHAPES),
     )
     def test_matches_dense_closed_form_and_partial_trace(
@@ -436,7 +444,12 @@ class TestMilburnReduced:
         )
         psi0 = ion_state(fock_cutoff, nbar, theta, phi)
         times = [0.0] + sorted(later)
-        chunks = list(milburn_reduced(psi0, params, times, cut.labels))
+        spread = math.sqrt(gamma * times[-1]) * occupied_spread(psi0, params)
+        if quadrature_terms(spread) is None:  # no certified rule: refused, not approximated
+            with pytest.raises(UnsupportedRegimeError, match="gamma \\* t_max"):
+                next(milburn_quadrature(psi0, params, times, cut.labels))
+            return
+        chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
         reduced = np.concatenate(chunks)
         assert reduced.shape[0] == len(times)
         worst = max(
@@ -450,10 +463,13 @@ class TestMilburnReduced:
         params = SimParams(fock_cutoff=8, nbar=1.5, gamma=0.1, epsilon=0.8, theta=0.5, phi=0.3)
         psi0 = ion_state(8, 1.5, 0.5, 0.3)
         times = np.linspace(0.0, 12.0, 7)
-        whole = np.concatenate(list(milburn_reduced(psi0, params, times, cut.labels)))
+        # One rule for every chunk, so that only the seams can differ; each
+        # chunk's own certified rule is tested below.
+        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 16)
+        whole = np.concatenate(list(milburn_quadrature(psi0, params, times, cut.labels)))
         dim = whole.shape[1]
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dim * dim)
-        chunks = list(milburn_reduced(psi0, params, times, cut.labels))
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * (2 * psi0.layout.total_dim + dim * dim))
+        chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
         assert [len(chunk) for chunk in chunks] == [2, 2, 2, 1]
         assert np.abs(np.concatenate(chunks) - whole).max() <= 1e-15
 
@@ -463,7 +479,27 @@ class TestMilburnReduced:
         amps = np.zeros(layout.total_dim, dtype=complex)
         amps[full_index(6, "a", "a", 6)] = 1.0  # lives in block 6 = N_max
         with pytest.raises(CutoffError, match="cutoff"):
-            list(milburn_reduced(PureState(layout, amps), params, [0.0, 1.0], ("ion1", "ion2")))
+            list(milburn_quadrature(PureState(layout, amps), params, [0.0, 1.0], ("ion1", "ion2")))
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 0.07, 0.5, 3.0, 10.0, 26.0])
+    def test_each_chunk_takes_the_fewest_certified_nodes(self, spread):
+        terms = quadrature_terms(spread)
+        assert dynamics.quadrature_bound(terms, spread) <= dynamics.QUADRATURE_TARGET
+        if terms > 1:
+            assert dynamics.quadrature_bound(terms - 1, spread) > dynamics.QUADRATURE_TARGET
+        nodes, weights = dynamics._hermite_rule(terms)
+        for gap in np.linspace(0.0, spread, 9):  # every gap up to the spread is certified
+            error = abs(weights @ np.exp(-1j * gap * nodes) - math.exp(-0.5 * gap**2))
+            assert error <= 2 * dynamics.QUADRATURE_TARGET
+
+    def test_gamma_zero_is_the_reduced_pure_evolution(self):
+        params = SimParams(fock_cutoff=8, nbar=1.5, theta=0.5, modulation=Sech(2.0))
+        psi0 = ion_state(8, 1.5, 0.5)
+        times = np.linspace(0.0, 6.0, 5)
+        keep = ("ion1", "ion2")
+        (reduced,) = milburn_quadrature(psi0, params, times, keep)
+        kept = psi0.layout.split(evolve_pure(psi0, params, times), keep)
+        assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
 
 
 # Every bipartition covering ion1, ion2 and field, each in both orders.

@@ -19,7 +19,9 @@ from ionduo import (
     truncated_coherent,
     von_neumann_entropy,
 )
-from ionduo.entanglement import i_concurrence_values
+from ionduo import SimParams
+from ionduo.dynamics import milburn_quadrature
+from ionduo.entanglement import i_concurrence_values, negativity_values, relative_entropy_values
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
 QUTRIT_PAIR = HilbertLayout((("A", 3), ("B", 3)))
@@ -273,3 +275,49 @@ class TestRelativeEntropyMeasure:
         layout = HilbertLayout((("A", 2), ("B", 2)))
         for _ in range(5):
             assert relative_entropy_measure(random_density(rng, layout), CUT_AB) >= -1e-9
+
+
+# Every shape of kept factors a bipartition can name, the full cut included.
+CUT_SHAPES = (
+    Bipartition(("ion1",), ("ion2",)),
+    Bipartition(("ion1",), ("field",)),
+    Bipartition(("field",), ("ion2",)),
+    Bipartition(("ion1",), ("ion2", "field")),
+    Bipartition(("ion2", "field"), ("ion1",)),
+)
+BATCHED = [
+    pytest.param(negativity_values, negativity, id="negativity"),
+    pytest.param(relative_entropy_values, relative_entropy_measure, id="relative_entropy"),
+]
+
+
+class TestBatchedMeasures:
+    @pytest.mark.parametrize("batched, per_row", BATCHED)
+    @pytest.mark.parametrize("cut", CUT_SHAPES)
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_chunk_matches_the_per_row_density_matrix_route(self, batched, per_row, cut, gamma):
+        params = SimParams(fock_cutoff=4, nbar=1.0, gamma=gamma, epsilon=0.8, theta=0.6, phi=0.4)
+        psi0 = prepare_initial(params.theta, params.phi, truncated_coherent(1.0, 4))
+        layout = psi0.layout.keep(cut.labels)
+        (chunk,) = milburn_quadrature(psi0, params, np.linspace(0.0, 20.0, 9), cut.labels)
+        expected = [per_row(DensityMatrix(layout, rho), cut) for rho in chunk]
+        assert np.abs(batched(chunk, layout, cut) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("batched, per_row", BATCHED)
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda m: m + np.triu(np.full(m.shape, 1e-9), 1), "matrix is not Hermitian"),
+            (lambda m: m * (1 + 1e-8), "matrix is not unit trace"),
+            (lambda m: m + 1e-6 * np.diag([8.0] + [-1.0] * 8), "matrix is not positive"),
+        ],
+        ids=["hermiticity", "trace", "floor"],
+    )
+    def test_one_spoiled_row_fails_the_chunk(self, rng, batched, per_row, spoil, message):
+        chunk = np.stack([random_density(rng, QUTRIT_PAIR).matrix for _ in range(3)])
+        chunk[1] = np.diag([1.0] + [0.0] * 8)  # a pure product state: eigenvalues 1 and 0
+        chunk[1] = spoil(chunk[1])
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(QUTRIT_PAIR, chunk[1])
+        with pytest.raises(ValueError, match=message):
+            batched(chunk, QUTRIT_PAIR, CUT_AB)

@@ -27,14 +27,17 @@ def tracing():
     return module
 
 
-def traced_metrics(tracing, sweep, prefix):
+CONCURRENCE = {"name": "i_concurrence", "cut": "ion1 | ion2,field"}
+
+
+def traced_metrics(tracing, sweep, prefix, measure=CONCURRENCE):
     """Per-layer metrics of one traced ``cli.execute``, with the extras
     measured around it as the benchmark's child process measures them."""
     config = cli.build_config(
         {
             "params": {"nbar": 2, "fock_cutoff": 8},
             "sweep": sweep,
-            "measure": {"name": "i_concurrence", "cut": "ion1 | ion2,field"},
+            "measure": measure,
             "output": {"prefix": str(prefix)},
         }
     )
@@ -62,3 +65,15 @@ def test_every_layer_metric_is_measured(tracing, tmp_path, theta, cells):
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["experiments.cells"] == cells
     assert metrics["cli.rows_written"] == cells * 5
+
+
+@pytest.mark.parametrize("measure", ["negativity", "relative_entropy"])
+def test_every_layer_metric_is_measured_on_a_mixed_gamma_sweep(tracing, tmp_path, measure):
+    """The shape of fig3: one theta, gamma = 0 and gamma > 0, on ion1 | ion2."""
+    sweep = {"theta": str(math.pi / 4), "gamma": "0, 0.05", "time": "linspace:0:2:5"}
+    mixed = {"name": measure, "cut": "ion1 | ion2"}
+    absent, metrics = traced_metrics(tracing, sweep, tmp_path / "traced", mixed)
+    assert absent == set()
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["experiments.cells"] == 2
+    assert metrics["cli.rows_written"] == 2 * 5
