@@ -6,7 +6,8 @@ and ``output``) is documented key by key in the README.  Numbers may use
 ``pi`` (``pi``, ``pi/4``, ``0.5*pi``).  Grids are either comma-separated
 numbers or ``linspace:<start>:<stop>:<count>``.  The JSON sidecar written
 next to each dataset can itself be fed back through ``--config`` and
-reproduces the dataset byte for byte.
+reproduces the dataset byte for byte.  Every sweep runs in this one process;
+the ``[output] workers`` key is checked and recorded, and selects nothing.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation),
@@ -215,6 +216,7 @@ _UNPARSED = (None, None, None)
 # A [params] key with no default keeps the SimParams default.  Unparsed keys
 # are resolved in build_config, or accepted and dropped: ionduo 0.1.0
 # sidecars wrote nu, omega1 and omega2, and the dynamics never read them.
+# [output] workers selects nothing; it stays so that older configs load.
 _SCHEMA = {
     "params": {
         "lambda1": (_parse_complex, None, "lambda1"),
@@ -472,25 +474,19 @@ def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
         config.measure,
         config.cut,
         np.asarray(config.time_grid),
-        workers=config.workers,
     )
     return write_dataset(config, series_list, preset=preset)
 
 
-def _with_output(sections: dict, out: str | None, workers: int | None) -> RunConfig:
-    """build_config with the ``--out`` and ``--workers`` flags in place of the
-    [output] values, so the flags pass the same checks."""
-    output = sections.setdefault("output", {})
+def _with_output(sections: dict, out: str | None) -> RunConfig:
+    """build_config with the ``--out`` flag in place of the [output] prefix,
+    so the flag passes the same checks."""
     if out is not None:
-        output["prefix"] = out
-    if workers is not None:
-        output["workers"] = workers
+        sections.setdefault("output", {})["prefix"] = out
     return build_config(sections)
 
 
-def figure_config(
-    name: str, tau: float | None = None, out: str | None = None, workers: int | None = None
-) -> RunConfig:
+def figure_config(name: str, tau: float | None = None, out: str | None = None) -> RunConfig:
     """Preset sweeps mirroring the reference surfaces: theta x time at
     nbar = 5 and 15, a gamma sweep at fixed theta, and a sech-modulated
     theta x time sweep (tau mandatory, no reference value exists)."""
@@ -516,7 +512,7 @@ def figure_config(
     sections = presets[name]
     if name == "fig4":
         sections["params"]["tau"] = tau  # build_config refuses sech without a tau
-    return _with_output(sections, name if out is None else out, workers)
+    return _with_output(sections, name if out is None else out)
 
 
 def main(argv=None) -> int:
@@ -531,13 +527,11 @@ def main(argv=None) -> int:
     p_simulate = sub.add_parser("simulate", help="run a sweep described by a config file")
     p_simulate.add_argument("--config", required=True, help="INI config or JSON sidecar path")
     p_simulate.add_argument("--out", help="output path prefix (overrides the config)")
-    p_simulate.add_argument("--workers", type=int, help="worker processes (overrides the config)")
 
     p_figure = sub.add_parser("figure", help="run a preset sweep")
     p_figure.add_argument("name", choices=("fig1", "fig2", "fig3", "fig4"))
     p_figure.add_argument("--tau", type=float, help="sech time scale; required for fig4")
     p_figure.add_argument("--out", help="output path prefix (defaults to the preset name)")
-    p_figure.add_argument("--workers", type=int)
 
     p_selftest = sub.add_parser("selftest", help="run the fast oracle suite")
     p_selftest.add_argument("--inject-fault", choices=("mode_strength",), help=argparse.SUPPRESS)
@@ -555,9 +549,9 @@ def main(argv=None) -> int:
         if preset is None:
             # The file's values in their resolved sidecar form, with the flags applied.
             sections = load_config(args.config).to_json_dict()
-            config = _with_output(sections, args.out, args.workers)
+            config = _with_output(sections, args.out)
         else:
-            config = figure_config(preset, tau=args.tau, out=args.out, workers=args.workers)
+            config = figure_config(preset, tau=args.tau, out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

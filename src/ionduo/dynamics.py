@@ -8,12 +8,11 @@ states evolve block by block as
 
     A(t) = V exp(-i Z Theta(t)) V^dag A(0)
 
-with (Z, V) the cached spectrum of each block coupling matrix; an
-evolution over a time grid is returned as one read-only (T, dim) array whose
-row i is the state at times[i].  ``exchange_purity`` streams the same
-evolution in time chunks and keeps, per time, only what the I-concurrence of
-every exchange-symmetric initial state cos(theta) |ab> + sin(theta) e^{i phi}
-|ba> needs.
+with (Z, V) the cached spectrum of each block coupling matrix.
+``evolve_pure`` returns an evolution over a time grid as one read-only
+(T, dim) array whose row i is the state at times[i]; it and the dense
+propagation are oracles.  Production reads the pure states through the
+channel below, in time chunks.
 
 The intrinsic-decoherence master equation
 
@@ -25,11 +24,13 @@ a gap dE = E_m - E_n picks up exp(-i dE t - gamma t dE^2 / 2) (Milburn, PRA
 rho(t) is the Gaussian average of the pure state evolved to profile value
 t + xi.  The production channel, ``milburn_quadrature``, takes it with a
 K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
-factors.  Each time chunk takes the smallest K whose error bound
-K! (sigma w)^(2K) / (2K)!, at sigma^2 = gamma t and w the spread of the
-occupied energies, meets QUADRATURE_TARGET.  The dense closed form and a
-truncated Kraus-operator sum are its oracles; all of them are defined for
-time-independent coupling only.
+factors.  At gamma = 0 that is one node of weight 1 under either profile,
+the pure evolution reduced, which every measure reads.  Each time chunk
+takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
+sigma^2 = gamma t and w the spread of the occupied energies, meets
+QUADRATURE_TARGET.  The dense closed form and a truncated Kraus-operator
+sum are its oracles; all of them are defined for time-independent coupling
+only.
 """
 
 from __future__ import annotations
@@ -165,60 +166,6 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     return _evolved_rows(blocks, theta, psi0.layout.total_dim)
 
 
-# Partial trace of stacked two-ion operators (T, part, i1, i2, j1, j2) onto
-# the ions kept, the ion side of a cut that covers ion1, ion2 and field.
-_KEEP_IONS = {
-    ("ion1",): "tpikjk->tpij",
-    ("ion2",): "tpkikj->tpij",
-    ("ion1", "ion2"): "tpijkl->tpijkl",
-}
-# Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
-_ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
-
-
-def exchange_purity(
-    psi0: PureState, params: SimParams, times, keep
-) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-free trace and purity of the marginal on the ions ``keep`` of
-    psi(theta, t) = cos(theta) psi(t) + sin(theta) e^{i phi} SWAP psi(t),
-    with psi(t) the evolution of ``psi0``, phi = ``params.phi`` and SWAP
-    the ion exchange.
-
-    The Hamiltonian commutes with SWAP, so psi(theta, t) is the evolution
-    of psi(theta, 0) and one evolution serves every theta.  With
-    c = cos(theta), s = sin(theta) and G the two-ion marginal of psi(t),
-    the two-ion marginal of psi(theta, t) is c^2 G + c s X + s^2 SWAP G SWAP
-    with X = e^{-i phi} G SWAP + h.c.; tracing out the other ion keeps one.
-    Returns (T, 3) and (T, 5) arrays with tr rho = sum_j trace[:, j]
-    c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k.
-
-    The state is evolved in time chunks that hold, with their conjugate, at
-    most _CHUNK_ENTRIES entries, each with the per-row norm check of
-    evolve_pure, and contracted over the field at once, so no (T, dim)
-    array is held.
-    """
-    times = check_times(times)
-    theta = modulation_integral(params.modulation, times)
-    subscripts = _KEEP_IONS[tuple(sorted(keep))]
-    blocks = list(_occupied_blocks(psi0, params))
-    dim = psi0.layout.total_dim
-    trace = np.empty((times.size, 3))
-    purity = np.empty((times.size, 5))
-    step = max(1, _CHUNK_ENTRIES // (2 * dim))  # the chunk and its conjugate
-    for start in range(0, times.size, step):
-        ions = _evolved_rows(blocks, theta[start : start + step], dim).reshape(-1, 9, dim // 9)
-        g = (ions @ ions.conj().swapaxes(1, 2)).reshape(-1, 3, 3, 3, 3)
-        cross = np.exp(-1j * params.phi) * g.swapaxes(3, 4)
-        cross += cross.conj().transpose(0, 3, 4, 1, 2)
-        parts = np.stack((g, cross, g.transpose(0, 2, 1, 4, 3)), axis=1)
-        flat = np.einsum(subscripts, parts).reshape(len(parts), 3, -1)
-        gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
-        chunk = slice(start, start + len(parts))
-        trace[chunk] = np.einsum("tpikik->tp", parts).real
-        purity[chunk] = gram.reshape(-1, 9) @ _ANTIDIAGONALS
-    return trace, purity
-
-
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
     single eigendecomposition of the assembled Hamiltonian.  Same contract
@@ -231,12 +178,6 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
     out = (phases * coeffs) @ spectrum.eigenvectors.T
     return _checked_states(out, _row_norm_sq(out))
-
-
-def coherence_damping(gaps: np.ndarray, gamma: float, t: float) -> np.ndarray:
-    """Factor exp(-i dE t - gamma t dE^2 / 2) by which the intrinsic-decoherence
-    channel multiplies an energy-eigenbasis coherence with gap dE at time t."""
-    return np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -298,7 +239,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
         for node, weight in zip(*_hermite_rule(quadrature_terms(spread[chunk][-1] * width))):
             states = _evolved_rows(blocks, theta[chunk] + node * spread[chunk], dim)
             kept = psi0.layout.split(states, keep)
-            rho += (weight * kept) @ kept.conj().swapaxes(1, 2)
+            rho += weight * (kept @ kept.conj().swapaxes(1, 2))
         yield rho
 
 
@@ -314,7 +255,8 @@ def milburn_closed_form(
     spectrum = hermitian_spectrum(np.asarray(hamiltonian))
     v = spectrum.eigenvectors
     gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rho_eig = (v.conj().T @ rho0.matrix @ v) * coherence_damping(gaps, gamma, t)
+    damping = np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
+    rho_eig = (v.conj().T @ rho0.matrix @ v) * damping
     out = v @ rho_eig @ v.conj().T
     return DensityMatrix(rho0.layout, 0.5 * (out + out.conj().T))
 

@@ -4,24 +4,22 @@ The initial state is a two-ion superposition
 (cos(theta) |a1 b2> + sin(theta) e^{i phi} |b1 a2>) tensored with a coherent
 vibrational field of mean phonon number nbar, truncated so that the dropped
 Poisson tail is certifiable and the blue-sideband dynamics never reaches the
-cutoff ceiling.
+cutoff ceiling.  A sweep runs its cells one after another in this process,
+one ``run_series`` each; the theta cells of an I-concurrence sweep share one
+cached evolution, so more processes would only repeat it.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from .core import PureState
-from .dynamics import check_times, exchange_purity, milburn_quadrature
+from .dynamics import check_times, milburn_quadrature
 from .entanglement import (
     Bipartition,
     concurrence_from_purity,
@@ -167,13 +165,47 @@ class MeasureSeries:
             raise ValueError(f"series contains negative values below tolerance: {values.min()}")
 
 
+# Partial trace of stacked two-ion operators (T, part, i1, i2, j1, j2) onto
+# the ions kept, the ion side of a cut that covers ion1, ion2 and field.
+_KEEP_IONS = {
+    ("ion1",): "tpikjk->tpij",
+    ("ion2",): "tpkikj->tpij",
+    ("ion1", "ion2"): "tpijkl->tpijkl",
+}
+# Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
+_ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
+
+
 @lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
 def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tuple[float, ...]):
-    """``exchange_purity`` of the run of ``params`` on the ions ``keep``,
-    evolved from |a b> x field; the callers pin theta, which it leaves out."""
+    """Theta-free trace and purity of the marginal on the ions ``keep`` of
+    psi(theta, t) = cos(theta) psi(t) + sin(theta) e^{i phi} SWAP psi(t),
+    with psi(t) the gamma = 0 run of ``params`` from |a b> x field,
+    phi = ``params.phi`` and SWAP the ion exchange; theta is left out.
+
+    The Hamiltonian commutes with SWAP, so psi(theta, t) is the evolution
+    of psi(theta, 0) and one evolution serves every theta.  With
+    c = cos(theta), s = sin(theta) and G the two-ion marginal of psi(t),
+    the two-ion marginal of psi(theta, t) is c^2 G + c s X + s^2 SWAP G SWAP
+    with X = e^{-i phi} G SWAP + h.c.; tracing out the other ion keeps one.
+    Returns (T, 3) and (T, 5) arrays with tr rho = sum_j trace[:, j]
+    c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k, contracted
+    chunk by chunk from the channel's two-ion marginals G.
+    """
     field = truncated_coherent(params.nbar, params.fock_cutoff)
     psi_a = prepare_initial(0.0, 0.0, field)
-    trace, purity = exchange_purity(psi_a, params, times, keep)
+    subscripts = _KEEP_IONS[keep]
+    traces, purities = [], []
+    for g in milburn_quadrature(psi_a, params, times, ("ion1", "ion2")):
+        g = g.reshape(-1, 3, 3, 3, 3)
+        cross = np.exp(-1j * params.phi) * g.swapaxes(3, 4)
+        cross += cross.conj().transpose(0, 3, 4, 1, 2)
+        parts = np.stack((g, cross, g.transpose(0, 2, 1, 4, 3)), axis=1)
+        flat = np.einsum(subscripts, parts).reshape(len(parts), 3, -1)
+        gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
+        traces.append(np.einsum("tpikik->tp", parts).real)
+        purities.append(gram.reshape(-1, 9) @ _ANTIDIAGONALS)
+    trace, purity = np.concatenate(traces), np.concatenate(purities)
     trace.flags.writeable = False
     purity.flags.writeable = False
     return trace, purity
@@ -231,32 +263,20 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
 
 
 def run_sweep(
-    params: SimParams,
-    theta_grid,
-    gamma_grid,
-    measure: str,
-    cut: Bipartition,
-    times,
-    workers: int = 1,
+    params: SimParams, theta_grid, gamma_grid, measure: str, cut: Bipartition, times
 ) -> list[MeasureSeries]:
-    """Cartesian sweep over (theta, gamma), emitted in deterministic
-    (theta index, gamma index) order regardless of worker count.  At most
-    one worker process per cell and per CPU is started."""
+    """Cartesian sweep over (theta, gamma), one run_series per cell in
+    (theta index, gamma index) order."""
     theta_grid = [float(t) for t in np.atleast_1d(theta_grid)]
     gamma_grid = [float(g) for g in np.atleast_1d(gamma_grid)]
     if not theta_grid or not gamma_grid:
         raise ValueError("sweep grids must be nonempty")
     times = np.asarray(times, dtype=np.float64)
-    cells = [
-        replace(params, theta=theta, gamma=gamma) for theta in theta_grid for gamma in gamma_grid
+    return [
+        run_series(replace(params, theta=theta, gamma=gamma), measure, cut, times)
+        for theta in theta_grid
+        for gamma in gamma_grid
     ]
-    shared = (repeat(measure), repeat(cut), repeat(times))
-    workers = min(workers, len(cells), os.cpu_count() or 1)
-    if workers <= 1:
-        return list(map(run_series, cells, *shared))
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(run_series, cells, *shared))
 
 
 @dataclass(frozen=True)

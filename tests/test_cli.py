@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import ionduo.core
 import ionduo.dynamics
 import ionduo.experiments
 from ionduo import ION_VS_REST, Sech, SimParams, __version__, run_series
-from ionduo.cli import ConfigError, build_config, figure_config, load_config, main
+from ionduo.cli import ConfigError, build_config, execute, figure_config, load_config, main
 from ionduo.selftest import THETA_LINEAR_PARAMS, run_selftest
 
 MINIMAL = """
@@ -191,13 +194,26 @@ class TestSimulateCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        text = MINIMAL.format(prefix=tmp_path / "w1").replace(
-            "theta = 0", "theta = 0, 0.5, 1.0"
-        )
-        path = write_config(tmp_path, text)
-        main(["simulate", "--config", str(path)])
-        main(["simulate", "--config", str(path), "--out", str(tmp_path / "w2"), "--workers", "2"])
+        text = MINIMAL.format(prefix=tmp_path / "w1").replace("theta = 0", "theta = 0, 0.5, 1.0")
+        main(["simulate", "--config", str(write_config(tmp_path, text))])
+        text = text.replace(str(tmp_path / "w1"), str(tmp_path / "w2")) + "workers = 2\n"
+        main(["simulate", "--config", str(write_config(tmp_path, text, "w2.ini"))])
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    def test_sweep_starts_no_process(self, tmp_path, monkeypatch):
+        text = MINIMAL.format(prefix=tmp_path / "serial").replace("theta = 0", "theta = 0, 0.5, 1.0")
+        serial = load_config(write_config(tmp_path, text))
+        recorded = replace(serial, workers=4, out_prefix=str(tmp_path / "recorded"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        csv_serial, _ = execute(serial)
+        csv_recorded, json_recorded = execute(recorded)
+        assert csv_recorded.read_bytes() == csv_serial.read_bytes()
+        assert json.loads(json_recorded.read_text())["config"]["output"]["workers"] == 4
 
     def test_gamma_with_sech_exits_infeasible(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x")
@@ -297,10 +313,14 @@ class TestSimulateCommand:
         assert field["fock_cutoff"] == 988
         assert field["poisson_tail_deficit"] <= 1e-10
 
-    def test_workers_flag_is_checked_like_the_config_value(self, tmp_path, capsys):
-        config = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
-        assert main(["simulate", "--config", str(config), "--workers", "0"]) == 2
-        assert "[output] workers: workers must be >= 1" in capsys.readouterr().err
+    def test_workers_is_a_checked_config_value_not_a_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x") + "workers = 0\n")
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "[output] workers (line 17): workers must be >= 1" in capsys.readouterr().err
+        for argv in (["simulate", "--config", str(config)], ["figure", "fig1"]):
+            with pytest.raises(SystemExit) as refused:
+                main(argv + ["--workers", "1"])
+            assert refused.value.code == 2
         assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
@@ -555,3 +575,12 @@ class TestVersionAndSelftest:
         ).values
         assert values.tolist() == json.loads(after.stdout)
         assert run_selftest(include_claims=False, stream=out) == 0
+
+    def test_import_loads_no_process_pool(self):
+        script = (
+            "import sys, ionduo.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -578,14 +578,15 @@ class TestExchangeSymmetry:
     @pytest.mark.parametrize("cut", FULL_CUTS)
     def test_chunk_seams_match_per_cell(self, cut, monkeypatch):
         params = SimParams(fock_cutoff=8, nbar=1.5, epsilon=0.8, theta=0.5, phi=0.3)
-        times = np.linspace(0.0, 12.0, 7)
+        times = tuple(np.linspace(0.0, 12.0, 7).tolist())
         dim = full_layout(8).total_dim
-        psi_a = ion_state(8, 1.5, 0.0, 0.0)
-        ions = cut.side_b if "field" in cut.side_a else cut.side_a
-        whole = dynamics.exchange_purity(psi_a, params, times, ions)
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 4 * dim)  # two times per chunk
+        ions = tuple(sorted(cut.side_b if "field" in cut.side_a else cut.side_a))
+        coefficients = experiments._exchange_coefficients.__wrapped__  # uncached
+        whole = coefficients(params, ions, times)
+        # two times per chunk: the states, their conjugates and the 9 x 9 marginal
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * (2 * dim + 81))
         experiments._exchange_coefficients.cache_clear()  # so run_series evolves in chunks
-        chunked = dynamics.exchange_purity(psi_a, params, times, ions)
+        chunked = coefficients(params, ions, times)
         for one, other in zip(whole, chunked):
             assert np.abs(one - other).max() <= 1e-15
         shared = run_series(params, "i_concurrence", cut, times).values
@@ -597,12 +598,12 @@ class TestExchangeSymmetry:
         layout = full_layout(6)
         amps = np.zeros(layout.total_dim, dtype=complex)
         amps[full_index(6, "a", "b", 6)] = 1.0  # lives in block 5 = N_max - 1
+        psi0 = PureState(layout, amps)
         with pytest.raises(CutoffError, match="cutoff"):
-            dynamics.exchange_purity(PureState(layout, amps), params, [0.0, 1.0], ("ion1",))
+            next(milburn_quadrature(psi0, params, [0.0, 1.0], ("ion1", "ion2")))
 
     def test_norm_drift_rejected(self, monkeypatch):
         monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
+        params = SimParams(fock_cutoff=10, nbar=2.0)
         with pytest.raises(ValueError, match="not normalized"):
-            dynamics.exchange_purity(
-                ion_state(theta=0.0), SimParams(fock_cutoff=10, nbar=2.0), [0.0], ("ion1",)
-            )
+            next(milburn_quadrature(ion_state(theta=0.0), params, [0.0], ("ion1", "ion2")))

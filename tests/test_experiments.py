@@ -248,45 +248,52 @@ class TestThetaSweep:
         with pytest.raises(ValueError, match="nonempty"):
             run_sweep(params, [], [0.0], "i_concurrence", ION_VS_REST, [0.0, 1.0])
 
-    def test_deterministic_across_worker_counts(self):
+    def test_empty_gamma_grid_rejected(self):
+        params = SimParams(fock_cutoff=8, nbar=1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            run_sweep(params, [0.3], [], "negativity", ION_VS_ION, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "thetas, gammas",
+        [
+            ([0.3, 0.7, 1.1], [0.0]),
+            ([0.3], [0.0, 0.02, 0.05]),
+            ([0.3, 0.7], [0.0, 0.02]),
+            ([0.3], [0.0]),
+            ([1.1, 0.3, 0.7], [0.05, 0.0]),
+        ],
+    )
+    def test_one_run_series_per_cell_in_theta_gamma_order(self, monkeypatch, thetas, gammas):
+        calls = []
+
+        def spy(params, measure, cut, times):
+            calls.append((params.theta, params.gamma))
+            return run_series(params, measure, cut, times)
+
+        monkeypatch.setattr(experiments, "run_series", spy)
+        params = SimParams(fock_cutoff=6, nbar=1.0)
+        times = np.linspace(0.0, 2.0, 5)
+        swept = run_sweep(params, thetas, gammas, "negativity", ION_VS_ION, times)
+        cells = [(theta, gamma) for theta in thetas for gamma in gammas]
+        assert calls == cells
+        assert [(s.params.theta, s.params.gamma) for s in swept] == cells
+        for (theta, gamma), series in zip(cells, swept):
+            cell = SimParams(fock_cutoff=6, nbar=1.0, theta=theta, gamma=gamma)
+            alone = run_series(cell, "negativity", ION_VS_ION, times)
+            assert np.array_equal(series.values, alone.values)  # bit identical
+
+    def test_shared_evolution_is_bit_identical_to_a_fresh_one(self):
         params = SimParams(fock_cutoff=8, nbar=1.0)
         grid = [0.3, 0.7, 1.1]
         times = np.linspace(0.0, 2.0, 5)
-        serial = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times, workers=1)
-        parallel = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times, workers=2)
-        for a, b in zip(serial, parallel):
+        experiments._exchange_coefficients.cache_clear()
+        first = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times)
+        reused = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times)
+        experiments._exchange_coefficients.cache_clear()
+        fresh = [run_series(s.params, "i_concurrence", ION_VS_REST, times) for s in first]
+        for a, b, c in zip(first, reused, fresh):
             assert np.array_equal(a.values, b.values)  # bit identical
-
-    @pytest.mark.parametrize(
-        "workers, thetas, cpus, expected",
-        [(1000, 3, 8, 3), (1000, 3, 2, 2), (2, 3, 8, 2), (1000, 3, None, None), (4, 1, 8, None)],
-    )
-    def test_worker_pool_is_clamped(self, monkeypatch, workers, thetas, cpus, expected):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        params = SimParams(fock_cutoff=8, nbar=1.0)
-        grid = [0.3, 0.7, 1.1][:thetas]
-        times = np.linspace(0.0, 2.0, 5)
-        swept = run_sweep(params, grid, [0.0], "i_concurrence", ION_VS_REST, times, workers)
-        assert started == ([] if expected is None else [expected])
-        serial = [run_series(s.params, "i_concurrence", ION_VS_REST, times) for s in swept]
-        for a, b in zip(serial, swept):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.values, c.values)
 
 
 class TestSuddenEvents:
