@@ -3,16 +3,18 @@ coupling, and the intrinsic-decoherence channel for constant coupling.
 
 The modulation enters only through the accumulated profile
 Theta(t) = int_0^t zeta, because the shared scalar zeta(t) multiplies the
-whole generator (which therefore commutes with itself at all times).  Pure
-states evolve block by block as
+whole generator (which therefore commutes with itself at all times).  Each
+block has the closed-form spectrum {0 x3, +-Omega, +-omega x2}, so with
+P_w its cached spectral projectors a pure state evolves as
 
-    A(t) = V exp(-i Z Theta(t)) V^dag A(0)
+    A(t) = sum_w exp(-i w Theta(t)) P_w A(0),
 
-with (Z, V) the cached spectrum of each block coupling matrix.
-``evolve_pure`` returns an evolution over a time grid as one read-only
-(T, dim) array whose row i is the state at times[i]; it and the dense
-propagation are oracles.  Production reads the pure states through the
-channel below, in time chunks.
+two exponentials per block and time, the negative frequencies being their
+conjugates.  One stacked kernel evaluates this for every evolvable block on
+the nine-state template at once.  ``evolve_pure`` returns an evolution over
+a time grid as one read-only (T, dim) array whose row i is the state at
+times[i]; it and the dense propagation are oracles.  Production reads the
+pure states through the channel below, in time chunks.
 
 The intrinsic-decoherence master equation
 
@@ -42,6 +44,8 @@ import numpy as np
 
 from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
 from .ionmodel import (
+    FLOOR_SKIP,
+    BlockSystem,
     CutoffError,
     block_index,
     build_full_hamiltonian,
@@ -55,8 +59,7 @@ KRAUS_DEFICIT_TARGET = 1e-10
 KRAUS_MAX_TERMS = 512
 QUADRATURE_TARGET = 1e-14
 
-# Complex entries (2 MB) per time chunk of the evolved states, their conjugates
-# and the channel's reduced states, whatever the kept dimension.
+# Complex entries (2 MB) per time chunk of every array _row_entries counts.
 _CHUNK_ENTRIES = 2**17
 
 
@@ -108,17 +111,18 @@ def _check_block_support(psi0: PureState, params: SimParams) -> None:
         )
 
 
-def _occupied_blocks(psi0: PureState, params: SimParams) -> Iterator[tuple]:
-    """Yield (full indices, energies, eigenvectors, V^dag a0) of each
-    evolvable block that ``psi0`` occupies, after the ceiling-block check."""
+def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndarray]:
+    """After the ceiling-block check, the block system of ``params`` and the
+    (F, 9, 5) parts U[i, :, j] = P_j a0 of the initial amplitudes a0 of each
+    of its F evolvable blocks, on the nine-state template."""
     _check_block_support(psi0, params)
     system = get_block_system(params)
-    for n, block in system.blocks.items():
-        idx = system.positions[n]
-        a0 = psi0.amplitudes[idx]
-        if np.any(a0):
-            v = block.spectrum.eigenvectors
-            yield idx, block.spectrum.eigenvalues, v, v.conj().T @ a0
+    grid = psi0.amplitudes.reshape(9, -1)  # ion levels by Fock number
+    blocks = grid.shape[1]
+    a0 = np.zeros((blocks, 9), dtype=np.complex128)
+    for k, skip in enumerate(FLOOR_SKIP):
+        a0[skip:, k] = grid[k, : blocks - skip]
+    return system, np.einsum("ijkl,il->ikj", system.projectors, a0)
 
 
 def _row_norm_sq(states: np.ndarray) -> np.ndarray:
@@ -137,21 +141,28 @@ def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     return states
 
 
-def _evolved_rows(blocks: list[tuple], theta: np.ndarray, dim: int) -> np.ndarray:
-    """Norm-checked (len(theta), dim) array of the states at the profile
-    values ``theta``, from the ``_occupied_blocks`` of the initial state."""
-    out = np.zeros((theta.size, dim), dtype=np.complex128)
-    norm_sq = np.zeros(theta.size)
-    for idx, z, v, coeffs in blocks:
-        phases = np.exp(-1j * np.outer(theta, z))
-        block_states = (phases * coeffs) @ v.T
-        out[:, idx] = block_states
-        norm_sq += _row_norm_sq(block_states)
-    return _checked_states(out, norm_sq)
+def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Norm-checked (len(theta), 9 F) array of the states at the profile
+    values ``theta``: sum_j exp(-i w_j theta) U_j on each block, from its
+    (Omega, omega) ``frequencies`` and the ``_projected`` parts U."""
+    blocks = len(frequencies)
+    phases = np.empty((blocks, 5, theta.size), dtype=np.complex128)
+    phases[:, 0] = 1.0
+    turning = phases[:, 1:3]
+    np.multiply(frequencies[:, :, None], -1j * theta, out=turning)
+    np.exp(turning, out=turning)
+    np.conjugate(turning, out=phases[:, 3:])
+    states = parts @ phases  # (F, 9, len(theta))
+    out = np.zeros((theta.size, 9 * blocks), dtype=np.complex128)
+    rows = out.reshape(theta.size, 9, blocks)
+    for k, skip in enumerate(FLOOR_SKIP):
+        rows[:, k, : blocks - skip] = states[skip:, k].T
+    return _checked_states(out, _row_norm_sq(out))
 
 
 def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
-    """Exact pure-state evolution via per-block eigendecomposition.
+    """Exact pure-state evolution on the blocks' two closed-form
+    frequencies and spectral projectors.
 
     Returns a read-only (T, dim) complex array on the layout of ``psi0``
     whose row i is the state at ``times[i]``; a row whose squared norm
@@ -162,8 +173,8 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
-    blocks = list(_occupied_blocks(psi0, params))
-    return _evolved_rows(blocks, theta, psi0.layout.total_dim)
+    system, parts = _projected(psi0, params)
+    return _evolved_rows(system.frequencies, parts, theta)
 
 
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
@@ -178,6 +189,13 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
     out = (phases * coeffs) @ spectrum.eigenvectors.T
     return _checked_states(out, _row_norm_sq(out))
+
+
+def _row_entries(dim: int, dim_keep: int) -> int:
+    """Complex entries that one time row of a channel chunk holds: the
+    evolved state and its conjugate, the reduced state, and the kernel's
+    5 phases and 9 template states on each of the dim / 9 blocks."""
+    return 2 * dim + dim_keep * dim_keep + 14 * (dim // 9)
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -220,8 +238,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             "intrinsic decoherence (gamma > 0) is solvable only for a "
             "time-independent coupling profile; rerun with constant modulation"
         )
-    blocks = list(_occupied_blocks(psi0, params))
-    width = float(np.ptp(np.concatenate([z for _, z, _, _ in blocks])))
+    system, parts = _projected(psi0, params)
+    occupied = zip(system.blocks.values(), np.any(parts, axis=(1, 2)))
+    width = float(np.ptp(np.concatenate([b.spectrum.eigenvalues for b, used in occupied if used])))
     spread = np.sqrt(params.gamma * times)
     if quadrature_terms(spread[-1] * width) is None:
         raise UnsupportedRegimeError(
@@ -232,12 +251,13 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     theta = modulation_integral(params.modulation, times)
     dim = psi0.layout.total_dim
     dim_keep = psi0.layout.keep(keep).total_dim
-    step = max(1, _CHUNK_ENTRIES // (2 * dim + dim_keep * dim_keep))
+    step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
         rho = np.zeros((theta[chunk].size, dim_keep, dim_keep), dtype=np.complex128)
         for node, weight in zip(*_hermite_rule(quadrature_terms(spread[chunk][-1] * width))):
-            states = _evolved_rows(blocks, theta[chunk] + node * spread[chunk], dim)
+            shifted = theta[chunk] + node * spread[chunk]
+            states = _evolved_rows(system.frequencies, parts, shifted)
             kept = psi0.layout.split(states, keep)
             rho += weight * (kept @ kept.conj().swapaxes(1, 2))
         yield rho

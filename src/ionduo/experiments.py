@@ -195,17 +195,19 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tupl
     field = truncated_coherent(params.nbar, params.fock_cutoff)
     psi_a = prepare_initial(0.0, 0.0, field)
     subscripts = _KEEP_IONS[keep]
-    traces, purities = [], []
+    trace, purity = np.empty((len(times), 3)), np.empty((len(times), 5))
+    start = 0
     for g in milburn_quadrature(psi_a, params, times, ("ion1", "ion2")):
+        rows = slice(start, start + len(g))
+        start += len(g)
         g = g.reshape(-1, 3, 3, 3, 3)
         cross = np.exp(-1j * params.phi) * g.swapaxes(3, 4)
         cross += cross.conj().transpose(0, 3, 4, 1, 2)
         parts = np.stack((g, cross, g.transpose(0, 2, 1, 4, 3)), axis=1)
         flat = np.einsum(subscripts, parts).reshape(len(parts), 3, -1)
         gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
-        traces.append(np.einsum("tpikik->tp", parts).real)
-        purities.append(gram.reshape(-1, 9) @ _ANTIDIAGONALS)
-    trace, purity = np.concatenate(traces), np.concatenate(purities)
+        trace[rows] = np.einsum("tpikik->tp", parts).real
+        purity[rows] = gram.reshape(-1, 9) @ _ANTIDIAGONALS
     trace.flags.writeable = False
     purity.flags.writeable = False
     return trace, purity

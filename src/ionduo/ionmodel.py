@@ -111,6 +111,9 @@ _DST, _SRC = np.nonzero(
     (_OFFSET[:, None] == _OFFSET + 1) & ((_ION1[:, None] == _ION1) | (_ION2[:, None] == _ION2))
 )
 _UPPER = (_ION1 + _ION2)[_DST] - (_ION1 + _ION2)[_SRC]
+# The first FLOOR_SKIP[k] evolvable blocks lack template state k; in the
+# blocks after them it sits at Fock numbers 0, 1, ... of its ion levels.
+FLOOR_SKIP = tuple(int(skip) for skip in 2 - _OFFSET)
 
 
 @lru_cache(maxsize=16)
@@ -154,16 +157,85 @@ def build_block(n: int, params: SimParams) -> BlockMatrix:
     return BlockMatrix(coupling, hermitian_spectrum(coupling))
 
 
+def spectral_scale(params: SimParams) -> float:
+    """Lambda max_m |g(m)|, with Lambda^2 = |lambda1|^2 + |lambda2|^2: the
+    scale of every block's spectrum."""
+    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    return big * float(np.abs(mode_couplings(params)).max())
+
+
+def block_frequencies(n: int, params: SimParams) -> tuple[float, float]:
+    """The two nonnegative frequencies (Omega_n, omega_n) of block n.  Each
+    ion's bright state couples to |a> with Lambda g(m), Lambda^2 =
+    |lambda1|^2 + |lambda2|^2, and its dark state not at all (Morris &
+    Shore), leaving the two-atom Tavis-Cummings spectrum
+    {0 x3, +-Omega_n, +-omega_n x2} with Omega_n = Lambda sqrt(2 (g(n+1)^2 +
+    g(n+2)^2)) and omega_n = Lambda |g(n+2)|; g(m <= 0) = 0."""
+    g = mode_couplings(params)
+    g1, g2 = g[max(n + 1, 0)], g[n + 2]
+    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    return big * math.sqrt(2) * math.hypot(g1, g2), big * abs(g2)
+
+
+# Multiplicities of the frequencies 0, +Omega, +omega, -Omega, -omega in a
+# block; the floor blocks n = -1, -2 lack 1 and 5 of the zeros.
+_MULTIPLICITY = (3, 1, 2, 1, 2)
+_MISSING_ZEROS = {-1: 1, -2: 5}
+
+
+def closed_form_spectrum(n: int, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of block n from ``block_frequencies``, and the
+    label of each: the index of its frequency in
+    (0, +Omega_n, +omega_n, -Omega_n, -omega_n)."""
+    big, small = block_frequencies(n, params)
+    labels = np.repeat(np.arange(5), _MULTIPLICITY)[_MISSING_ZEROS.get(n, 0) :]
+    values = np.array([0.0, big, small, -big, -small])[labels]
+    order = np.argsort(values, kind="stable")
+    return values[order], labels[order]
+
+
+def spectral_projectors(n: int, spectrum: Spectrum, params: SimParams) -> np.ndarray:
+    """(5, 9, 9) projectors of block n onto the eigenspaces of its
+    frequencies (0, +Omega_n, +omega_n, -Omega_n, -omega_n), on the nine-state
+    template (zero on the states a floor block lacks).  Each eigenvector of
+    ``spectrum`` joins the closed-form frequency its eigenvalue is paired
+    with in ascending order; ValueError if an eigenvalue lies more than
+    1e-12 spectral_scale from it (the smallest normal float is added to the
+    scale, since subnormal couplings carry no relative precision)."""
+    closed, labels = closed_form_spectrum(n, params)
+    worst = float(np.abs(spectrum.eigenvalues - closed).max())
+    scale = spectral_scale(params)
+    if not worst <= 1e-12 * (scale + np.finfo(float).tiny):
+        raise ValueError(
+            f"block {n} has an eigenvalue {worst:.3e} from its closed-form frequency, "
+            f"beyond 1e-12 x spectral scale {scale:.3e}"
+        )
+    vectors = np.zeros((9, labels.size), dtype=np.complex128)
+    vectors[n + _OFFSET >= 0] = spectrum.eigenvectors
+    members = labels == np.arange(5)[:, None, None]  # (5, 1, states)
+    return (vectors * members) @ vectors.conj().T
+
+
 class BlockSystem:
     """The evolvable blocks of one parameter set, built when the system is
     created: ``blocks[n]`` holds block n with its spectrum and
-    ``positions[n]`` its states' indices in the full layout."""
+    ``positions[n]`` its states' indices in the full layout.  The i-th
+    evolvable block (n = i - 2) evolves on the nine-state template as
+    sum_j exp(-i w_j Theta) P_j, with w = (0, +Omega_n, +omega_n, -Omega_n,
+    -omega_n): ``frequencies[i]`` is (Omega_n, omega_n) and
+    ``projectors[i, j]`` is P_j."""
 
     def __init__(self, params: SimParams):
         table = block_index(params.fock_cutoff)
         evolvable = evolvable_blocks(params.fock_cutoff)
         self.positions = {n: np.flatnonzero(table == n) for n in evolvable}
         self.blocks = {n: build_block(n, params) for n in evolvable}
+        self.frequencies = np.array([block_frequencies(n, params) for n in evolvable])
+        self.projectors = np.empty((len(evolvable), 5, 9, 9), dtype=np.complex128)
+        for i, n in enumerate(evolvable):
+            self.projectors[i] = spectral_projectors(n, self.blocks[n].spectrum, params)
+        self.frequencies.flags.writeable = False
+        self.projectors.flags.writeable = False
 
 
 # Fields of SimParams that do not enter the blocks, pinned for the cache key.

@@ -82,29 +82,14 @@ def _check_channels_vs_closed() -> CheckResult:
     )
 
 
-def closed_form_spectrum(n: int, params: SimParams) -> np.ndarray:
-    """Ascending eigenvalues of block n: each ion's bright state couples to
-    |a> with Lambda g(m), Lambda^2 = |lambda1|^2 + |lambda2|^2, and its dark
-    state not at all (Morris & Shore), leaving the two-atom Tavis-Cummings
-    spectrum {0 x3, +-Lambda sqrt(2 (g(n+1)^2 + g(n+2)^2)), +-Lambda g(n+2) x2}.
-    The floor blocks take g(m <= 0) = 0 and drop one zero per missing state."""
-    g1, g2 = (math.sqrt(m) * ionmodel.mode_strength(m, 0, params) for m in (max(n + 1, 0), n + 2))
-    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
-    omega = big * math.sqrt(2 * (g1**2 + g2**2))
-    values = [0.0, 0.0, 0.0, omega, -omega] + [big * g2, -big * g2] * 2
-    for _ in range({-1: 1, -2: 5}.get(n, 0)):
-        values.remove(0.0)
-    return np.sort(values)
-
-
 def _check_spectrum_closed_form() -> CheckResult:
     params = SimParams(fock_cutoff=12, lambda1=0.7 + 0.3j, lambda2=0.4 - 0.2j, eta=0.3, epsilon=0.4)
-    scale = math.hypot(abs(params.lambda1), abs(params.lambda2))
-    scale *= float(np.abs(ionmodel.mode_couplings(params)).max())
-    worst = max(
-        float(np.abs(block.spectrum.eigenvalues - closed_form_spectrum(n, params)).max())
-        for n, block in ionmodel.get_block_system(params).blocks.items()
-    )
+    scale = ionmodel.spectral_scale(params)
+    worst = 0.0
+    for n in ionmodel.evolvable_blocks(params.fock_cutoff):
+        eigenvalues = ionmodel.build_block(n, params).spectrum.eigenvalues
+        closed, _ = ionmodel.closed_form_spectrum(n, params)
+        worst = max(worst, float(np.abs(eigenvalues - closed).max()))
     return CheckResult("spectrum-vs-closed-form", worst <= 1e-12 * scale, worst / scale, 1e-12)
 
 

@@ -14,6 +14,7 @@ import pytest
 import ionduo.core
 import ionduo.dynamics
 import ionduo.experiments
+import ionduo.ionmodel
 from ionduo import ION_VS_REST, Sech, SimParams, __version__, run_series
 from ionduo.cli import ConfigError, build_config, execute, figure_config, load_config, main
 from ionduo.selftest import THETA_LINEAR_PARAMS, run_selftest
@@ -361,6 +362,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("run failed: state is not normalized") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_spectrum_off_its_closed_form_exits_4(self, tmp_path, capsys, monkeypatch):
+        honest = ionduo.ionmodel.block_frequencies
+
+        def shifted(n, params):
+            big, small = honest(n, params)
+            return big * 1.001, small
+
+        monkeypatch.setattr(ionduo.ionmodel, "block_frequencies", shifted)
+        ionduo.ionmodel.get_block_system.cache_clear()  # build the table, not reuse one
+        ionduo.experiments._exchange_coefficients.cache_clear()
+        try:
+            path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
+            assert main(["simulate", "--config", str(path)]) == 4
+        finally:
+            ionduo.ionmodel.get_block_system.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: block ") and "closed-form frequency" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     @pytest.mark.parametrize(

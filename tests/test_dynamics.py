@@ -29,7 +29,14 @@ from ionduo import (
 from ionduo import dynamics, experiments, ionmodel
 from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature, quadrature_terms
 from ionduo.entanglement import i_concurrence_values
-from ionduo.ionmodel import CutoffError, build_full_hamiltonian, full_index, full_layout
+from ionduo.ionmodel import (
+    CutoffError,
+    block_index,
+    build_full_hamiltonian,
+    evolvable_blocks,
+    full_index,
+    full_layout,
+)
 
 
 @pytest.fixture
@@ -364,19 +371,21 @@ FAIL_FAST = dict(derandomize=True, deadline=None, phases=(Phase.explicit, Phase.
 
 
 class TestBlockAgainstDense:
-    @settings(max_examples=40, **FAIL_FAST)
+    @settings(max_examples=60, **FAIL_FAST)
     @given(
-        fock_cutoff=st.integers(3, 8),
+        fock_cutoff=st.integers(1, 8),
         lambda1=couplings,
         lambda2=couplings,
-        eta=st.floats(0.0, 1.0),
+        # eta = 1 zeroes g(1), so block -1 is all zero; eta^2 = 2 - sqrt 2 is a root of L_2
+        eta=st.one_of(st.sampled_from([1.0, math.sqrt(2 - math.sqrt(2))]), st.floats(0.0, 1.0)),
         epsilon=st.floats(-2.0, 2.0),
+        standard=st.booleans(),
         modulation=modulations,
         later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_evolve_pure_matches_dense_on_random_states(
-        self, fock_cutoff, lambda1, lambda2, eta, epsilon, modulation, later, seed
+        self, fock_cutoff, lambda1, lambda2, eta, epsilon, standard, modulation, later, seed
     ):
         params = SimParams(
             fock_cutoff=fock_cutoff,
@@ -384,11 +393,12 @@ class TestBlockAgainstDense:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
+            standard_matrix_element=standard,
             modulation=modulation,
         )
         layout = full_layout(fock_cutoff)
-        # every basis state with Fock number <= N_max - 2, whatever its ion levels
-        support = np.flatnonzero(np.arange(layout.total_dim) % (fock_cutoff + 1) <= fock_cutoff - 2)
+        # every state of every evolvable block, the floor blocks n = -1, -2 included
+        support = np.flatnonzero(np.isin(block_index(fock_cutoff), evolvable_blocks(fock_cutoff)))
         rng = np.random.default_rng(seed)
         amps = np.zeros(layout.total_dim, dtype=complex)
         amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
@@ -396,7 +406,7 @@ class TestBlockAgainstDense:
         times = [0.0] + sorted(later)
         block = evolve_pure(psi0, params, times)
         deviation = float(np.abs(block - evolve_pure_dense(psi0, params, times)).max())
-        assert deviation <= 1e-10
+        assert deviation <= 1e-12
 
 
 def dense_reduced(psi0, params, t, keep):
@@ -407,7 +417,14 @@ def dense_reduced(psi0, params, t, keep):
 
 def occupied_spread(psi0, params):
     """Spread max - min of the energies of the blocks psi0 occupies."""
-    energies = np.concatenate([z for _, z, _, _ in dynamics._occupied_blocks(psi0, params)])
+    system = ionmodel.get_block_system(params)
+    energies = np.concatenate(
+        [
+            system.blocks[n].spectrum.eigenvalues
+            for n, idx in system.positions.items()
+            if np.any(psi0.amplitudes[idx])
+        ]
+    )
     return float(energies.max() - energies.min())
 
 
@@ -468,7 +485,8 @@ class TestMilburnReduced:
         monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 16)
         whole = np.concatenate(list(milburn_quadrature(psi0, params, times, cut.labels)))
         dim = whole.shape[1]
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * (2 * psi0.layout.total_dim + dim * dim))
+        two_rows = 2 * dynamics._row_entries(psi0.layout.total_dim, dim)
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", two_rows)
         chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
         assert [len(chunk) for chunk in chunks] == [2, 2, 2, 1]
         assert np.abs(np.concatenate(chunks) - whole).max() <= 1e-15
@@ -583,8 +601,8 @@ class TestExchangeSymmetry:
         ions = tuple(sorted(cut.side_b if "field" in cut.side_a else cut.side_a))
         coefficients = experiments._exchange_coefficients.__wrapped__  # uncached
         whole = coefficients(params, ions, times)
-        # two times per chunk: the states, their conjugates and the 9 x 9 marginal
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * (2 * dim + 81))
+        # two times per chunk of the 9 x 9 marginal
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dynamics._row_entries(dim, 9))
         experiments._exchange_coefficients.cache_clear()  # so run_series evolves in chunks
         chunked = coefficients(params, ions, times)
         for one, other in zip(whole, chunked):

@@ -16,16 +16,19 @@ from ionduo import (
     laguerre,
     mode_strength,
 )
+from ionduo import ionmodel
 from ionduo.ionmodel import (
     LEVEL_INDEX,
     BlockSystem,
     CutoffError,
+    block_frequencies,
     block_index,
+    closed_form_spectrum,
     evolvable_blocks,
     full_index,
     mode_couplings,
+    spectral_scale,
 )
-from ionduo.selftest import closed_form_spectrum
 
 CANONICAL_NINE = (
     (0, "a", "a"),
@@ -285,7 +288,7 @@ class TestClosedFormSpectrum:
         scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
         for n in evolvable_blocks(cutoff):
             eigenvalues = build_block(n, params).spectrum.eigenvalues
-            closed = closed_form_spectrum(n, params)
+            closed, _ = closed_form_spectrum(n, params)
             assert closed.shape == eigenvalues.shape
             assert np.abs(eigenvalues - closed).max() <= 1e-12 * scale
 
@@ -295,9 +298,48 @@ class TestClosedFormSpectrum:
         omega = math.sqrt(2 * (1.0 + 2.0))  # g(m) = sqrt(m) at eta = 0, epsilon = -2
         side = math.sqrt(2.0)
         expected = sorted([0.0, 0.0, 0.0, omega, -omega, side, -side, side, -side])
-        assert np.allclose(closed_form_spectrum(0, params), expected, rtol=0, atol=1e-15)
+        assert np.allclose(closed_form_spectrum(0, params)[0], expected, rtol=0, atol=1e-15)
         eigenvalues = build_block(0, params).spectrum.eigenvalues
         assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-14)
+
+
+class TestSpectralTable:
+    def test_projectors_resolve_each_block(self):
+        params = fig_params(fock_cutoff=8, lambda1=0.7 + 0.3j, lambda2=0.4 - 0.2j, eta=0.3)
+        system = BlockSystem(params)
+        scale = spectral_scale(params)
+        offsets = np.array([off for off, _, _ in CANONICAL_NINE])
+        for i, n in enumerate(evolvable_blocks(8)):
+            present = n + offsets >= 0
+            big, small = system.frequencies[i]
+            projectors = system.projectors[i]
+            assert np.abs(projectors.sum(axis=0) - np.diag(present * 1.0)).max() <= 1e-14
+            generator = np.tensordot([0.0, big, small, -big, -small], projectors, axes=1)
+            coupling = system.blocks[n].coupling
+            assert np.abs(generator[np.ix_(present, present)] - coupling).max() <= 1e-12 * scale
+            assert np.abs(generator[~present]).max(initial=0.0) == 0.0
+
+    def test_frequencies_are_the_closed_form(self):
+        params = fig_params(fock_cutoff=6, lambda2=0.5j, epsilon=-0.3)
+        system = BlockSystem(params)
+        for i, n in enumerate(evolvable_blocks(6)):
+            assert tuple(system.frequencies[i]) == block_frequencies(n, params)
+            assert min(system.frequencies[i]) >= 0.0
+
+    def test_eigenvalue_off_its_closed_form_frequency_is_refused(self, monkeypatch):
+        honest = ionmodel.block_frequencies
+
+        def shifted(n, params):
+            big, small = honest(n, params)
+            return big * (1 + 1e-9), small
+
+        monkeypatch.setattr(ionmodel, "block_frequencies", shifted)
+        get_block_system.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="closed-form frequency"):
+                get_block_system(fig_params())
+        finally:
+            get_block_system.cache_clear()
 
 
 class TestFullHamiltonian:
