@@ -478,14 +478,6 @@ def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
     return write_dataset(config, series_list, preset=preset)
 
 
-def _with_output(sections: dict, out: str | None) -> RunConfig:
-    """build_config with the ``--out`` flag in place of the [output] prefix,
-    so the flag passes the same checks."""
-    if out is not None:
-        sections.setdefault("output", {})["prefix"] = out
-    return build_config(sections)
-
-
 def figure_config(name: str, tau: float | None = None, out: str | None = None) -> RunConfig:
     """Preset sweeps mirroring the reference surfaces: theta x time at
     nbar = 5 and 15, a gamma sweep at fixed theta, and a sech-modulated
@@ -510,9 +502,10 @@ def figure_config(name: str, tau: float | None = None, out: str | None = None) -
     if name not in presets:
         raise ConfigError("figure", "name", f"unknown preset {name!r}")
     sections = presets[name]
+    sections["output"] = {"prefix": name if out is None else out}
     if name == "fig4":
         sections["params"]["tau"] = tau  # build_config refuses sech without a tau
-    return _with_output(sections, name if out is None else out)
+    return build_config(sections)
 
 
 def main(argv=None) -> int:
@@ -547,9 +540,12 @@ def main(argv=None) -> int:
     preset = args.name if args.command == "figure" else None
     try:
         if preset is None:
-            # The file's values in their resolved sidecar form, with the flags applied.
-            sections = load_config(args.config).to_json_dict()
-            config = _with_output(sections, args.out)
+            config = load_config(args.config)
+            if args.out is not None:  # the flag passes the [output] prefix check
+                try:
+                    config = replace(config, out_prefix=_parse_text(args.out))
+                except ValueError as exc:
+                    raise ConfigError("output", "prefix", str(exc)) from None
         else:
             config = figure_config(preset, tau=args.tau, out=args.out)
     except ConfigError as exc:

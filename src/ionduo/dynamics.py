@@ -5,7 +5,7 @@ The modulation enters only through the accumulated profile
 Theta(t) = int_0^t zeta, because the shared scalar zeta(t) multiplies the
 whole generator (which therefore commutes with itself at all times).  Each
 block has the closed-form spectrum {0 x3, +-Omega, +-omega x2}, so with
-P_w its cached spectral projectors a pure state evolves as
+P_w its spectral projectors in the cached block table a pure state evolves as
 
     A(t) = sum_w exp(-i w Theta(t)) P_w A(0),
 
@@ -29,8 +29,9 @@ K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
 factors.  At gamma = 0 that is one node of weight 1 under either profile,
 the pure evolution reduced, which every measure reads.  Each time chunk
 takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
-sigma^2 = gamma t and w the spread of the occupied energies, meets
-QUADRATURE_TARGET.  The dense closed form and a truncated Kraus-operator
+sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
+occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
+grows.  The dense closed form and a truncated Kraus-operator
 sum are its oracles; all of them are defined for time-independent coupling
 only.
 """
@@ -239,8 +240,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             "time-independent coupling profile; rerun with constant modulation"
         )
     system, parts = _projected(psi0, params)
-    occupied = zip(system.blocks.values(), np.any(parts, axis=(1, 2)))
-    width = float(np.ptp(np.concatenate([b.spectrum.eigenvalues for b, used in occupied if used])))
+    width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     if quadrature_terms(spread[-1] * width) is None:
         raise UnsupportedRegimeError(
@@ -252,10 +252,14 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     dim = psi0.layout.total_dim
     dim_keep = psi0.layout.keep(keep).total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
+    nodes = weights = np.empty(0)
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
+        terms = quadrature_terms(spread[chunk][-1] * width)
+        if nodes.size != terms:  # K only grows along the grid
+            nodes, weights = _hermite_rule(terms)
         rho = np.zeros((theta[chunk].size, dim_keep, dim_keep), dtype=np.complex128)
-        for node, weight in zip(*_hermite_rule(quadrature_terms(spread[chunk][-1] * width))):
+        for node, weight in zip(nodes, weights):
             shifted = theta[chunk] + node * spread[chunk]
             states = _evolved_rows(system.frequencies, parts, shifted)
             kept = psi0.layout.split(states, keep)

@@ -10,8 +10,8 @@ by the vibrational mode function.  The quantity
     block index n = (Fock number) - (number of ions not in ``a``)
 
 is conserved, so the Hamiltonian decomposes into independent blocks of at
-most nine states, which is what makes exact per-block diagonalization
-possible.
+most nine states, laid on one nine-state template as one stacked table that
+a single batched eigendecomposition diagonalizes exactly.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ def mode_strength(n: int, k: int, params: SimParams) -> float:
     return -0.5 * params.epsilon * raw * _FAULT_SCALE
 
 
-# The interior-block template: state k of every block holds ion1 in level
-# k // 3 and ion2 in level k % 3 (a, b, c = 0, 1, 2) at Fock number
-# n + _OFFSET[k], which is layout order.  A raising pair (_DST, _SRC) lifts one
-# ion from a to level _UPPER while adding one phonon.
+# The template of every block n: state k holds ion1 in level k // 3 and ion2
+# in level k % 3 (a, b, c = 0, 1, 2) at Fock number n + _OFFSET[k], which is
+# layout order; a floor block lacks the states where that is < 0.  A raising
+# pair (_DST, _SRC) lifts one ion from a to level _UPPER adding one phonon.
 _ION1, _ION2 = np.divmod(np.arange(9), 3)
 _OFFSET = np.sign(_ION1) + np.sign(_ION2)
 _DST, _SRC = np.nonzero(
@@ -127,6 +127,20 @@ def mode_couplings(params: SimParams) -> np.ndarray:
     return g
 
 
+def block_couplings(params: SimParams) -> np.ndarray:
+    """(F, 9, 9) Hermitian coupling matrices of the F = N_max + 1 evolvable
+    blocks on the template, block n at index n + 2: each raising pair
+    carries lambda g(Fock number after raising), the Hermitian conjugate the
+    lowering half.  A pair through a state a floor block lacks ends at
+    m <= 0, where g(m) = 0, so that state's row and column are zero."""
+    blocks = np.array(evolvable_blocks(params.fock_cutoff))[:, None]
+    lam = np.array([0.0, params.lambda1, params.lambda2])  # coupling into level a, b, c
+    g = mode_couplings(params)[np.maximum(blocks + _OFFSET[_DST], 0)]
+    raising = np.zeros((blocks.size, 9, 9), dtype=np.complex128)
+    raising[:, _DST, _SRC] = lam[_UPPER] * g
+    return raising + raising.conj().swapaxes(1, 2)
+
+
 @dataclass(frozen=True)
 class BlockMatrix:
     """One block: its read-only Hermitian coupling matrix and its spectrum."""
@@ -136,23 +150,16 @@ class BlockMatrix:
 
 
 def build_block(n: int, params: SimParams) -> BlockMatrix:
-    """Coupling matrix and cached spectrum of block n, which must be one of
-    the evolvable blocks of the cutoff.  Each template raising pair carries
-    lambda g(Fock number after raising), the floor blocks (n = -1, -2) keep
-    the template states with Fock number >= 0, and the Hermitian conjugate
-    fills the lowering half."""
+    """Block n, which must be one of the evolvable blocks of the cutoff, on
+    its own states: the rows and columns of its ``block_couplings`` matrix
+    whose template state has Fock number >= 0, and their spectrum."""
     evolvable = evolvable_blocks(params.fock_cutoff)
     if n not in evolvable:
         raise CutoffError(
             f"block {n} is outside the evolvable blocks {evolvable} of cutoff {params.fock_cutoff}"
         )
-    fock = n + _OFFSET
-    dst, src, upper = (pairs[fock[_SRC] >= 0] for pairs in (_DST, _SRC, _UPPER))
-    lam = np.array([0.0, params.lambda1, params.lambda2])  # coupling into level a, b, c
-    raising = np.zeros((9, 9), dtype=np.complex128)
-    raising[dst, src] = lam[upper] * mode_couplings(params)[fock[dst]]
-    raising = raising[np.ix_(fock >= 0, fock >= 0)]
-    coupling = raising + raising.conj().T
+    present = n + _OFFSET >= 0
+    coupling = block_couplings(params)[evolvable.index(n)][present][:, present]
     coupling.flags.writeable = False
     return BlockMatrix(coupling, hermitian_spectrum(coupling))
 
@@ -177,63 +184,50 @@ def block_frequencies(n: int, params: SimParams) -> tuple[float, float]:
     return big * math.sqrt(2) * math.hypot(g1, g2), big * abs(g2)
 
 
-# Multiplicities of the frequencies 0, +Omega, +omega, -Omega, -omega in a
-# block; the floor blocks n = -1, -2 lack 1 and 5 of the zeros.
-_MULTIPLICITY = (3, 1, 2, 1, 2)
-_MISSING_ZEROS = {-1: 1, -2: 5}
+# Each of a block's nine eigenvalues as the index of its frequency in
+# (0, +Omega, +omega, -Omega, -omega); a state a floor block lacks is a zero.
+_LABELS = np.repeat(np.arange(5), (3, 1, 2, 1, 2))
 
 
-def closed_form_spectrum(n: int, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of block n from ``block_frequencies``, and the
-    label of each: the index of its frequency in
-    (0, +Omega_n, +omega_n, -Omega_n, -omega_n)."""
-    big, small = block_frequencies(n, params)
-    labels = np.repeat(np.arange(5), _MULTIPLICITY)[_MISSING_ZEROS.get(n, 0) :]
-    values = np.array([0.0, big, small, -big, -small])[labels]
-    order = np.argsort(values, kind="stable")
-    return values[order], labels[order]
-
-
-def spectral_projectors(n: int, spectrum: Spectrum, params: SimParams) -> np.ndarray:
-    """(5, 9, 9) projectors of block n onto the eigenspaces of its
-    frequencies (0, +Omega_n, +omega_n, -Omega_n, -omega_n), on the nine-state
-    template (zero on the states a floor block lacks).  Each eigenvector of
-    ``spectrum`` joins the closed-form frequency its eigenvalue is paired
-    with in ascending order; ValueError if an eigenvalue lies more than
-    1e-12 spectral_scale from it (the smallest normal float is added to the
-    scale, since subnormal couplings carry no relative precision)."""
-    closed, labels = closed_form_spectrum(n, params)
-    worst = float(np.abs(spectrum.eigenvalues - closed).max())
-    scale = spectral_scale(params)
-    if not worst <= 1e-12 * (scale + np.finfo(float).tiny):
-        raise ValueError(
-            f"block {n} has an eigenvalue {worst:.3e} from its closed-form frequency, "
-            f"beyond 1e-12 x spectral scale {scale:.3e}"
-        )
-    vectors = np.zeros((9, labels.size), dtype=np.complex128)
-    vectors[n + _OFFSET >= 0] = spectrum.eigenvectors
-    members = labels == np.arange(5)[:, None, None]  # (5, 1, states)
-    return (vectors * members) @ vectors.conj().T
+def closed_form_spectrum(frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nine ascending eigenvalues of each block whose (Omega, omega) is a
+    row of the (..., 2) array ``frequencies``, and the label of each."""
+    zero = np.zeros_like(frequencies[..., :1])
+    values = np.concatenate([zero, frequencies, -frequencies], axis=-1)[..., _LABELS]
+    order = np.argsort(values, axis=-1, kind="stable")
+    return np.take_along_axis(values, order, axis=-1), _LABELS[order]
 
 
 class BlockSystem:
-    """The evolvable blocks of one parameter set, built when the system is
-    created: ``blocks[n]`` holds block n with its spectrum and
-    ``positions[n]`` its states' indices in the full layout.  The i-th
-    evolvable block (n = i - 2) evolves on the nine-state template as
-    sum_j exp(-i w_j Theta) P_j, with w = (0, +Omega_n, +omega_n, -Omega_n,
-    -omega_n): ``frequencies[i]`` is (Omega_n, omega_n) and
-    ``projectors[i, j]`` is P_j."""
+    """The F evolvable blocks of one parameter set as one table, built when
+    the system is created.  Block n = i - 2 evolves on the nine-state
+    template as sum_j exp(-i w_j Theta) P_j, with w = (0, +Omega_n, +omega_n,
+    -Omega_n, -omega_n): ``frequencies[i]`` is (Omega_n, omega_n) and
+    ``projectors[i, j]`` is P_j, zero on the states a floor block lacks.
+
+    One stacked eigendecomposition of ``block_couplings`` gives the
+    projectors: each eigenvector joins the closed-form frequency its
+    eigenvalue is paired with in ascending order.  ValueError if an
+    eigenvalue lies more than 1e-12 spectral_scale from it (the smallest
+    normal float is added to the scale, since subnormal couplings carry no
+    relative precision)."""
 
     def __init__(self, params: SimParams):
-        table = block_index(params.fock_cutoff)
         evolvable = evolvable_blocks(params.fock_cutoff)
-        self.positions = {n: np.flatnonzero(table == n) for n in evolvable}
-        self.blocks = {n: build_block(n, params) for n in evolvable}
         self.frequencies = np.array([block_frequencies(n, params) for n in evolvable])
-        self.projectors = np.empty((len(evolvable), 5, 9, 9), dtype=np.complex128)
-        for i, n in enumerate(evolvable):
-            self.projectors[i] = spectral_projectors(n, self.blocks[n].spectrum, params)
+        closed, labels = closed_form_spectrum(self.frequencies)
+        eigenvalues, vectors = np.linalg.eigh(block_couplings(params))
+        deviation = np.abs(eigenvalues - closed).max(axis=1)
+        worst = int(np.argmax(deviation))  # the first NaN, if there is one
+        scale = spectral_scale(params)
+        if not deviation[worst] <= 1e-12 * (scale + np.finfo(float).tiny):
+            raise ValueError(
+                f"block {evolvable[worst]} has an eigenvalue {deviation[worst]:.3e} from its "
+                f"closed-form frequency, beyond 1e-12 x spectral scale {scale:.3e}"
+            )
+        vectors[np.array(evolvable)[:, None] + _OFFSET < 0] = 0.0  # states a floor block lacks
+        members = labels[:, None, None, :] == np.arange(5)[:, None, None]  # (F, 5, 1, 9)
+        self.projectors = (vectors[:, None] * members) @ vectors[:, None].conj().swapaxes(2, 3)
         self.frequencies.flags.writeable = False
         self.projectors.flags.writeable = False
 

@@ -324,6 +324,12 @@ class TestSimulateCommand:
             assert refused.value.code == 2
         assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]
 
+    def test_empty_out_flag_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
+        assert main(["simulate", "--config", str(path), "--out", ""]) == 2
+        assert "config error: [output] prefix: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
 

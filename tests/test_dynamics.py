@@ -14,7 +14,6 @@ from ionduo import (
     PureState,
     Sech,
     SimParams,
-    Spectrum,
     evolve_pure,
     evolve_pure_dense,
     hermitian_spectrum,
@@ -131,14 +130,13 @@ class TestEvolvePure:
 
     @pytest.mark.parametrize("evolve", [evolve_pure, evolve_pure_dense])
     def test_norm_drift_rejected(self, evolve, monkeypatch):
-        honest = hermitian_spectrum
+        honest = np.linalg.eigh
 
-        def stretched(matrix):
-            spectrum = honest(matrix)
-            return Spectrum(spectrum.eigenvalues, 1.001 * spectrum.eigenvectors)
+        def stretched(matrix):  # the block table's eigh and the dense spectrum's
+            eigenvalues, eigenvectors = honest(matrix)
+            return eigenvalues, 1.001 * eigenvectors
 
-        monkeypatch.setattr(ionmodel, "hermitian_spectrum", stretched)
-        monkeypatch.setattr(dynamics, "hermitian_spectrum", stretched)
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
         ionmodel.get_block_system.cache_clear()
         try:
             with pytest.raises(ValueError, match="not normalized"):
@@ -416,13 +414,14 @@ def dense_reduced(psi0, params, t, keep):
 
 
 def occupied_spread(psi0, params):
-    """Spread max - min of the energies of the blocks psi0 occupies."""
-    system = ionmodel.get_block_system(params)
+    """Spread max - min of the energies of the blocks psi0 occupies, from
+    the eigendecomposition of each block, not its closed form."""
+    table = block_index(params.fock_cutoff)
     energies = np.concatenate(
         [
-            system.blocks[n].spectrum.eigenvalues
-            for n, idx in system.positions.items()
-            if np.any(psi0.amplitudes[idx])
+            ionmodel.build_block(n, params).spectrum.eigenvalues
+            for n in evolvable_blocks(params.fock_cutoff)
+            if np.any(psi0.amplitudes[table == n])
         ]
     )
     return float(energies.max() - energies.min())
@@ -518,6 +517,25 @@ class TestMilburnReduced:
         (reduced,) = milburn_quadrature(psi0, params, times, keep)
         kept = psi0.layout.split(evolve_pure(psi0, params, times), keep)
         assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_each_rule_is_built_once(self, gamma, monkeypatch):
+        params = SimParams(fock_cutoff=8, nbar=1.5, gamma=gamma, epsilon=0.8, theta=0.5)
+        psi0 = ion_state(8, 1.5, 0.5)
+        keep = ("ion1", "ion2")
+        honest, built = dynamics._hermite_rule, []
+
+        def counted(terms):
+            built.append(terms)
+            return honest(terms)
+
+        monkeypatch.setattr(dynamics, "_hermite_rule", counted)
+        one_row = dynamics._row_entries(psi0.layout.total_dim, 9)
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", one_row)
+        chunks = list(milburn_quadrature(psi0, params, np.linspace(0.0, 12.0, 7), keep))
+        assert len(chunks) == 7
+        assert built == sorted(set(built))  # each K once, as K grows along the grid
+        assert built == [1] if gamma == 0 else len(built) > 1
 
 
 # Every bipartition covering ion1, ion2 and field, each in both orders.

@@ -14,7 +14,6 @@ from ionduo import (
     UnsupportedRegimeError,
     coherent_amplitudes,
     detect_sudden_events,
-    get_block_system,
     i_concurrence_pure,
     prepare_initial,
     report_gamma_monotonicity,
@@ -24,10 +23,11 @@ from ionduo import (
     run_sweep,
     truncated_coherent,
 )
-from ionduo import experiments
+from ionduo import dynamics, experiments
 from ionduo.core import DensityMatrix, HilbertLayout, PureState
 from ionduo.dynamics import check_times, milburn_closed_form, modulation_integral
 from ionduo.experiments import FieldPreparation
+from ionduo.ionmodel import FLOOR_SKIP, block_index, evolvable_blocks
 
 
 def synthetic_series(values, step=0.1):
@@ -154,10 +154,12 @@ class TestPrepareInitial:
         params = SimParams(fock_cutoff=10, nbar=2.0, theta=0.7, phi=0.4)
         field = truncated_coherent(params.nbar, params.fock_cutoff)
         psi = prepare_initial(params.theta, params.phi, field)
-        system = get_block_system(params)
+        # the projected parts of each block sum back to its amplitudes
+        _, parts = dynamics._projected(psi, params)
+        table = block_index(params.fock_cutoff)
         rebuilt = np.zeros_like(psi.amplitudes)
-        for idx in system.positions.values():
-            rebuilt[idx] = psi.amplitudes[idx]
+        for i, n in enumerate(evolvable_blocks(params.fock_cutoff)):
+            rebuilt[table == n] = parts[i].sum(axis=1)[np.array(FLOOR_SKIP) <= i]
         assert np.abs(rebuilt - psi.amplitudes).max() <= 1e-14
 
 

@@ -21,6 +21,7 @@ from ionduo.ionmodel import (
     LEVEL_INDEX,
     BlockSystem,
     CutoffError,
+    block_couplings,
     block_frequencies,
     block_index,
     closed_form_spectrum,
@@ -43,23 +44,32 @@ CANONICAL_NINE = (
 )
 
 
+def block_positions(n, fock_cutoff):
+    """Full-layout indices of the states of block n, in layout order."""
+    return np.flatnonzero(block_index(fock_cutoff) == n)
+
+
 def assemble_from_blocks(params):
     """Direct sum of the evolvable blocks' coupling matrices under the
     block-to-full embedding, and the full indices of their states."""
-    system = BlockSystem(params)
     dim = 9 * (params.fock_cutoff + 1)
     h = np.zeros((dim, dim), dtype=np.complex128)
-    for n, block in system.blocks.items():
-        h[np.ix_(system.positions[n], system.positions[n])] = block.coupling
-    return h, np.concatenate(list(system.positions.values()))
+    kept = []
+    for n in evolvable_blocks(params.fock_cutoff):
+        positions = block_positions(n, params.fock_cutoff)
+        h[np.ix_(positions, positions)] = build_block(n, params).coupling
+        kept.append(positions)
+    return h, np.concatenate(kept)
 
 
 def block_states(n, params):
     """(fock, ion1 level, ion2 level) of each state of block n, in order,
     read off the block's positions in the full layout."""
-    positions = BlockSystem(params).positions[n]
+    positions = block_positions(n, params.fock_cutoff)
     ion1, ion2, fock = np.unravel_index(positions, (3, 3, params.fock_cutoff + 1))
-    return [(int(f), "abc"[i], "abc"[j]) for f, i, j in zip(fock, ion1, ion2)]
+    states = [(int(f), "abc"[i], "abc"[j]) for f, i, j in zip(fock, ion1, ion2)]
+    assert [full_index(*state, params.fock_cutoff) for state in states] == positions.tolist()
+    return states
 
 
 def fig_params(fock_cutoff=12, **overrides):
@@ -181,7 +191,6 @@ class TestBlockPositions:
             ]
 
     def test_floor_blocks_drop_negative_fock(self):
-        system = BlockSystem(fig_params())
         assert block_states(-1, fig_params()) == [
             (off - 1, l1, l2) for off, l1, l2 in CANONICAL_NINE[1:]
         ]
@@ -192,8 +201,8 @@ class TestBlockPositions:
             (0, "c", "c"),
         ]
         for n, size in ((-1, 8), (-2, 4)):
-            assert system.positions[n].size == size
-            assert system.blocks[n].coupling.shape == (size, size)
+            assert block_positions(n, 12).size == size
+            assert build_block(n, fig_params()).coupling.shape == (size, size)
 
     def test_all_fock_indices_within_cutoff(self):
         params = fig_params(fock_cutoff=6)
@@ -204,7 +213,7 @@ class TestBlockPositions:
 
     def test_partition_covers_full_space_exactly_once(self):
         cutoff = 9
-        seen = np.concatenate(list(BlockSystem(fig_params(fock_cutoff=cutoff)).positions.values()))
+        seen = np.concatenate([block_positions(n, cutoff) for n in evolvable_blocks(cutoff)])
         ceiling = np.flatnonzero(block_index(cutoff) > evolvable_blocks(cutoff)[-1])
         everything = np.concatenate([seen, ceiling])
         assert np.array_equal(np.sort(everything), np.arange(9 * (cutoff + 1)))
@@ -286,11 +295,15 @@ class TestClosedFormSpectrum:
             standard_matrix_element=standard,
         )
         scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
-        for n in evolvable_blocks(cutoff):
+        table = np.linalg.eigvalsh(block_couplings(params))
+        for i, n in enumerate(evolvable_blocks(cutoff)):
+            closed, _ = closed_form_spectrum(np.array(block_frequencies(n, params)))
+            assert closed.shape == (9,)
+            assert np.abs(table[i] - closed).max() <= 1e-12 * scale
+            # a state the block lacks adds one zero to the closed form
             eigenvalues = build_block(n, params).spectrum.eigenvalues
-            closed, _ = closed_form_spectrum(n, params)
-            assert closed.shape == eigenvalues.shape
-            assert np.abs(eigenvalues - closed).max() <= 1e-12 * scale
+            padded = np.sort(np.concatenate([eigenvalues, np.zeros(9 - eigenvalues.size)]))
+            assert np.abs(padded - closed).max() <= 1e-12 * scale
 
     def test_interior_spectrum_by_hand(self):
         # lambda2 = 0 leaves one bright level; n = 0 couples with g(1), g(2)
@@ -298,26 +311,48 @@ class TestClosedFormSpectrum:
         omega = math.sqrt(2 * (1.0 + 2.0))  # g(m) = sqrt(m) at eta = 0, epsilon = -2
         side = math.sqrt(2.0)
         expected = sorted([0.0, 0.0, 0.0, omega, -omega, side, -side, side, -side])
-        assert np.allclose(closed_form_spectrum(0, params)[0], expected, rtol=0, atol=1e-15)
+        closed, _ = closed_form_spectrum(np.array(block_frequencies(0, params)))
+        assert np.allclose(closed, expected, rtol=0, atol=1e-15)
         eigenvalues = build_block(0, params).spectrum.eigenvalues
         assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-14)
 
 
 class TestSpectralTable:
-    def test_projectors_resolve_each_block(self):
-        params = fig_params(fock_cutoff=8, lambda1=0.7 + 0.3j, lambda2=0.4 - 0.2j, eta=0.3)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        cutoff=st.integers(1, 8),
+        magnitudes=st.tuples(STRENGTH, STRENGTH),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        # 1 and sqrt(2 - sqrt 2) are roots of L_1 and L_2: g(1) or g(2) vanishes
+        eta=st.one_of(st.sampled_from([1.0, math.sqrt(2 - math.sqrt(2))]), st.floats(0.0, 1.5)),
+        epsilon=st.one_of(st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
+        standard=st.booleans(),
+    )
+    def test_projectors_resolve_each_block(
+        self, cutoff, magnitudes, phases, eta, epsilon, standard
+    ):
+        lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
+        params = SimParams(
+            fock_cutoff=cutoff,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            standard_matrix_element=standard,
+        )
         system = BlockSystem(params)
         scale = spectral_scale(params)
         offsets = np.array([off for off, _, _ in CANONICAL_NINE])
-        for i, n in enumerate(evolvable_blocks(8)):
+        for i, n in enumerate(evolvable_blocks(cutoff)):
             present = n + offsets >= 0
             big, small = system.frequencies[i]
             projectors = system.projectors[i]
             assert np.abs(projectors.sum(axis=0) - np.diag(present * 1.0)).max() <= 1e-14
             generator = np.tensordot([0.0, big, small, -big, -small], projectors, axes=1)
-            coupling = system.blocks[n].coupling
+            coupling = build_block(n, params).coupling
             assert np.abs(generator[np.ix_(present, present)] - coupling).max() <= 1e-12 * scale
-            assert np.abs(generator[~present]).max(initial=0.0) == 0.0
+            assert np.abs(projectors[:, ~present]).max(initial=0.0) == 0.0
+            assert np.abs(projectors[:, :, ~present]).max(initial=0.0) == 0.0
 
     def test_frequencies_are_the_closed_form(self):
         params = fig_params(fock_cutoff=6, lambda2=0.5j, epsilon=-0.3)
@@ -406,5 +441,6 @@ class TestBlockSystemCache:
         assert other is not first
         info = get_block_system.cache_info()
         assert (info.hits, info.misses) == (0, 2)
-        expected = build_block(0, fig_params(fock_cutoff=8, **change)).coupling
-        assert np.array_equal(other.blocks[0].coupling, expected)
+        expected = BlockSystem(fig_params(fock_cutoff=8, **change))
+        assert np.array_equal(other.frequencies, expected.frequencies)
+        assert np.array_equal(other.projectors, expected.projectors)
