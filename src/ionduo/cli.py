@@ -388,13 +388,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+_SLICE_ROWS = 2048  # CSV rows formatted at once; bounds the formatted text
+
+
 def write_dataset(
     config: RunConfig, series_list: list[MeasureSeries], preset: str | None = None
 ) -> tuple[Path, Path]:
     """Write <prefix>.csv and <prefix>.json; returns their paths.
 
     Rows are sorted by (theta, gamma, scaled_time); all floating-point
-    fields carry 12 significant digits so output is byte-stable.
+    fields carry 12 significant digits so output is byte-stable.  The time
+    grid's rows are rendered once as a template, which grows with the time
+    count; each series fills it in slices of _SLICE_ROWS rows at a time.
     """
     prefix = Path(config.out_prefix)
     if prefix.parent != Path("."):
@@ -446,16 +451,22 @@ def write_dataset(
     # move into place once both are written: a failure leaves an earlier pair.
     paths = (csv_path, json_path)
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    times = [_fmt(t) for t in config.time_grid]  # the grid of every series
+    starts = range(0, len(config.time_grid), _SLICE_ROWS)
+    template = [  # the rows of every series; \0 stands for its cell
+        "".join(
+            f"\0,{_fmt(t)},{config.measure},%.12g\n"
+            for t in config.time_grid[start : start + _SLICE_ROWS]
+        )
+        for start in starts
+    ]
     try:
         with open(temps[0], "w", encoding="utf-8", newline="\n") as out:
             out.write("theta,gamma,nbar,scaled_time,measure,value\n")
             for series in series_list:
                 cell = ",".join(_fmt(getattr(series.params, k)) for k in ("theta", "gamma", "nbar"))
-                out.writelines(
-                    f"{cell},{t},{series.measure},{_fmt(value)}\n"
-                    for t, value in zip(times, series.values.tolist())
-                )
+                for start, rows in zip(starts, template):
+                    values = tuple(series.values[start : start + _SLICE_ROWS].tolist())
+                    out.write((rows % values).replace("\0", cell))
         sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
         for temp, path in zip(temps, paths):

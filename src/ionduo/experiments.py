@@ -316,28 +316,15 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if series.times.size < 3:
         raise ValueError("grid too coarse for event detection (need >= 3 points)")
-    values = series.values
-    times = series.times
-    above = bool(values[0] >= threshold)
-    expecting = "death" if above else "birth"
-    run = 1
-    births: list[float] = []
-    deaths: list[float] = []
-    for i in range(1, values.size):
-        now_above = bool(values[i] >= threshold)
-        if now_above == above:
-            run += 1
-            continue
-        if run >= 2:
-            if now_above and expecting == "birth":
-                births.append(float(times[i]))
-                expecting = "death"
-            elif not now_above and expecting == "death":
-                deaths.append(float(times[i]))
-                expecting = "birth"
-        above = now_above
-        run = 1
-    return SuddenEvents(threshold, tuple(births), tuple(deaths))
+    above = series.values >= threshold
+    changes = np.flatnonzero(above[1:] != above[:-1]) + 1
+    crossings = changes[np.diff(changes, prepend=0) >= 2]  # the run before has >= 2 points
+    # Dropping grazing crossings can leave two of one direction in a row; only
+    # the first counts, with the initial state standing before the first crossing.
+    rising = above[crossings]
+    kept = np.diff(rising, prepend=above[0])  # on booleans, diff is "not equal"
+    births, deaths = crossings[kept & rising], crossings[kept & ~rising]
+    return SuddenEvents(threshold, series.times[births], series.times[deaths])
 
 
 def _default_params(nbar: float, deficit: float = 1e-10, **overrides) -> SimParams:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -11,12 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionduo.cli
 import ionduo.core
 import ionduo.dynamics
 import ionduo.experiments
 import ionduo.ionmodel
-from ionduo import ION_VS_REST, Sech, SimParams, __version__, run_series
-from ionduo.cli import ConfigError, build_config, execute, figure_config, load_config, main
+from ionduo import ION_VS_REST, MeasureSeries, Sech, SimParams, __version__, run_series
+from ionduo.cli import (
+    ConfigError,
+    _fmt,
+    build_config,
+    execute,
+    figure_config,
+    load_config,
+    main,
+    write_dataset,
+)
 from ionduo.selftest import THETA_LINEAR_PARAMS, run_selftest
 
 MINIMAL = """
@@ -215,6 +226,36 @@ class TestSimulateCommand:
         csv_recorded, json_recorded = execute(recorded)
         assert csv_recorded.read_bytes() == csv_serial.read_bytes()
         assert json.loads(json_recorded.read_text())["config"]["output"]["workers"] == 4
+
+    def test_sliced_rows_match_per_row_rendering(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ionduo.cli, "_SLICE_ROWS", 3)  # each series spans three slices
+        text = MINIMAL.format(prefix=tmp_path / "sliced").replace("theta = 0", "theta = 0, 0.7")
+        text = text.replace("gamma = 0", "gamma = 0, 0.05").replace(
+            "time = 0, 0.5, 1.0", "time = linspace:0:0.7:8"
+        )
+        config = load_config(write_config(tmp_path, text))
+        awkward = [-0.0, 5e-324, 1e-300, 1e22, 0.1 + 0.2, 1 / 3, 2.5, 123456.789012345]
+        series_list = [
+            MeasureSeries(
+                config.measure,
+                config.cut,
+                replace(config.params, theta=theta, gamma=gamma),
+                config.time_grid,
+                np.roll(awkward, shift),
+            )
+            for shift, (theta, gamma) in enumerate(
+                itertools.product(config.theta_grid, config.gamma_grid)
+            )
+        ]
+        csv_path, _ = write_dataset(config, series_list)
+        expected = ["theta,gamma,nbar,scaled_time,measure,value\n"]
+        for series in series_list:
+            cell = ",".join(_fmt(getattr(series.params, k)) for k in ("theta", "gamma", "nbar"))
+            expected += [
+                f"{cell},{_fmt(t)},{series.measure},{_fmt(v)}\n"
+                for t, v in zip(series.times, series.values)
+            ]
+        assert csv_path.read_text(encoding="utf-8") == "".join(expected)
 
     def test_gamma_with_sech_exits_infeasible(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionduo import (
     ION_VS_ION,
@@ -346,6 +348,51 @@ class TestSuddenEvents:
     def test_alternation_enforced_by_type(self):
         with pytest.raises(ValueError, match="alternate"):
             SuddenEvents(1e-3, births=(1.0, 2.0), deaths=())
+
+
+def loop_sudden_events(series, threshold=1e-3):
+    """The per-point loop that detect_sudden_events replaced, kept as its oracle."""
+    values, times = series.values, series.times
+    above = bool(values[0] >= threshold)
+    expecting = "death" if above else "birth"
+    run = 1
+    births, deaths = [], []
+    for i in range(1, values.size):
+        now_above = bool(values[i] >= threshold)
+        if now_above == above:
+            run += 1
+            continue
+        if run >= 2:
+            if now_above and expecting == "birth":
+                births.append(float(times[i]))
+                expecting = "death"
+            elif not now_above and expecting == "death":
+                deaths.append(float(times[i]))
+                expecting = "birth"
+        above = now_above
+        run = 1
+    return SuddenEvents(threshold, tuple(births), tuple(deaths))
+
+
+# Levels on either side of the 1e-3 threshold; the threshold itself counts as above.
+BELOW_THRESHOLD = (0.0, 5e-4, float(np.nextafter(1e-3, 0.0)))
+AT_OR_ABOVE_THRESHOLD = (1e-3, float(np.nextafter(1e-3, 1.0)), 0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    start_above=st.booleans(),
+    runs=st.lists(st.integers(1, 5), min_size=3, max_size=30),  # a run of 1 is a blip
+    picks=st.lists(st.integers(0, 2), min_size=60, max_size=60),
+)
+def test_sudden_events_match_the_loop(start_above, runs, picks):
+    above = np.repeat(np.arange(len(runs)) % 2 == int(not start_above), runs)[:60]
+    picks = np.array(picks[: above.size])
+    values = np.where(
+        above, np.take(AT_OR_ABOVE_THRESHOLD, picks), np.take(BELOW_THRESHOLD, picks)
+    )
+    series = synthetic_series(values)
+    assert detect_sudden_events(series) == loop_sudden_events(series)
 
 
 class TestClaimReports:
