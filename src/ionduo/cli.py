@@ -452,13 +452,9 @@ def write_dataset(
     paths = (csv_path, json_path)
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     starts = range(0, len(config.time_grid), _SLICE_ROWS)
-    template = [  # the rows of every series; \0 stands for its cell
-        "".join(
-            f"\0,{_fmt(t)},{config.measure},%.12g\n"
-            for t in config.time_grid[start : start + _SLICE_ROWS]
-        )
-        for start in starts
-    ]
+    row = f"\0,%.12g,{config.measure},%%.12g\n"  # \0 stands for the cell of a series
+    slices = (config.time_grid[start : start + _SLICE_ROWS] for start in starts)
+    template = [(row * len(times)) % times for times in slices]  # "%.12g" renders as _fmt
     try:
         with open(temps[0], "w", encoding="utf-8", newline="\n") as out:
             out.write("theta,gamma,nbar,scaled_time,measure,value\n")

@@ -193,10 +193,10 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries that one time row of a channel chunk holds: the
-    evolved state and its conjugate, the reduced state, and the kernel's
-    5 phases and 9 template states on each of the dim / 9 blocks."""
-    return 2 * dim + dim_keep * dim_keep + 14 * (dim // 9)
+    """Complex entries one time row of a channel chunk holds: two states, the
+    kernel's 5 phases and 9 template states per block, the reduced state, a
+    node's product and the chunk before, which its reader may still hold."""
+    return 2 * dim + 3 * dim_keep * dim_keep + 14 * (dim // 9)
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -253,17 +253,19 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     dim_keep = psi0.layout.keep(keep).total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
     nodes = weights = np.empty(0)
+    products = np.empty((min(step, times.size), dim_keep, dim_keep), dtype=np.complex128)
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
         terms = quadrature_terms(spread[chunk][-1] * width)
         if nodes.size != terms:  # K only grows along the grid
             nodes, weights = _hermite_rule(terms)
-        rho = np.zeros((theta[chunk].size, dim_keep, dim_keep), dtype=np.complex128)
+        rho = np.zeros_like(products[: theta[chunk].size])
         for node, weight in zip(nodes, weights):
             shifted = theta[chunk] + node * spread[chunk]
-            states = _evolved_rows(system.frequencies, parts, shifted)
-            kept = psi0.layout.split(states, keep)
-            rho += weight * (kept @ kept.conj().swapaxes(1, 2))
+            kept = psi0.layout.split(_evolved_rows(system.frequencies, parts, shifted), keep)
+            product = np.matmul(kept, kept.conj().swapaxes(1, 2), out=products[: len(rho)])
+            product *= weight
+            rho += product
         yield rho
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -165,12 +165,12 @@ class MeasureSeries:
             raise ValueError(f"series contains negative values below tolerance: {values.min()}")
 
 
-# Partial trace of stacked two-ion operators (T, part, i1, i2, j1, j2) onto
-# the ions kept, the ion side of a cut that covers ion1, ion2 and field.
-_KEEP_IONS = {
-    ("ion1",): "tpikjk->tpij",
-    ("ion2",): "tpkikj->tpij",
-    ("ion1", "ion2"): "tpijkl->tpijkl",
+# Partial traces onto the ions kept of the two-ion marginal G (T, i1, i2, j1,
+# j2): of G, G SWAP and SWAP G SWAP, the c^2, c s and s^2 parts of the state.
+_MARGINALS = {
+    ("ion1",): ("tikjk->tij", "tikkj->tij", "tkikj->tij"),
+    ("ion2",): ("tkikj->tij", "tkijk->tij", "tikjk->tij"),
+    ("ion1", "ion2"): ("tijkl->tijkl", "tijlk->tijkl", "tjilk->tijkl"),
 }
 # Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
 _ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
@@ -187,30 +187,32 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tupl
     of psi(theta, 0) and one evolution serves every theta.  With
     c = cos(theta), s = sin(theta) and G the two-ion marginal of psi(t),
     the two-ion marginal of psi(theta, t) is c^2 G + c s X + s^2 SWAP G SWAP
-    with X = e^{-i phi} G SWAP + h.c.; tracing out the other ion keeps one.
-    Returns (T, 3) and (T, 5) arrays with tr rho = sum_j trace[:, j]
-    c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k, contracted
-    chunk by chunk from the channel's two-ion marginals G.
+    with X = e^{-i phi} G SWAP + h.c., and on ``keep`` each part is a partial
+    trace of G (_MARGINALS).  Returns (T, 3) and (T, 5) arrays with tr rho =
+    sum_j trace[:, j] c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k.
     """
     field = truncated_coherent(params.nbar, params.fock_cutoff)
-    psi_a = prepare_initial(0.0, 0.0, field)
-    subscripts = _KEEP_IONS[keep]
+    chunks = milburn_quadrature(prepare_initial(0.0, 0.0, field), params, times, ("ion1", "ion2"))
     trace, purity = np.empty((len(times), 3)), np.empty((len(times), 5))
     start = 0
-    for g in milburn_quadrature(psi_a, params, times, ("ion1", "ion2")):
-        rows = slice(start, start + len(g))
-        start += len(g)
-        g = g.reshape(-1, 3, 3, 3, 3)
-        cross = np.exp(-1j * params.phi) * g.swapaxes(3, 4)
-        cross += cross.conj().transpose(0, 3, 4, 1, 2)
-        parts = np.stack((g, cross, g.transpose(0, 2, 1, 4, 3)), axis=1)
-        flat = np.einsum(subscripts, parts).reshape(len(parts), 3, -1)
-        gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
-        trace[rows] = np.einsum("tpikik->tp", parts).real
-        purity[rows] = gram.reshape(-1, 9) @ _ANTIDIAGONALS
+    for rows in map(partial(_chunk_coefficients, keep, params.phi), chunks):  # map keeps no chunk
+        trace[start : start + len(rows[0])], purity[start : start + len(rows[0])] = rows
+        start += len(rows[0])
     trace.flags.writeable = False
     purity.flags.writeable = False
     return trace, purity
+
+
+def _chunk_coefficients(keep: tuple[str, ...], phi: float, g: np.ndarray):
+    """Trace and purity coefficients of one chunk of (Tc, 9, 9) two-ion marginals G."""
+    g = g.reshape(-1, 3, 3, 3, 3)
+    flat = np.stack([np.einsum(spec, g).reshape(len(g), -1) for spec in _MARGINALS[keep]], 1)
+    d = 3 ** len(keep)
+    cross = flat[:, 1].reshape(-1, d, d)
+    cross *= np.exp(-1j * phi)
+    cross += cross.conj().swapaxes(1, 2)
+    gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
+    return flat[:, :, :: d + 1].sum(axis=2).real, gram.reshape(-1, 9) @ _ANTIDIAGONALS
 
 
 def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np.ndarray:

@@ -257,6 +257,20 @@ class TestSimulateCommand:
             ]
         assert csv_path.read_text(encoding="utf-8") == "".join(expected)
 
+    def test_time_template_renders_as_fmt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ionduo.cli, "_SLICE_ROWS", 1000)  # the grid spans five slices
+        config = load_config(write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "times")))
+        rng = np.random.default_rng(7)
+        drawn = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.uniform(-323, 307, 4000)
+        awkward = [5e-324, 1e-300, 5e-6, 0.1 + 0.2, 1 / 3, 2.5, 123456.789012345, 999999999999.5]
+        edges = [1e16, 1e22, sys.float_info.max]
+        grid = tuple(np.unique(np.concatenate([[0.0], drawn, awkward, edges])).tolist())
+        config = replace(config, time_grid=grid)
+        series = MeasureSeries(config.measure, config.cut, config.params, grid, np.zeros(len(grid)))
+        csv_path, _ = write_dataset(config, [series])
+        rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == [_fmt(t) for t in grid]
+
     def test_gamma_with_sech_exits_infeasible(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x")
         text = text.replace("gamma = 0", "gamma = 0.05")

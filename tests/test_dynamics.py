@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,15 @@ def occupied_spread(psi0, params):
     return float(energies.max() - energies.min())
 
 
+def traced_peak(run):
+    """What run() returns and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMilburnReduced:
     """The Gauss-Hermite channel, milburn_quadrature, reduced to the kept factors."""
 
@@ -489,6 +499,19 @@ class TestMilburnReduced:
         chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
         assert [len(chunk) for chunk in chunks] == [2, 2, 2, 1]
         assert np.abs(np.concatenate(chunks) - whole).max() <= 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("keep", [("ion1", "ion2"), ("ion1", "ion2", "field"), ("ion1", "field")])
+    def test_chunks_stay_within_their_memory_budget(self, keep, gamma):
+        params = SimParams(fock_cutoff=27, nbar=5.0, gamma=gamma, theta=0.6, phi=0.3)
+        psi0 = ion_state(27, 5.0, 0.6, 0.3)
+        dim, dim_keep = psi0.layout.total_dim, psi0.layout.keep(keep).total_dim
+        step = max(1, dynamics._CHUNK_ENTRIES // dynamics._row_entries(dim, dim_keep))
+        times = np.linspace(0.0, 30.0, 3 * step + 1)  # three full chunks and a one-row chunk
+        list(milburn_quadrature(psi0, params, times[:1], keep))  # builds the cached block table
+        chunks, peak = traced_peak(lambda: list(milburn_quadrature(psi0, params, times, keep)))
+        assert [len(chunk) for chunk in chunks] == [step] * 3 + [1]
+        assert peak <= 16 * dynamics._CHUNK_ENTRIES + sum(chunk.nbytes for chunk in chunks)
 
     def test_support_on_ceiling_blocks_rejected(self):
         params = SimParams(fock_cutoff=6, nbar=0.0, gamma=0.05)
@@ -610,6 +633,46 @@ class TestExchangeSymmetry:
         shared = run_series(params, "i_concurrence", cut, times).values
         deviation = float(np.abs(shared**2 - per_cell_concurrence(params, cut, times) ** 2).max())
         assert deviation <= 1e-12
+
+    @settings(max_examples=20, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        lambda1=couplings,
+        lambda2=couplings,
+        phi=st.floats(0.0, math.pi),
+        modulation=modulations,
+        later=st.lists(st.floats(0.01, 3000.0), min_size=1, max_size=4, unique=True),
+    )
+    def test_coefficient_identities(self, fock_cutoff, nbar, lambda1, lambda2, phi, modulation, later):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            phi=phi,
+            modulation=modulation,
+        )
+        times = tuple([0.0] + sorted(later))
+        coefficients = {
+            keep: experiments._exchange_coefficients.__wrapped__(params, keep, times)
+            for keep in experiments._MARGINALS
+        }
+        for trace, _ in coefficients.values():  # tr rho = c^2 + s^2: <ab|ba> = 0 is conserved
+            assert np.abs(trace - [1.0, 0.0, 1.0]).max() <= 1e-14
+        # ion2 sees ion1's state with c and s exchanged and phi negated; every
+        # measure is even in phi, so its purity coefficients are ion1's reversed.
+        ion1, ion2 = coefficients[("ion1",)][1], coefficients[("ion2",)][1]
+        assert np.abs(ion2 - ion1[:, ::-1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("keep", list(experiments._MARGINALS))
+    def test_coefficients_stay_within_the_chunk_budget(self, keep):
+        params = SimParams(fock_cutoff=27, nbar=5.0, phi=0.3)
+        times = tuple(np.linspace(0.0, 30.0, 601).tolist())  # six chunks of the 9 x 9 marginal
+        coefficients = experiments._exchange_coefficients.__wrapped__  # uncached
+        coefficients(params, keep, times[:1])  # builds the cached block table
+        (trace, purity), peak = traced_peak(lambda: coefficients(params, keep, times))
+        assert peak <= 16 * dynamics._CHUNK_ENTRIES + trace.nbytes + purity.nbytes
 
     @pytest.mark.parametrize("cut", FULL_CUTS)
     def test_chunk_seams_match_per_cell(self, cut, monkeypatch):
