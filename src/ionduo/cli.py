@@ -488,7 +488,7 @@ def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
 def figure_config(name: str, tau: float | None = None, out: str | None = None) -> RunConfig:
     """Preset sweeps mirroring the reference surfaces: theta x time at
     nbar = 5 and 15, a gamma sweep at fixed theta, and a sech-modulated
-    theta x time sweep (tau mandatory, no reference value exists)."""
+    theta x time sweep (tau mandatory there and refused elsewhere)."""
     time_grid = "linspace:0:30:601"
     theta_sweep = {"theta": "linspace:0:pi:121", "gamma": "0", "time": time_grid}
     concurrence = {"name": "i_concurrence", "cut": "ion1 | ion2,field"}
@@ -512,6 +512,8 @@ def figure_config(name: str, tau: float | None = None, out: str | None = None) -
     sections["output"] = {"prefix": name if out is None else out}
     if name == "fig4":
         sections["params"]["tau"] = tau  # build_config refuses sech without a tau
+    elif tau is not None:
+        raise ConfigError("figure", "tau", f"{name} runs at constant coupling; only fig4 takes tau")
     return build_config(sections)
 
 
@@ -530,7 +532,7 @@ def main(argv=None) -> int:
 
     p_figure = sub.add_parser("figure", help="run a preset sweep")
     p_figure.add_argument("name", choices=("fig1", "fig2", "fig3", "fig4"))
-    p_figure.add_argument("--tau", type=float, help="sech time scale; required for fig4")
+    p_figure.add_argument("--tau", type=float, help="sech time scale; fig4 only, and required")
     p_figure.add_argument("--out", help="output path prefix (defaults to the preset name)")
 
     p_selftest = sub.add_parser("selftest", help="run the fast oracle suite")

@@ -11,8 +11,10 @@ P_w its spectral projectors in the cached block table a pure state evolves as
 
 two exponentials per block and time, the negative frequencies being their
 conjugates.  One stacked kernel evaluates this for every evolvable block on
-the nine-state template at once.  ``evolve_pure`` returns an evolution over
-a time grid as one read-only (T, dim) array whose row i is the state at
+the nine-state template at once, from the initial state gathered onto it;
+the gather leaves out exactly the blocks truncated by the cutoff ceiling,
+and weight there is refused.  ``evolve_pure`` returns an evolution over a
+time grid as one read-only (T, dim) array whose row i is the state at
 times[i]; it and the dense propagation are oracles.  Production reads the
 pure states through the channel below, in time chunks.
 
@@ -48,9 +50,7 @@ from .ionmodel import (
     FLOOR_SKIP,
     BlockSystem,
     CutoffError,
-    block_index,
     build_full_hamiltonian,
-    evolvable_blocks,
     full_layout,
     get_block_system,
 )
@@ -98,31 +98,35 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-def _check_block_support(psi0: PureState, params: SimParams) -> None:
-    """Reject states with weight on the blocks truncated by the cutoff
-    ceiling; those cannot be evolved faithfully under hard truncation."""
+def _template_amplitudes(psi0: PureState, params: SimParams) -> np.ndarray:
+    """The (F, 9) initial amplitudes of the F evolvable blocks on the
+    template, block n in row n + 2.  ValueError off the full layout of the
+    cutoff; CutoffError for weight above 1e-12 on the states the gather
+    leaves out, grid[k, F - FLOOR_SKIP[k]:], which are those of the blocks
+    n > N_max - 2 truncated by the ceiling and cannot be evolved faithfully."""
     if psi0.layout != full_layout(params.fock_cutoff):
         raise ValueError("initial state layout does not match params.fock_cutoff")
-    truncated = ~np.isin(block_index(params.fock_cutoff), evolvable_blocks(params.fock_cutoff))
-    leak = float(np.sum(np.abs(psi0.amplitudes[truncated]) ** 2))
+    grid = psi0.amplitudes.reshape(9, -1)  # ion levels by Fock number
+    blocks = grid.shape[1]
+    a0 = np.zeros((blocks, 9), dtype=np.complex128)
+    leak = 0.0
+    for k, skip in enumerate(FLOOR_SKIP):
+        a0[skip:, k] = grid[k, : blocks - skip]
+        leak += np.vdot(grid[k, blocks - skip :], grid[k, blocks - skip :]).real
     if leak > 1e-12:
         raise CutoffError(
             f"initial state has weight {leak:.3e} on blocks truncated by the cutoff; "
             f"raise fock_cutoff"
         )
+    return a0
 
 
 def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndarray]:
-    """After the ceiling-block check, the block system of ``params`` and the
-    (F, 9, 5) parts U[i, :, j] = P_j a0 of the initial amplitudes a0 of each
-    of its F evolvable blocks, on the nine-state template."""
-    _check_block_support(psi0, params)
+    """The block system of ``params`` and the (F, 9, 5) parts U[i, :, j] =
+    P_j a0 of the ``_template_amplitudes`` a0 of each of its F evolvable
+    blocks."""
+    a0 = _template_amplitudes(psi0, params)
     system = get_block_system(params)
-    grid = psi0.amplitudes.reshape(9, -1)  # ion levels by Fock number
-    blocks = grid.shape[1]
-    a0 = np.zeros((blocks, 9), dtype=np.complex128)
-    for k, skip in enumerate(FLOOR_SKIP):
-        a0[skip:, k] = grid[k, : blocks - skip]
     return system, np.einsum("ijkl,il->ikj", system.projectors, a0)
 
 
@@ -183,7 +187,7 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     single eigendecomposition of the assembled Hamiltonian.  Same contract
     as evolve_pure."""
     times = check_times(times)
-    _check_block_support(psi0, params)
+    _template_amplitudes(psi0, params)  # the same layout and ceiling checks
     spectrum = hermitian_spectrum(build_full_hamiltonian(params))
     theta = modulation_integral(params.modulation, times)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes

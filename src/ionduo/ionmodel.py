@@ -11,7 +11,8 @@ by the vibrational mode function.  The quantity
 
 is conserved, so the Hamiltonian decomposes into independent blocks of at
 most nine states, laid on one nine-state template as one stacked table that
-a single batched eigendecomposition diagonalizes exactly.
+a single batched eigendecomposition diagonalizes exactly, its eigenvalues
+checked against every block's closed-form frequencies.
 """
 
 from __future__ import annotations
@@ -116,15 +117,12 @@ _UPPER = (_ION1 + _ION2)[_DST] - (_ION1 + _ION2)[_SRC]
 FLOOR_SKIP = tuple(int(skip) for skip in 2 - _OFFSET)
 
 
-@lru_cache(maxsize=16)
 def mode_couplings(params: SimParams) -> np.ndarray:
     """g(m) = sqrt(m) E(m), with E(m) = mode_strength(m, 0), for
     m = 0..N_max: the strength of the raising step that ends at phonon
     number m, <m| E(n_hat) a_dag |m-1>."""
     fock = range(params.fock_cutoff + 1)
-    g = np.array([math.sqrt(m) * mode_strength(m, 0, params) for m in fock])
-    g.flags.writeable = False
-    return g
+    return np.array([math.sqrt(m) * mode_strength(m, 0, params) for m in fock])
 
 
 def block_couplings(params: SimParams) -> np.ndarray:
@@ -164,24 +162,21 @@ def build_block(n: int, params: SimParams) -> BlockMatrix:
     return BlockMatrix(coupling, hermitian_spectrum(coupling))
 
 
-def spectral_scale(params: SimParams) -> float:
-    """Lambda max_m |g(m)|, with Lambda^2 = |lambda1|^2 + |lambda2|^2: the
-    scale of every block's spectrum."""
+def block_frequencies(params: SimParams) -> np.ndarray:
+    """(F, 2) table of the two nonnegative frequencies (Omega_n, omega_n) of
+    the F = N_max + 1 evolvable blocks, block n in row n + 2.  Each ion's
+    bright state couples to |a> with Lambda g(m), Lambda^2 = |lambda1|^2 +
+    |lambda2|^2, and its dark state not at all (Morris & Shore), leaving the
+    two-atom Tavis-Cummings spectrum {0 x3, +-Omega_n, +-omega_n x2} with
+    Omega_n = Lambda sqrt(2) hypot(g(n+1), g(n+2)) and omega_n = Lambda
+    |g(n+2)|, g(n+1) being g shifted by one place, g(-1) = 0 (math.hypot
+    rounds correctly; np.hypot can be off by one unit in the last place).
+    The largest omega_n, Lambda max |g|, is the scale of every spectrum."""
+    g = mode_couplings(params)  # g(n + 2) of block n
+    below = np.concatenate([[0.0], g[:-1]])  # g(n + 1)
+    bright = np.fromiter(map(math.hypot, below, g), float, g.size)
     big = math.hypot(abs(params.lambda1), abs(params.lambda2))
-    return big * float(np.abs(mode_couplings(params)).max())
-
-
-def block_frequencies(n: int, params: SimParams) -> tuple[float, float]:
-    """The two nonnegative frequencies (Omega_n, omega_n) of block n.  Each
-    ion's bright state couples to |a> with Lambda g(m), Lambda^2 =
-    |lambda1|^2 + |lambda2|^2, and its dark state not at all (Morris &
-    Shore), leaving the two-atom Tavis-Cummings spectrum
-    {0 x3, +-Omega_n, +-omega_n x2} with Omega_n = Lambda sqrt(2 (g(n+1)^2 +
-    g(n+2)^2)) and omega_n = Lambda |g(n+2)|; g(m <= 0) = 0."""
-    g = mode_couplings(params)
-    g1, g2 = g[max(n + 1, 0)], g[n + 2]
-    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
-    return big * math.sqrt(2) * math.hypot(g1, g2), big * abs(g2)
+    return np.stack([big * math.sqrt(2) * bright, big * np.abs(g)], axis=1)
 
 
 # Each of a block's nine eigenvalues as the index of its frequency in
@@ -208,24 +203,23 @@ class BlockSystem:
     One stacked eigendecomposition of ``block_couplings`` gives the
     projectors: each eigenvector joins the closed-form frequency its
     eigenvalue is paired with in ascending order.  ValueError if an
-    eigenvalue lies more than 1e-12 spectral_scale from it (the smallest
-    normal float is added to the scale, since subnormal couplings carry no
-    relative precision)."""
+    eigenvalue lies more than 1e-12 of the spectral scale, the largest
+    omega_n, from it (the smallest normal float is added to the scale, since
+    subnormal couplings carry no relative precision)."""
 
     def __init__(self, params: SimParams):
-        evolvable = evolvable_blocks(params.fock_cutoff)
-        self.frequencies = np.array([block_frequencies(n, params) for n in evolvable])
+        self.frequencies = block_frequencies(params)
         closed, labels = closed_form_spectrum(self.frequencies)
         eigenvalues, vectors = np.linalg.eigh(block_couplings(params))
         deviation = np.abs(eigenvalues - closed).max(axis=1)
         worst = int(np.argmax(deviation))  # the first NaN, if there is one
-        scale = spectral_scale(params)
+        scale = self.frequencies[:, 1].max()
         if not deviation[worst] <= 1e-12 * (scale + np.finfo(float).tiny):
             raise ValueError(
-                f"block {evolvable[worst]} has an eigenvalue {deviation[worst]:.3e} from its "
+                f"block {worst - 2} has an eigenvalue {deviation[worst]:.3e} from its "
                 f"closed-form frequency, beyond 1e-12 x spectral scale {scale:.3e}"
             )
-        vectors[np.array(evolvable)[:, None] + _OFFSET < 0] = 0.0  # states a floor block lacks
+        vectors[np.arange(len(vectors))[:, None] < FLOOR_SKIP] = 0.0  # states a floor block lacks
         members = labels[:, None, None, :] == np.arange(5)[:, None, None]  # (F, 5, 1, 9)
         self.projectors = (vectors[:, None] * members) @ vectors[:, None].conj().swapaxes(2, 3)
         self.frequencies.flags.writeable = False
@@ -239,18 +233,13 @@ _cached_block_system = lru_cache(maxsize=16)(BlockSystem)
 
 def get_block_system(params: SimParams) -> BlockSystem:
     """Cached block family of the Hamiltonian of ``params``: runs that differ
-    only in fields outside the blocks share one entry.  ``cache_info``
-    reaches the cache; ``cache_clear`` empties it and ``mode_couplings``."""
+    only in fields outside the blocks share one entry.  ``cache_info`` and
+    ``cache_clear`` reach the cache."""
     return _cached_block_system(replace(params, **_OUTSIDE_BLOCKS))
 
 
-def _cache_clear() -> None:
-    _cached_block_system.cache_clear()
-    mode_couplings.cache_clear()
-
-
 get_block_system.cache_info = _cached_block_system.cache_info
-get_block_system.cache_clear = _cache_clear
+get_block_system.cache_clear = _cached_block_system.cache_clear
 
 
 def build_full_hamiltonian(params: SimParams) -> np.ndarray:

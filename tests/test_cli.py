@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -17,6 +18,7 @@ import ionduo.core
 import ionduo.dynamics
 import ionduo.experiments
 import ionduo.ionmodel
+import ionduo.selftest
 from ionduo import ION_VS_REST, MeasureSeries, Sech, SimParams, __version__, run_series
 from ionduo.cli import (
     ConfigError,
@@ -428,9 +430,8 @@ class TestSimulateCommand:
     def test_spectrum_off_its_closed_form_exits_4(self, tmp_path, capsys, monkeypatch):
         honest = ionduo.ionmodel.block_frequencies
 
-        def shifted(n, params):
-            big, small = honest(n, params)
-            return big * 1.001, small
+        def shifted(params):
+            return honest(params) * [1.001, 1.0]  # the Omega column
 
         monkeypatch.setattr(ionduo.ionmodel, "block_frequencies", shifted)
         ionduo.ionmodel.get_block_system.cache_clear()  # build the table, not reuse one
@@ -584,6 +585,15 @@ class TestFigurePresets:
         with pytest.raises(ConfigError, match="tau"):
             figure_config("fig4")
 
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_tau_for_a_constant_preset_is_refused(self, name, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^\[figure\] tau: "):
+            figure_config(name, tau=5.0)
+        prefix = tmp_path / name
+        assert main(["figure", name, "--tau", "5", "--out", str(prefix)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [figure] tau: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig4_with_tau(self):
         config = figure_config("fig4", tau=5.0)
         assert config.params.modulation == Sech(5.0)
@@ -656,6 +666,28 @@ class TestVersionAndSelftest:
         ).values
         assert values.tolist() == json.loads(after.stdout)
         assert run_selftest(include_claims=False, stream=out) == 0
+
+    def test_clearing_leaves_only_the_layout_cache(self):
+        # Every functools cache on the loaded modules, module-level or on a
+        # class, so that a new cache of mode-function data is seen here.
+        caches = {}
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "ionduo":
+                continue
+            for value in vars(module).values():
+                inner = list(vars(value).values()) if isinstance(value, type) else []
+                for obj in [value, *(getattr(item, "__func__", item) for item in inner)]:
+                    if isinstance(obj, functools._lru_cache_wrapper):
+                        caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+        times = np.linspace(0.0, 1.0, 5)
+        params = SimParams(fock_cutoff=6, nbar=1.0, theta=0.3)
+        run_series(params, "i_concurrence", ION_VS_REST, times)
+        run_series(replace(params, gamma=0.05), "negativity", ionduo.experiments.ION_VS_ION, times)
+        filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
+        assert filled == set(caches), "extend the runs to fill every cache"
+        ionduo.selftest._clear_caches()
+        left = {name for name, cache in caches.items() if cache.cache_info().currsize}
+        assert left == {"ionduo.core._split_plan"}
 
     def test_import_loads_no_process_pool(self):
         script = (

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -406,6 +406,71 @@ class TestBlockAgainstDense:
         block = evolve_pure(psi0, params, times)
         deviation = float(np.abs(block - evolve_pure_dense(psi0, params, times)).max())
         assert deviation <= 1e-12
+
+
+@st.composite
+def ceiling_splits(draw):
+    """A cutoff in 1..30 and a normalized state of its full layout: random
+    amplitudes on the evolvable states of every template row, and a drawn
+    share of the weight on the ceiling states, all of them or a drawn one."""
+    cutoff = draw(st.integers(1, 30))
+    near = st.sampled_from([0.5e-12, 0.99e-12, 1.01e-12, 2e-12])
+    share = draw(st.one_of(st.just(0.0), near, st.floats(1e-16, 1e-12), st.floats(1e-12, 1.0)))
+    ceiling = block_index(cutoff) > cutoff - 2
+    target = ceiling.copy()
+    if draw(st.booleans()):  # one ceiling state
+        target[:] = False
+        target[np.flatnonzero(ceiling)[draw(st.integers(0, ceiling.sum() - 1))]] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit_on(support):
+        amps = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        amps[~support] = 0.0
+        return amps / np.linalg.norm(amps)
+
+    return cutoff, math.sqrt(1.0 - share) * unit_on(~ceiling) + math.sqrt(share) * unit_on(target)
+
+
+def quadrature_chunk(psi0, params, times):
+    return next(milburn_quadrature(psi0, params, times, ("ion1", "ion2")))
+
+
+class TestCeilingCheck:
+    """The ceiling check read off the template gather, against
+    ``block_index``, the reference statement of the block rule."""
+
+    @pytest.mark.parametrize("evolve", [evolve_pure, evolve_pure_dense, quadrature_chunk])
+    @settings(max_examples=60, **FAIL_FAST)
+    @given(split=ceiling_splits())
+    def test_refused_exactly_above_the_threshold(self, evolve, split):
+        cutoff, amps = split
+        leak = float(np.sum(np.abs(amps[block_index(cutoff) > cutoff - 2]) ** 2))
+        assume(abs(leak - 1e-12) > 1e-15)
+        psi0 = PureState(full_layout(cutoff), amps)
+        if leak > 1e-12:
+            with pytest.raises(CutoffError, match="cutoff"):
+                evolve(psi0, SimParams(fock_cutoff=cutoff), [0.0, 1.0])
+        else:
+            evolve(psi0, SimParams(fock_cutoff=cutoff), [0.0, 1.0])
+
+    @settings(max_examples=60, **FAIL_FAST)
+    @given(split=ceiling_splits())
+    def test_gather_reproduces_every_evolvable_amplitude(self, split):
+        cutoff, amps = split
+        blocks = block_index(cutoff).reshape(9, cutoff + 1)  # template row by Fock number
+        leak = float(np.sum(np.abs(amps.reshape(9, -1)[blocks > cutoff - 2]) ** 2))
+        assume(abs(leak - 1e-12) > 1e-15)
+        psi0 = PureState(full_layout(cutoff), amps)
+        if leak > 1e-12:
+            with pytest.raises(CutoffError, match="cutoff"):
+                dynamics._template_amplitudes(psi0, SimParams(fock_cutoff=cutoff))
+            return
+        gathered = dynamics._template_amplitudes(psi0, SimParams(fock_cutoff=cutoff))
+        rows, focks = np.nonzero(blocks <= cutoff - 2)  # block n's state k sits in row n + 2
+        evolvable = amps.reshape(9, -1)[rows, focks]
+        assert np.array_equal(gathered[blocks[rows, focks] + 2, rows], evolvable)
+        # every other template entry is a state its block lacks, left zero
+        assert np.count_nonzero(gathered) == np.count_nonzero(evolvable)
 
 
 def dense_reduced(psi0, params, t, keep):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
@@ -28,7 +28,6 @@ from ionduo.ionmodel import (
     evolvable_blocks,
     full_index,
     mode_couplings,
-    spectral_scale,
 )
 
 CANONICAL_NINE = (
@@ -74,6 +73,17 @@ def block_states(n, params):
 
 def fig_params(fock_cutoff=12, **overrides):
     return SimParams(fock_cutoff=fock_cutoff, **overrides)
+
+
+def scalar_frequencies(n, params):
+    """(Omega_n, omega_n) of block n from its scalar closed form, with
+    g(m) = sqrt(m) E(m) and g(m <= 0) = 0."""
+
+    def g(m):
+        return math.sqrt(m) * mode_strength(m, 0, params) if m > 0 else 0.0
+
+    big = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    return big * math.sqrt(2) * math.hypot(g(n + 1), g(n + 2)), big * abs(g(n + 2))
 
 
 class TestLaguerre:
@@ -296,9 +306,10 @@ class TestClosedFormSpectrum:
         )
         scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
         table = np.linalg.eigvalsh(block_couplings(params))
+        closed_table, _ = closed_form_spectrum(block_frequencies(params))
+        assert closed_table.shape == (cutoff + 1, 9)
         for i, n in enumerate(evolvable_blocks(cutoff)):
-            closed, _ = closed_form_spectrum(np.array(block_frequencies(n, params)))
-            assert closed.shape == (9,)
+            closed = closed_table[i]
             assert np.abs(table[i] - closed).max() <= 1e-12 * scale
             # a state the block lacks adds one zero to the closed form
             eigenvalues = build_block(n, params).spectrum.eigenvalues
@@ -311,7 +322,7 @@ class TestClosedFormSpectrum:
         omega = math.sqrt(2 * (1.0 + 2.0))  # g(m) = sqrt(m) at eta = 0, epsilon = -2
         side = math.sqrt(2.0)
         expected = sorted([0.0, 0.0, 0.0, omega, -omega, side, -side, side, -side])
-        closed, _ = closed_form_spectrum(np.array(block_frequencies(0, params)))
+        closed, _ = closed_form_spectrum(block_frequencies(params)[2])  # block 0 in row 2
         assert np.allclose(closed, expected, rtol=0, atol=1e-15)
         eigenvalues = build_block(0, params).spectrum.eigenvalues
         assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-14)
@@ -341,7 +352,7 @@ class TestSpectralTable:
             standard_matrix_element=standard,
         )
         system = BlockSystem(params)
-        scale = spectral_scale(params)
+        scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
         offsets = np.array([off for off, _, _ in CANONICAL_NINE])
         for i, n in enumerate(evolvable_blocks(cutoff)):
             present = n + offsets >= 0
@@ -354,25 +365,51 @@ class TestSpectralTable:
             assert np.abs(projectors[:, ~present]).max(initial=0.0) == 0.0
             assert np.abs(projectors[:, :, ~present]).max(initial=0.0) == 0.0
 
-    def test_frequencies_are_the_closed_form(self):
-        params = fig_params(fock_cutoff=6, lambda2=0.5j, epsilon=-0.3)
-        system = BlockSystem(params)
-        for i, n in enumerate(evolvable_blocks(6)):
-            assert tuple(system.frequencies[i]) == block_frequencies(n, params)
-            assert min(system.frequencies[i]) >= 0.0
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        cutoff=st.integers(1, 30),
+        magnitudes=st.tuples(STRENGTH, STRENGTH),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        eta=st.floats(0.0, 1.5),
+        epsilon=st.one_of(st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
+        standard=st.booleans(),
+    )
+    # a coupling vector on which glibc's hypot is one unit in the last place off
+    @example(
+        cutoff=4, magnitudes=(1.0, 0.01), phases=(0.0, 0.0), eta=0.1, epsilon=0.7, standard=False
+    )
+    def test_frequencies_are_the_closed_form(
+        self, cutoff, magnitudes, phases, eta, epsilon, standard
+    ):
+        lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
+        params = SimParams(
+            fock_cutoff=cutoff,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            standard_matrix_element=standard,
+        )
+        table = block_frequencies(params)
+        assert np.array_equal(BlockSystem(params).frequencies, table)
+        for i, n in enumerate(evolvable_blocks(cutoff)):
+            assert tuple(table[i]) == scalar_frequencies(n, params)
+            assert min(table[i]) >= 0.0
 
     def test_eigenvalue_off_its_closed_form_frequency_is_refused(self, monkeypatch):
         honest = ionmodel.block_frequencies
 
-        def shifted(n, params):
-            big, small = honest(n, params)
-            return big * (1 + 1e-9), small
+        def shifted(params):
+            return honest(params) * [1 + 1e-9, 1.0]  # the Omega column
 
         monkeypatch.setattr(ionmodel, "block_frequencies", shifted)
+        params = fig_params()
+        big = math.hypot(abs(params.lambda1), abs(params.lambda2))
+        scale = big * float(np.abs(mode_couplings(params)).max())  # the largest omega_n
         get_block_system.cache_clear()
         try:
-            with pytest.raises(ValueError, match="closed-form frequency"):
-                get_block_system(fig_params())
+            with pytest.raises(ValueError, match=f"closed-form frequency.*scale {scale:.3e}$"):
+                get_block_system(params)
         finally:
             get_block_system.cache_clear()
 
