@@ -9,12 +9,14 @@ P_w its spectral projectors in the cached block table a pure state evolves as
 
     A(t) = sum_w exp(-i w Theta(t)) P_w A(0),
 
-two exponentials per block and time, the negative frequencies being their
-conjugates.  One stacked kernel evaluates this for every evolvable block on
-the nine-state template at once, from the initial state gathered onto it;
-the gather leaves out exactly the blocks truncated by the cutoff ceiling,
-and weight there is refused.  ``evolve_pure`` returns an evolution over a
-time grid as one read-only (T, dim) array whose row i is the state at
+in real arithmetic: each frequency pairs with its negative into a cosine
+and a sine, so one real table of (1, cos, cos, sin, sin) per block and time
+acts on the real and the imaginary part of the projected initial state.
+One stacked kernel evaluates this for every evolvable block on the
+nine-state template at once, from the initial state gathered onto it; the
+gather leaves out exactly the blocks truncated by the cutoff ceiling, and
+weight there is refused.  ``evolve_pure`` returns an evolution over a time
+grid as one read-only (T, dim) array whose row i is the state at
 times[i]; it and the dense propagation are oracles.  Production reads the
 pure states through the channel below, in time chunks.
 
@@ -29,7 +31,9 @@ rho(t) is the Gaussian average of the pure state evolved to profile value
 t + xi.  The production channel, ``milburn_quadrature``, takes it with a
 K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
 factors.  At gamma = 0 that is one node of weight 1 under either profile,
-the pure evolution reduced, which every measure reads.  Each time chunk
+the pure evolution reduced, which every measure reads.  Each node checks
+every row's norm on the trace of its product, tr(kept kept^dag) being the
+squared norm of the row whatever is kept.  Each time chunk
 takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
 sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
 occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
@@ -138,31 +142,52 @@ def _row_norm_sq(states: np.ndarray) -> np.ndarray:
     )
 
 
-def _checked_states(states: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+def _check_norms(norm_sq: np.ndarray) -> None:
     drift = float(np.abs(norm_sq - 1.0).max())
     if not drift <= NORM_TOL:
         raise ValueError(f"state is not normalized: |norm^2 - 1| = {drift:.3e}")
+
+
+def _checked_states(states: np.ndarray) -> np.ndarray:
+    _check_norms(_row_norm_sq(states))
     states.flags.writeable = False
     return states
 
 
-def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Norm-checked (len(theta), 9 F) array of the states at the profile
-    values ``theta``: sum_j exp(-i w_j theta) U_j on each block, from its
-    (Omega, omega) ``frequencies`` and the ``_projected`` parts U."""
+def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
+    """The function from up to ``size`` profile values theta to the unchecked
+    (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from the
+    blocks' (Omega, omega) ``frequencies`` and their ``_projected`` parts U.
+
+    That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
+    sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
+    -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega); V is split
+    here into its real and imaginary part.  Each call writes into buffers
+    allocated here, so it overwrites the rows the call before returned.
+    """
+    turning, back = parts[:, :, 1:3], parts[:, :, 3:]
+    v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
+    real, imag = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
     blocks = len(frequencies)
-    phases = np.empty((blocks, 5, theta.size), dtype=np.complex128)
-    phases[:, 0] = 1.0
-    turning = phases[:, 1:3]
-    np.multiply(frequencies[:, :, None], -1j * theta, out=turning)
-    np.exp(turning, out=turning)
-    np.conjugate(turning, out=phases[:, 3:])
-    states = parts @ phases  # (F, 9, len(theta))
-    out = np.zeros((theta.size, 9 * blocks), dtype=np.complex128)
-    rows = out.reshape(theta.size, 9, blocks)
-    for k, skip in enumerate(FLOOR_SKIP):
-        rows[:, k, : blocks - skip] = states[skip:, k].T
-    return _checked_states(out, _row_norm_sq(out))
+    table = np.empty((blocks, 5, size))
+    table[:, 0] = 1.0
+    states = np.empty((blocks, 9, size), dtype=np.complex128)
+    out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
+
+    def evolved(theta: np.ndarray) -> np.ndarray:
+        phases, block_states = table[:, :, : theta.size], states[:, :, : theta.size]
+        np.multiply(frequencies[:, :, None], theta, out=phases[:, 3:])
+        np.cos(phases[:, 3:], out=phases[:, 1:3])
+        np.sin(phases[:, 3:], out=phases[:, 3:])
+        np.matmul(real, phases, out=block_states.real)
+        np.matmul(imag, phases, out=block_states.imag)
+        rows = out[: theta.size]
+        grid = rows.reshape(theta.size, 9, blocks)
+        for k, skip in enumerate(FLOOR_SKIP):
+            grid[:, k, : blocks - skip] = block_states[skip:, k].T
+        return rows
+
+    return evolved
 
 
 def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
@@ -179,7 +204,7 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
     system, parts = _projected(psi0, params)
-    return _evolved_rows(system.frequencies, parts, theta)
+    return _checked_states(_evolved_rows(system.frequencies, parts, theta.size)(theta))
 
 
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
@@ -192,15 +217,16 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     theta = modulation_integral(params.modulation, times)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
-    out = (phases * coeffs) @ spectrum.eigenvectors.T
-    return _checked_states(out, _row_norm_sq(out))
+    return _checked_states((phases * coeffs) @ spectrum.eigenvectors.T)
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries one time row of a channel chunk holds: two states, the
-    kernel's 5 phases and 9 template states per block, the reduced state, a
-    node's product and the chunk before, which its reader may still hold."""
-    return 2 * dim + 3 * dim_keep * dim_keep + 14 * (dim // 9)
+    """Complex entries one time row of a channel chunk holds at most: two
+    states, the reduced state, a node's product (a rule of one node needs
+    none) and the chunk before, which its reader may still hold, and per
+    block the kernel's 9 template states and its 5 real phases, which count
+    half."""
+    return 2 * dim + 3 * dim_keep * dim_keep + 23 * (dim // 9) // 2
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -246,7 +272,8 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     system, parts = _projected(psi0, params)
     width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
-    if quadrature_terms(spread[-1] * width) is None:
+    most = quadrature_terms(spread[-1] * width)
+    if most is None:
         raise UnsupportedRegimeError(
             f"no Gauss-Hermite rule of at most {KRAUS_MAX_TERMS} nodes certifies the channel "
             f"to {QUADRATURE_TARGET:.0e} at gamma * t_max = {params.gamma * times[-1]:.6g} "
@@ -256,20 +283,24 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     dim = psi0.layout.total_dim
     dim_keep = psi0.layout.keep(keep).total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
+    size = min(step, times.size)
+    evolved = _evolved_rows(system.frequencies, parts, size)
+    # Each chunk starts as its first node's product; later ones pass through this buffer.
+    products = np.empty((size, dim_keep, dim_keep), dtype=np.complex128) if most > 1 else None
     nodes = weights = np.empty(0)
-    products = np.empty((min(step, times.size), dim_keep, dim_keep), dtype=np.complex128)
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
         terms = quadrature_terms(spread[chunk][-1] * width)
-        if nodes.size != terms:  # K only grows along the grid
+        if nodes.size != terms:  # K only grows along the grid, up to most
             nodes, weights = _hermite_rule(terms)
-        rho = np.zeros_like(products[: theta[chunk].size])
+        rho = product = None  # neither holds the chunk before while this one is made
         for node, weight in zip(nodes, weights):
-            shifted = theta[chunk] + node * spread[chunk]
-            kept = psi0.layout.split(_evolved_rows(system.frequencies, parts, shifted), keep)
-            product = np.matmul(kept, kept.conj().swapaxes(1, 2), out=products[: len(rho)])
+            kept = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
+            out = None if rho is None else products[: len(rho)]
+            product = np.matmul(kept, kept.conj().swapaxes(1, 2), out=out)
+            _check_norms(np.trace(product, axis1=1, axis2=2).real)  # each row's squared norm
             product *= weight
-            rho += product
+            rho = product if rho is None else np.add(rho, product, out=rho)
         yield rho
 
 

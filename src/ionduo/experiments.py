@@ -193,9 +193,10 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tupl
     """
     field = truncated_coherent(params.nbar, params.fock_cutoff)
     chunks = milburn_quadrature(prepare_initial(0.0, 0.0, field), params, times, ("ion1", "ion2"))
+    parts = _part_map(keep, params.phi)
     trace, purity = np.empty((len(times), 3)), np.empty((len(times), 5))
     start = 0
-    for rows in map(partial(_chunk_coefficients, keep, params.phi), chunks):  # map keeps no chunk
+    for rows in map(partial(_chunk_coefficients, parts), chunks):  # map keeps no chunk
         trace[start : start + len(rows[0])], purity[start : start + len(rows[0])] = rows
         start += len(rows[0])
     trace.flags.writeable = False
@@ -203,16 +204,34 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tupl
     return trace, purity
 
 
-def _chunk_coefficients(keep: tuple[str, ...], phi: float, g: np.ndarray):
-    """Trace and purity coefficients of one chunk of (Tc, 9, 9) two-ion marginals G."""
-    g = g.reshape(-1, 3, 3, 3, 3)
-    flat = np.stack([np.einsum(spec, g).reshape(len(g), -1) for spec in _MARGINALS[keep]], 1)
+def _part_map(keep: tuple[str, ...], phi: float) -> np.ndarray:
+    """The real (81, 3 d^2) matrix, d = 3^len(keep), taking the coordinates
+    of a two-ion marginal G to those of its three parts on ``keep``: the
+    partial traces of _MARGINALS, the middle one made X by the phase
+    e^{-i phi} and its Hermitian part.  The coordinates of a Hermitian H are
+    Re H + Im H, entry by entry, in which tr(H K) is the dot product, as the
+    symmetric real part and the antisymmetric imaginary part do not mix.
+    The map is real linear in G, so it is read off the images of G's 162
+    real basis matrices."""
+    basis = np.eye(162).view(np.complex128).reshape(162, 3, 3, 3, 3)
     d = 3 ** len(keep)
-    cross = flat[:, 1].reshape(-1, d, d)
-    cross *= np.exp(-1j * phi)
+    own, cross, other = (np.einsum(spec, basis).reshape(162, d, d) for spec in _MARGINALS[keep])
+    cross = cross * np.exp(-1j * phi)
     cross += cross.conj().swapaxes(1, 2)
-    gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
-    return flat[:, :, :: d + 1].sum(axis=2).real, gram.reshape(-1, 9) @ _ANTIDIAGONALS
+    images = np.stack([own, cross, other], axis=1).reshape(9, 9, 2, -1)  # G's entry, Re or Im
+    images = images.real + images.imag
+    # Re G_ab = (g_ab + g_ba) / 2 and Im G_ab = (g_ab - g_ba) / 2 for the coordinates g of G.
+    real, imag = images[:, :, 0], images[:, :, 1]
+    return ((real + real.swapaxes(0, 1) + imag - imag.swapaxes(0, 1)) / 2).reshape(81, -1)
+
+
+def _chunk_coefficients(parts: np.ndarray, g: np.ndarray):
+    """Trace and purity coefficients of one chunk of (Tc, 9, 9) two-ion
+    marginals G, from the ``_part_map`` ``parts`` of their ion side."""
+    flat = ((g.real + g.imag).reshape(len(g), -1) @ parts).reshape(len(g), 3, -1)
+    gram = flat @ flat.swapaxes(1, 2)  # tr(part_p part_q), the parts Hermitian
+    d = math.isqrt(flat.shape[2])
+    return flat[:, :, :: d + 1].sum(axis=2), gram.reshape(-1, 9) @ _ANTIDIAGONALS
 
 
 def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np.ndarray:

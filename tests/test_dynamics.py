@@ -578,6 +578,25 @@ class TestMilburnReduced:
         assert [len(chunk) for chunk in chunks] == [step] * 3 + [1]
         assert peak <= 16 * dynamics._CHUNK_ENTRIES + sum(chunk.nbytes for chunk in chunks)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_norm_drift_rejected(self, gamma, monkeypatch):
+        # The channel checks each row on the trace of its node product, not
+        # through evolve_pure: the same stretched eigenvectors must be caught there.
+        honest = np.linalg.eigh
+
+        def stretched(matrix):
+            eigenvalues, eigenvectors = honest(matrix)
+            return eigenvalues, 1.001 * eigenvectors
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        ionmodel.get_block_system.cache_clear()
+        params = SimParams(fock_cutoff=10, nbar=2.0, gamma=gamma)
+        try:
+            with pytest.raises(ValueError, match="not normalized"):
+                next(milburn_quadrature(ion_state(), params, [0.0, 1.0], ("ion1", "ion2")))
+        finally:
+            ionmodel.get_block_system.cache_clear()
+
     def test_support_on_ceiling_blocks_rejected(self):
         params = SimParams(fock_cutoff=6, nbar=0.0, gamma=0.05)
         layout = full_layout(6)
@@ -642,6 +661,29 @@ def per_cell_concurrence(params, cut, times):
     psi0 = ion_state(params.fock_cutoff, params.nbar, params.theta, params.phi)
     states = evolve_pure(psi0, params, times)
     return i_concurrence_values(states, full_layout(params.fock_cutoff), cut)
+
+
+def einsum_parts(keep, phi, g):
+    """Oracle for the parts of experiments._part_map: the (Tc, 3, d^2) ion
+    marginal parts of each (9, 9) G in ``g``, each by its own einsum partial
+    trace, the cross part phased and made Hermitian in complex arithmetic."""
+    g = g.reshape(-1, 3, 3, 3, 3)
+    parts = [np.einsum(spec, g).reshape(len(g), -1) for spec in experiments._MARGINALS[keep]]
+    flat = np.stack(parts, 1)
+    d = 3 ** len(keep)
+    cross = flat[:, 1].reshape(-1, d, d)
+    cross *= np.exp(-1j * phi)
+    cross += cross.conj().swapaxes(1, 2)
+    return flat
+
+
+def einsum_chunk_coefficients(keep, phi, g):
+    """Oracle for experiments._chunk_coefficients: the traces and the Gram of
+    the complex einsum_parts."""
+    flat = einsum_parts(keep, phi, g)
+    d = 3 ** len(keep)
+    gram = (flat @ flat.conj().swapaxes(1, 2)).real  # tr(part_p part_q), parts Hermitian
+    return flat[:, :, :: d + 1].sum(axis=2).real, gram.reshape(-1, 9) @ experiments._ANTIDIAGONALS
 
 
 class TestExchangeSymmetry:
@@ -729,6 +771,40 @@ class TestExchangeSymmetry:
         # measure is even in phi, so its purity coefficients are ion1's reversed.
         ion1, ion2 = coefficients[("ion1",)][1], coefficients[("ion2",)][1]
         assert np.abs(ion2 - ion1[:, ::-1]).max() <= 1e-14
+
+    @settings(max_examples=30, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        lambda1=couplings,
+        lambda2=couplings,
+        phi=st.floats(0.0, math.pi),
+        modulation=modulations,
+        later=st.lists(st.floats(0.01, 3000.0), min_size=1, max_size=4, unique=True),
+    )
+    def test_part_map_matches_the_partial_traces(
+        self, fock_cutoff, nbar, lambda1, lambda2, phi, modulation, later
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            phi=phi,
+            modulation=modulation,
+        )
+        psi0 = prepare_initial(0.0, 0.0, truncated_coherent(nbar, fock_cutoff))
+        times = [0.0] + sorted(later)
+        (g,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
+        for keep in experiments._MARGINALS:
+            parts = experiments._part_map(keep, phi)
+            fast = experiments._chunk_coefficients(parts, g)
+            for one, other in zip(fast, einsum_chunk_coefficients(keep, phi, g)):
+                assert np.abs(one - other).max() <= 1e-14
+            # The coefficients are even in phi; the parts pin the phase's sign.
+            mapped = (g.real + g.imag).reshape(len(g), -1) @ parts  # coordinates Re + Im
+            reference = einsum_parts(keep, phi, g).reshape(len(g), -1)
+            assert np.abs(mapped - (reference.real + reference.imag)).max() <= 1e-14
 
     @pytest.mark.parametrize("keep", list(experiments._MARGINALS))
     def test_coefficients_stay_within_the_chunk_budget(self, keep):
