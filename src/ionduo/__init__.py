@@ -48,8 +48,7 @@ from .ionmodel import (
     build_block,
     build_full_hamiltonian,
     get_block_system,
-    laguerre,
-    mode_strength,
+    mode_function,
 )
 from .params import Constant, Sech, SimParams
 
@@ -79,10 +78,9 @@ __all__ = [
     "get_block_system",
     "hermitian_spectrum",
     "i_concurrence_pure",
-    "laguerre",
     "milburn_closed_form",
     "milburn_kraus",
-    "mode_strength",
+    "mode_function",
     "modulation_integral",
     "negativity",
     "partial_trace",

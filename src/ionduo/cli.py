@@ -120,17 +120,6 @@ def _parse_times(value) -> tuple[float, ...]:
     return tuple(check_times(_parse_grid(value)).tolist())
 
 
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "yes", "on", "1"):
-        return True
-    if text in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"cannot parse boolean {value!r}")
-
-
 def _parse_complex(value) -> complex:
     number = complex(str(value).strip().replace(" ", ""))
     if not cmath.isfinite(number):
@@ -215,7 +204,8 @@ _UNPARSED = (None, None, None)
 # attribute the sidecar writes (of SimParams in [params], else of RunConfig).
 # A [params] key with no default keeps the SimParams default.  Unparsed keys
 # are resolved in build_config, or accepted and dropped: ionduo 0.1.0
-# sidecars wrote nu, omega1 and omega2, and the dynamics never read them.
+# sidecars wrote nu, omega1, omega2 and standard_matrix_element, and the
+# dynamics never read them.
 # [output] workers selects nothing; it stays so that older configs load.
 _SCHEMA = {
     "params": {
@@ -228,7 +218,7 @@ _SCHEMA = {
         "modulation": _UNPARSED,
         "tau": _UNPARSED,
         "fock_cutoff": (None, None, "fock_cutoff"),
-        "standard_matrix_element": (_parse_bool, None, "standard_matrix_element"),
+        "standard_matrix_element": _UNPARSED,
         "nu": _UNPARSED,
         "omega1": _UNPARSED,
         "omega2": _UNPARSED,

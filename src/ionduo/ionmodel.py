@@ -5,7 +5,8 @@ Each ion has a lower level ``a`` and two upper levels ``b`` and ``c``.  The
 laser drives blue-sideband transitions: it raises an ion (``a -> b`` with
 strength lambda1, ``a -> c`` with lambda2) while creating one phonon of the
 shared center-of-mass mode, with the phonon-number-dependent strength given
-by the vibrational mode function.  The quantity
+by the vibrational mode function E(m) = -(epsilon / 2) L_m(eta^2)
+exp(-eta^2 / 2) of the phonon number m after the step.  The quantity
 
     block index n = (Fock number) - (number of ions not in ``a``)
 
@@ -61,45 +62,15 @@ def evolvable_blocks(fock_cutoff: int) -> range:
     return range(-2, fock_cutoff - 1)
 
 
-def laguerre(n: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^k(x) via the stable three-term
-    recurrence."""
-    if n < 0 or k < 0:
-        raise ValueError(f"laguerre requires n, k >= 0, got n={n}, k={k}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + k - x
-    for m in range(2, n + 1):
-        prev, cur = cur, ((k + 2 * m - x - 1) * cur - (k + m - 1) * prev) / m
-    return cur
-
-
-def mode_strength(n: int, k: int, params: SimParams) -> float:
-    """Diagonal element of the k-th sideband vibrational mode function at
-    phonon number n.
-
-    Default form:
-
-        -(epsilon / 2) * (n! / (n+k)!) * L_n^k(eta^2) * exp(-eta^2 / 2)
-
-    With ``params.standard_matrix_element`` the textbook sideband element is
-    used instead, carrying sqrt(n! / (n+k)!) and an eta**k magnitude factor.
-    The factorial ratio is computed multiplicatively, which is exact in
-    floating point well past the cutoffs used here.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"mode_strength requires n, k >= 0, got n={n}, k={k}")
-    if n + k > params.fock_cutoff:
-        raise CutoffError(f"phonon number n + k = {n + k} exceeds cutoff {params.fock_cutoff}")
-    ratio = 1.0
-    for j in range(n + 1, n + k + 1):
-        ratio /= j
+def mode_function(params: SimParams) -> np.ndarray:
+    """The vibrational mode function E(m) = -(epsilon / 2) L_m(eta^2)
+    exp(-eta^2 / 2) at phonon numbers m = 0..N_max, the Laguerre
+    polynomials L_m from one pass of their three-term recurrence."""
     x = params.eta * params.eta
-    if params.standard_matrix_element:
-        raw = math.sqrt(ratio) * params.eta**k * laguerre(n, k, x) * math.exp(-x / 2)
-    else:
-        raw = ratio * laguerre(n, k, x) * math.exp(-x / 2)
-    return -0.5 * params.epsilon * raw * _FAULT_SCALE
+    laguerre = [1.0, 1.0 - x]
+    for m in range(2, params.fock_cutoff + 1):
+        laguerre.append(((2 * m - x - 1) * laguerre[-1] - (m - 1) * laguerre[-2]) / m)
+    return -0.5 * params.epsilon * (np.array(laguerre) * math.exp(-x / 2)) * _FAULT_SCALE
 
 
 # The template of every block n: state k holds ion1 in level k // 3 and ion2
@@ -118,11 +89,9 @@ FLOOR_SKIP = tuple(int(skip) for skip in 2 - _OFFSET)
 
 
 def mode_couplings(params: SimParams) -> np.ndarray:
-    """g(m) = sqrt(m) E(m), with E(m) = mode_strength(m, 0), for
-    m = 0..N_max: the strength of the raising step that ends at phonon
-    number m, <m| E(n_hat) a_dag |m-1>."""
-    fock = range(params.fock_cutoff + 1)
-    return np.array([math.sqrt(m) * mode_strength(m, 0, params) for m in fock])
+    """g(m) = sqrt(m) E(m) for m = 0..N_max: the strength of the raising
+    step that ends at phonon number m, <m| E(n_hat) a_dag |m-1>."""
+    return np.sqrt(np.arange(params.fock_cutoff + 1)) * mode_function(params)
 
 
 def block_couplings(params: SimParams) -> np.ndarray:
@@ -253,7 +222,7 @@ def build_full_hamiltonian(params: SimParams) -> np.ndarray:
     """
     n_fock = params.fock_cutoff + 1
     a_dag = np.diag(np.sqrt(np.arange(1, n_fock)), k=-1).astype(np.complex128)
-    mode_diag = np.diag([mode_strength(m, 0, params) for m in range(n_fock)]).astype(np.complex128)
+    mode_diag = np.diag(mode_function(params)).astype(np.complex128)
     raise_op = mode_diag @ a_dag  # mode function applied after the raising
 
     eye3 = np.eye(3, dtype=np.complex128)

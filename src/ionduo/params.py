@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -62,10 +63,6 @@ class SimParams:
     fock_cutoff : int >= 1
         Hard truncation N_max of the vibrational Fock space
         (dimension N_max + 1).
-    standard_matrix_element : bool
-        If True, the vibrational mode function uses the textbook
-        sideband matrix element (sqrt of the factorial ratio and an
-        eta**k magnitude factor) instead of the default diagonal form.
     """
 
     fock_cutoff: int
@@ -78,9 +75,17 @@ class SimParams:
     theta: float = math.pi / 4
     phi: float = 0.0
     modulation: Modulation = field(default_factory=Constant)
-    standard_matrix_element: bool = False
 
     def __post_init__(self):
+        for kind, names in (
+            (numbers.Integral, ("fock_cutoff",)),
+            (numbers.Complex, ("lambda1", "lambda2")),
+            (numbers.Real, ("eta", "epsilon", "gamma", "nbar", "theta", "phi")),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         object.__setattr__(self, "lambda1", complex(self.lambda1))
         object.__setattr__(self, "lambda2", complex(self.lambda2))
         if self.fock_cutoff < 1:

@@ -50,7 +50,8 @@ fock_cutoff = 10
 prefix = {prefix}
 """
 
-# A sidecar as written by ionduo 0.1.0, which also recorded nu, omega1 and omega2.
+# A sidecar as written by ionduo 0.1.0, which also recorded nu, omega1, omega2
+# and standard_matrix_element.
 LEGACY_SIDECAR = {
     "version": "0.1.0",
     "preset": None,
@@ -296,17 +297,49 @@ class TestSimulateCommand:
         assert "[params] fock_cutoff (line 13)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_legacy_sidecar_reproduces_csv(self, tmp_path):
-        legacy = write_config(tmp_path, json.dumps(LEGACY_SIDECAR), "legacy.json")
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_legacy_sidecar_reproduces_csv(self, tmp_path, standard):
+        dropped = ("nu", "omega1", "omega2", "standard_matrix_element")
+        old = json.loads(json.dumps(LEGACY_SIDECAR))
+        old["config"]["params"]["standard_matrix_element"] = standard
+        legacy = write_config(tmp_path, json.dumps(old), "legacy.json")
         current = json.loads(json.dumps(LEGACY_SIDECAR["config"]))
-        for key in ("nu", "omega1", "omega2"):
+        for key in dropped:
             del current["params"][key]
         current = write_config(tmp_path, json.dumps(current), "current.json")
         assert main(["simulate", "--config", str(legacy), "--out", str(tmp_path / "old")]) == 0
         assert main(["simulate", "--config", str(current), "--out", str(tmp_path / "new")]) == 0
         assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
         sidecar = json.loads((tmp_path / "old.json").read_text())
-        assert not {"nu", "omega1", "omega2"} & set(sidecar["config"]["params"])
+        assert not set(dropped) & set(sidecar["config"]["params"])
+
+    def test_every_parsed_params_key_changes_the_values(self, tmp_path):
+        # A parsed [params] key that nothing reads would leave the values as they are.
+        pairs = {
+            "lambda1": ("1", "0.5j"),
+            "lambda2": ("0.01", "0.5"),
+            "eta": ("0.202", "0.6"),
+            "epsilon": ("0.01", "0.02"),
+            "nbar": ("2", "3"),
+            "phi": ("0", "pi/2"),
+        }
+        parsed = {key for key, (parse, _, _) in ionduo.cli._SCHEMA["params"].items() if parse}
+        assert set(pairs) == parsed
+        for key, values in pairs.items():
+            runs = []
+            for value in values:
+                params = {"nbar": "2", "fock_cutoff": "10", key: value}
+                text = (
+                    "[sweep]\ntheta = pi/4\ntime = 0, 5, 10\n"
+                    "[measure]\nname = i_concurrence\n[params]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in params.items())
+                )
+                prefix = tmp_path / f"{key}-{len(runs)}"
+                path = write_config(tmp_path, text)
+                assert main(["simulate", "--config", str(path), "--out", str(prefix)]) == 0
+                rows = prefix.with_suffix(".csv").read_text().splitlines()[1:]
+                runs.append([row.rsplit(",", 1)[1] for row in rows])
+            assert runs[0] != runs[1], key
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -25,7 +25,7 @@ from ionduo.cli import _SCHEMA, build_config, main
 SETTINGS = dict(derandomize=True, deadline=None)
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Accepted in [params] and dropped, so the README no longer lists them.
-DROPPED = {"nu", "omega1", "omega2"}
+DROPPED = {"nu", "omega1", "omega2", "standard_matrix_element"}
 
 
 
@@ -47,7 +47,6 @@ def sections(draw):
         "epsilon": text_or_value(st.floats(-1.0, 1.0)),
         "nbar": text_or_value(st.floats(0.0, 3.0)),
         "phi": text_or_value(st.floats(0.0, math.pi)),
-        "standard_matrix_element": st.booleans(),
         "fock_cutoff": st.one_of(st.just("auto"), st.integers(12, 16)),
     }
     config = {"params": {k: draw(v) for k, v in params.items() if draw(st.booleans())}}
@@ -95,7 +94,6 @@ phi = 0
 modulation = {modulation}
 tau = 5
 fock_cutoff = 12
-standard_matrix_element = false
 
 [sweep]
 theta = 0, 0.5
@@ -129,7 +127,6 @@ BAD_INI = {
     ("params", "modulation"): NOT_FINITE + ["", "true", "2.5"],
     ("params", "tau"): NUMBER,
     ("params", "fock_cutoff"): INTEGER,
-    ("params", "standard_matrix_element"): NOT_FINITE + ["", "2.5"],
     ("sweep", "theta"): GRID,
     ("sweep", "gamma"): GRID,
     ("sweep", "time"): GRID,
@@ -186,7 +183,6 @@ JSON_COMMON = [math.nan, math.inf, True, "", [], {}, None]
 BAD_JSON = {
     ("params", "modulation"): [math.nan, True, "", [], None, 2.5],
     ("params", "fock_cutoff"): JSON_COMMON + [2.5, -0.5],
-    ("params", "standard_matrix_element"): [math.nan, math.inf, "", [], {}, None, 2.5],
     ("sweep", "theta"): JSON_COMMON + [[None], [math.nan], ["true"]],
     ("sweep", "time"): JSON_COMMON + [[0.5], [0.0, math.inf]],
     ("output", "prefix"): ["", [], {}, None, True, 2.5],

@@ -378,13 +378,12 @@ class TestBlockAgainstDense:
         # eta = 1 zeroes g(1), so block -1 is all zero; eta^2 = 2 - sqrt 2 is a root of L_2
         eta=st.one_of(st.sampled_from([1.0, math.sqrt(2 - math.sqrt(2))]), st.floats(0.0, 1.0)),
         epsilon=st.floats(-2.0, 2.0),
-        standard=st.booleans(),
         modulation=modulations,
         later=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_evolve_pure_matches_dense_on_random_states(
-        self, fock_cutoff, lambda1, lambda2, eta, epsilon, standard, modulation, later, seed
+        self, fock_cutoff, lambda1, lambda2, eta, epsilon, modulation, later, seed
     ):
         params = SimParams(
             fock_cutoff=fock_cutoff,
@@ -392,7 +391,6 @@ class TestBlockAgainstDense:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
-            standard_matrix_element=standard,
             modulation=modulation,
         )
         layout = full_layout(fock_cutoff)
@@ -694,10 +692,9 @@ class TestExchangeSymmetry:
         lambda2=couplings,
         eta=st.floats(0.0, 1.0),
         epsilon=st.floats(-2.0, 2.0),
-        standard=st.booleans(),
     )
     def test_hamiltonian_commutes_with_the_ion_swap(
-        self, fock_cutoff, lambda1, lambda2, eta, epsilon, standard
+        self, fock_cutoff, lambda1, lambda2, eta, epsilon
     ):
         params = SimParams(
             fock_cutoff=fock_cutoff,
@@ -705,7 +702,6 @@ class TestExchangeSymmetry:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
-            standard_matrix_element=standard,
         )
         h = build_full_hamiltonian(params)
         n = fock_cutoff + 1

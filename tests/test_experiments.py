@@ -81,6 +81,33 @@ def test_non_finite_input_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("fock_cutoff", 0),
+        ("fock_cutoff", 8.5),
+        ("fock_cutoff", True),
+        ("fock_cutoff", "8"),
+        ("lambda1", "1"),
+        ("lambda2", None),
+        ("epsilon", 1j),
+        ("epsilon", math.nan),
+        ("eta", 1j),
+        ("eta", math.inf),
+        ("eta", -0.1),
+        ("gamma", 1j),
+        ("gamma", math.nan),
+        ("nbar", "3"),
+        ("nbar", math.inf),
+        ("theta", 1j),
+        ("phi", "0"),
+    ],
+)
+def test_simparams_rejection_starts_with_the_field_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SimParams(**{"fock_cutoff": 8, field: value})
+
+
 class TestCoherentAmplitudes:
     def test_vacuum(self):
         field = coherent_amplitudes(0.0, 1e-10)

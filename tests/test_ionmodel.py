@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_laguerre
 
 from ionduo import (
     Sech,
@@ -13,8 +13,7 @@ from ionduo import (
     build_block,
     build_full_hamiltonian,
     get_block_system,
-    laguerre,
-    mode_strength,
+    mode_function,
 )
 from ionduo import ionmodel
 from ionduo.ionmodel import (
@@ -75,92 +74,45 @@ def fig_params(fock_cutoff=12, **overrides):
     return SimParams(fock_cutoff=fock_cutoff, **overrides)
 
 
+def closed_form_mode(m, params):
+    """E(m) = -(epsilon / 2) L_m(eta^2) exp(-eta^2 / 2) from scipy's Laguerre
+    polynomials."""
+    x = params.eta**2
+    return -0.5 * params.epsilon * eval_laguerre(m, x) * math.exp(-x / 2)
+
+
 def scalar_frequencies(n, params):
     """(Omega_n, omega_n) of block n from its scalar closed form, with
     g(m) = sqrt(m) E(m) and g(m <= 0) = 0."""
+    mode = mode_function(params)
 
     def g(m):
-        return math.sqrt(m) * mode_strength(m, 0, params) if m > 0 else 0.0
+        return math.sqrt(m) * mode[m] if m > 0 else 0.0
 
     big = math.hypot(abs(params.lambda1), abs(params.lambda2))
     return big * math.sqrt(2) * math.hypot(g(n + 1), g(n + 2)), big * abs(g(n + 2))
 
 
-class TestLaguerre:
-    def test_order_zero_is_one(self):
-        for k in (0, 1, 5):
-            for x in (0.0, 0.3, 2.0):
-                assert laguerre(0, k, x) == 1.0
-
-    def test_order_one(self):
-        # L_1^k(x) = 1 + k - x
-        assert laguerre(1, 2, 0.5) == pytest.approx(2.5, abs=1e-14)
-
-    def test_order_two(self):
-        # 1 - 2x + x^2/2 at x = 1
-        assert laguerre(2, 0, 1.0) == pytest.approx(-0.5, abs=1e-14)
-
-    def test_against_scipy(self):
-        for n in range(0, 25, 3):
-            for k in range(0, 5):
-                for x in (0.0408, 0.5, 1.7, 4.0):
-                    expected = eval_genlaguerre(n, k, x)
-                    assert laguerre(n, k, x) == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            laguerre(-1, 0, 0.5)
-
-
-class TestModeStrength:
+class TestModeFunction:
     def test_unit_limit(self):
         # eta = 0, epsilon = 1: every factor is unity
         params = fig_params(eta=0.0, epsilon=1.0)
-        assert mode_strength(0, 0, params) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_first_sideband_value(self):
-        # direct evaluation of -(eps/2) (n!/(n+k)!) L_n^k(eta^2) exp(-eta^2/2)
-        params = fig_params(eta=0.202, epsilon=0.01)
-        assert mode_strength(0, 1, params) == pytest.approx(-0.004899023563157436, abs=1e-15)
+        assert mode_function(params)[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_first_excited_value(self):
         # -(1/2) (1 - eta^2) exp(-eta^2/2)
         params = fig_params(eta=0.202, epsilon=1.0)
-        assert mode_strength(1, 0, params) == pytest.approx(-0.46991238056863593, abs=1e-14)
+        assert mode_function(params)[1] == pytest.approx(-0.46991238056863593, abs=1e-14)
 
-    def test_standard_element_matches_default_at_k0(self):
-        default = fig_params(eta=0.3, epsilon=0.7)
-        standard = fig_params(eta=0.3, epsilon=0.7, standard_matrix_element=True)
-        for n in range(6):
-            assert mode_strength(n, 0, standard) == pytest.approx(
-                mode_strength(n, 0, default), abs=1e-15
-            )
-
-    def test_standard_element_ratio(self):
-        # textbook form carries sqrt(n!/(n+k)!) eta^k instead of n!/(n+k)!
-        eta, n, k = 0.3, 3, 2
-        default = fig_params(eta=eta, epsilon=1.0)
-        standard = fig_params(eta=eta, epsilon=1.0, standard_matrix_element=True)
-        ratio = mode_strength(n, k, standard) / mode_strength(n, k, default)
-        factorial_ratio = math.factorial(n) / math.factorial(n + k)
-        assert ratio == pytest.approx(eta**k / math.sqrt(factorial_ratio), rel=1e-12)
-
-    def test_factorial_ratio_stays_finite_at_large_n(self):
-        params = fig_params(fock_cutoff=200, eta=0.202, epsilon=1.0)
-        value = mode_strength(150, 4, params)
-        assert math.isfinite(value)
-        # multiplicative ratio matches log-space evaluation
-        expected = (
-            -0.5
-            * math.exp(math.lgamma(151) - math.lgamma(155))
-            * laguerre(150, 4, 0.202**2)
-            * math.exp(-(0.202**2) / 2)
-        )
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_cutoff_guard(self):
-        with pytest.raises(CutoffError):
-            mode_strength(10, 3, fig_params(fock_cutoff=12))
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 30, 200])
+    def test_against_scipy(self, cutoff):
+        # 1 and sqrt(2 - sqrt 2) are roots of L_1 and L_2
+        for eta in [*np.linspace(0.0, 3.0, 13), 1.0, math.sqrt(2 - math.sqrt(2))]:
+            for epsilon in (0.7, -0.01):
+                params = fig_params(fock_cutoff=cutoff, eta=eta, epsilon=epsilon)
+                expected = [closed_form_mode(m, params) for m in range(cutoff + 1)]
+                tolerance = dict(rel=1e-10, abs=1e-10 * abs(epsilon))
+                assert mode_function(params) == pytest.approx(expected, **tolerance)
 
 
 def oracle_matrix_element(bra, ket, params):
@@ -175,7 +127,7 @@ def oracle_matrix_element(bra, ket, params):
         amplitudes[state] = amplitudes.get(state, 0.0 + 0.0j) + amp
 
     if fock + 1 <= params.fock_cutoff:
-        up = math.sqrt(fock + 1) * mode_strength(fock + 1, 0, params)
+        up = math.sqrt(fock + 1) * closed_form_mode(fock + 1, params)
         if l1 == "a":
             add((fock + 1, "b", l2), params.lambda1 * up)
             add((fock + 1, "c", l2), params.lambda2 * up)
@@ -183,7 +135,7 @@ def oracle_matrix_element(bra, ket, params):
             add((fock + 1, l1, "b"), params.lambda1 * up)
             add((fock + 1, l1, "c"), params.lambda2 * up)
     if fock >= 1:
-        down = math.sqrt(fock) * mode_strength(fock, 0, params)
+        down = math.sqrt(fock) * closed_form_mode(fock, params)
         if l1 in ("b", "c"):
             lam = params.lambda1 if l1 == "b" else params.lambda2
             add((fock - 1, "a", l2), np.conj(lam) * down)
@@ -290,10 +242,9 @@ class TestClosedFormSpectrum:
         phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
         eta=st.floats(0.0, 1.5),
         epsilon=st.one_of(st.just(0.0), st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
-        standard=st.booleans(),
     )
     def test_block_spectra_match_bright_dark_closed_form(
-        self, cutoff, magnitudes, phases, eta, epsilon, standard
+        self, cutoff, magnitudes, phases, eta, epsilon
     ):
         lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
         params = SimParams(
@@ -302,7 +253,6 @@ class TestClosedFormSpectrum:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
-            standard_matrix_element=standard,
         )
         scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
         table = np.linalg.eigvalsh(block_couplings(params))
@@ -337,10 +287,9 @@ class TestSpectralTable:
         # 1 and sqrt(2 - sqrt 2) are roots of L_1 and L_2: g(1) or g(2) vanishes
         eta=st.one_of(st.sampled_from([1.0, math.sqrt(2 - math.sqrt(2))]), st.floats(0.0, 1.5)),
         epsilon=st.one_of(st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
-        standard=st.booleans(),
     )
     def test_projectors_resolve_each_block(
-        self, cutoff, magnitudes, phases, eta, epsilon, standard
+        self, cutoff, magnitudes, phases, eta, epsilon
     ):
         lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
         params = SimParams(
@@ -349,7 +298,6 @@ class TestSpectralTable:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
-            standard_matrix_element=standard,
         )
         system = BlockSystem(params)
         scale = math.hypot(*magnitudes) * float(np.abs(mode_couplings(params)).max())
@@ -372,14 +320,13 @@ class TestSpectralTable:
         phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
         eta=st.floats(0.0, 1.5),
         epsilon=st.one_of(st.floats(0.001, 1.0), st.floats(-1.0, -0.001)),
-        standard=st.booleans(),
     )
     # a coupling vector on which glibc's hypot is one unit in the last place off
     @example(
-        cutoff=4, magnitudes=(1.0, 0.01), phases=(0.0, 0.0), eta=0.1, epsilon=0.7, standard=False
+        cutoff=4, magnitudes=(1.0, 0.01), phases=(0.0, 0.0), eta=0.1, epsilon=0.7
     )
     def test_frequencies_are_the_closed_form(
-        self, cutoff, magnitudes, phases, eta, epsilon, standard
+        self, cutoff, magnitudes, phases, eta, epsilon
     ):
         lambda1, lambda2 = (cmath.rect(r, a) for r, a in zip(magnitudes, phases))
         params = SimParams(
@@ -388,7 +335,6 @@ class TestSpectralTable:
             lambda2=lambda2,
             eta=eta,
             epsilon=epsilon,
-            standard_matrix_element=standard,
         )
         table = block_frequencies(params)
         assert np.array_equal(BlockSystem(params).frequencies, table)
