@@ -112,7 +112,7 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over a layout."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over a layout, checked here."""
 
     layout: HilbertLayout
     matrix: np.ndarray
@@ -123,23 +123,15 @@ class DensityMatrix:
         dim = self.layout.total_dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, layout needs ({dim}, {dim})")
-        check_density(mat)
-
-
-def check_density(matrices: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (..., d, d) stack after one check of all of it:
-    Hermitian, unit trace, none below EIG_FLOOR, else ValueError (worst case)."""
-    herm_dev = float(np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max())
-    if not herm_dev <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
-    trace_dev = float(np.abs(np.trace(matrices, axis1=-2, axis2=-1).real - 1.0).max())
-    if not trace_dev <= TRACE_TOL:
-        raise ValueError(f"matrix is not unit trace: |tr - 1| = {trace_dev:.3e}")
-    eigenvalues = np.linalg.eigvalsh(matrices)
-    min_eig = float(eigenvalues[..., 0].min())
-    if not min_eig >= EIG_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
-    return eigenvalues
+        herm_dev = float(np.abs(mat - mat.conj().T).max())
+        if not herm_dev <= HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
+        trace_dev = abs(float(np.trace(mat).real) - 1.0)
+        if not trace_dev <= TRACE_TOL:
+            raise ValueError(f"matrix is not unit trace: |tr - 1| = {trace_dev:.3e}")
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if not min_eig >= EIG_FLOOR:
+            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
 
 
 @dataclass(frozen=True)

@@ -257,11 +257,13 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     """Intrinsic-decoherence evolution of a pure initial state, reduced to the
     factors in ``keep`` (all of them gives the full state).
 
-    Yields Hermitian (Tc, d, d) chunks of consecutive ``times``, sized by
-    _CHUNK_ENTRIES, each the certified average of the norm-checked pure
-    evolutions to t + sqrt(gamma t) x_k; at gamma = 0, the one node x = 0 under
-    either profile.  Before anything is evolved, raises UnsupportedRegimeError
-    for gamma > 0 under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
+    Yields (Tc, d, d) chunks of consecutive ``times``, sized by _CHUNK_ENTRIES,
+    each the certified average sum_k w_k kept_k kept_k^dag, w_k >= 0, of the
+    pure evolutions to t + sqrt(gamma t) x_k: Hermitian and positive by
+    construction, with each node's trace checked to NORM_TOL, so no reader
+    checks a chunk again.  At gamma = 0 it is the one node x = 0 under either
+    profile.  Before anything is evolved, raises UnsupportedRegimeError for
+    gamma > 0 under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
     if params.gamma > 0 and not isinstance(params.modulation, Constant):

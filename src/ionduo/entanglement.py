@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertLayout, PureState, check_density, spectral_entropy
+from .core import DensityMatrix, HilbertLayout, PureState, spectral_entropy
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def _cut_tensor(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -
 def negativity_values(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
     """Negativity, the sum of |negative eigenvalues| of the partial transpose
     over side_b, of each density matrix of a (T, d, d) stack on ``layout``,
-    all checked at once by check_density."""
-    check_density(matrices)
+    unchecked: milburn_quadrature certifies its chunks, DensityMatrix the rest."""
     dim = layout.total_dim
     transposed = _cut_tensor(matrices, layout, cut).transpose(0, 1, 4, 3, 2)
     eigenvalues = np.linalg.eigvalsh(transposed.reshape(-1, dim, dim))
@@ -118,14 +117,13 @@ def relative_entropy_values(
     matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition
 ) -> np.ndarray:
     """S_A + S_B - S_AB of each density matrix of a (T, d, d) stack on
-    ``layout``, all checked at once by check_density: in the product of the
-    marginal eigenbases the diagonal of rho sums to each marginal's spectrum."""
-    populations = check_density(matrices)
+    ``layout``, unchecked but for spectral_entropy's EIG_FLOOR: in the product
+    of the marginal eigenbases the diagonal of rho sums to each marginal's spectrum."""
     tensor = _cut_tensor(matrices, layout, cut)
     return (
         spectral_entropy(np.linalg.eigvalsh(np.einsum("tajbj->tab", tensor)))  # side_a marginal
         + spectral_entropy(np.linalg.eigvalsh(np.einsum("tiaib->tab", tensor)))  # side_b marginal
-        - spectral_entropy(populations)
+        - spectral_entropy(np.linalg.eigvalsh(matrices))
     )
 
 

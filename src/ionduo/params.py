@@ -23,8 +23,10 @@ class Sech:
     tau: float
 
     def __post_init__(self):
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau must be real, got {self.tau!r}")
         if not 0 < self.tau < math.inf:
-            raise ValueError(f"sech modulation requires a finite tau > 0, got {self.tau}")
+            raise ValueError(f"tau must be finite and > 0 for sech modulation, got {self.tau}")
 
 
 Modulation = Constant | Sech

@@ -479,22 +479,25 @@ class TestSimulateCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     @pytest.mark.parametrize(
-        "tolerance, value, message",
+        "module, tolerance, value, measure, message",
         [
-            ("HERMITICITY_TOL", -1.0, "matrix is not Hermitian"),
-            ("TRACE_TOL", -1.0, "matrix is not unit trace"),
-            ("EIG_FLOOR", 1.0, "matrix is not positive semidefinite"),
+            ("dynamics", "NORM_TOL", -1.0, "negativity", "state is not normalized"),
+            ("core", "EIG_FLOOR", 1.0, "relative_entropy", "below the clipping floor"),
         ],
+        ids=["node-norm", "entropy-floor"],
     )
     def test_failed_chunk_check_exits_4(
-        self, tmp_path, capsys, monkeypatch, tolerance, value, message
+        self, tmp_path, capsys, monkeypatch, module, tolerance, value, measure, message
     ):
-        monkeypatch.setattr(ionduo.core, tolerance, value)  # every density check fails
+        # The per-node norm check certifies every chunk; spectral_entropy
+        # still refuses an eigenvalue below the floor.
+        monkeypatch.setattr(getattr(ionduo, module), tolerance, value)  # every such check fails
         text = MINIMAL.format(prefix=tmp_path / "x").replace("gamma = 0", "gamma = 0, 0.05")
-        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("name = i_concurrence", f"name = {measure}")
         text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 4
-        assert capsys.readouterr().err.startswith(f"run failed: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and message in err and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_uncertifiable_channel_exits_3_before_evolving(self, tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.linalg import logm
 
 from ionduo import (
@@ -20,7 +22,7 @@ from ionduo import (
     von_neumann_entropy,
 )
 from ionduo import SimParams
-from ionduo.dynamics import milburn_quadrature
+from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature
 from ionduo.entanglement import i_concurrence_values, negativity_values, relative_entropy_values
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
@@ -285,6 +287,7 @@ CUT_SHAPES = (
     Bipartition(("ion1",), ("ion2", "field")),
     Bipartition(("ion2", "field"), ("ion1",)),
 )
+couplings = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 BATCHED = [
     pytest.param(negativity_values, negativity, id="negativity"),
     pytest.param(relative_entropy_values, relative_entropy_measure, id="relative_entropy"),
@@ -303,7 +306,6 @@ class TestBatchedMeasures:
         expected = [per_row(DensityMatrix(layout, rho), cut) for rho in chunk]
         assert np.abs(batched(chunk, layout, cut) - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("batched, per_row", BATCHED)
     @pytest.mark.parametrize(
         "spoil, message",
         [
@@ -313,11 +315,53 @@ class TestBatchedMeasures:
         ],
         ids=["hermiticity", "trace", "floor"],
     )
-    def test_one_spoiled_row_fails_the_chunk(self, rng, batched, per_row, spoil, message):
+    def test_spoiled_matrix_handed_in_is_refused(self, spoil, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(QUTRIT_PAIR, spoil(np.diag([1.0] + [0.0] * 8)))
+
+    def test_one_row_below_the_floor_fails_the_relative_entropy_chunk(self, rng):
         chunk = np.stack([random_density(rng, QUTRIT_PAIR).matrix for _ in range(3)])
-        chunk[1] = np.diag([1.0] + [0.0] * 8)  # a pure product state: eigenvalues 1 and 0
-        chunk[1] = spoil(chunk[1])
-        with pytest.raises(ValueError, match=message):
-            DensityMatrix(QUTRIT_PAIR, chunk[1])
-        with pytest.raises(ValueError, match=message):
-            batched(chunk, QUTRIT_PAIR, CUT_AB)
+        chunk[1] = np.diag([1.0 + 8e-6] + [-1e-6] * 8)  # the floor spoil of a product state
+        with pytest.raises(ValueError, match="below the clipping floor"):
+            relative_entropy_values(chunk, QUTRIT_PAIR, CUT_AB)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        cut=st.sampled_from(CUT_SHAPES),
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        gamma=st.floats(0.0, 1.0),
+        lambda1=couplings,
+        lambda2=couplings,
+        eta=st.floats(0.0, 1.0),
+        epsilon=st.floats(0.01, 1.0),
+        theta=st.floats(0.0, 2 * math.pi),
+        phi=st.floats(0.0, math.pi),
+        later=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=4, unique=True),
+    )
+    def test_every_channel_chunk_passes_the_density_checks(
+        self, cut, fock_cutoff, nbar, gamma, lambda1, lambda2, eta, epsilon, theta, phi, later
+    ):
+        # The certificate the measures rely on instead of checking their input:
+        # each row of each chunk passes DensityMatrix at the package tolerances.
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            gamma=gamma,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            eta=eta,
+            epsilon=epsilon,
+            theta=theta,
+            phi=phi,
+        )
+        psi0 = prepare_initial(theta, phi, truncated_coherent(nbar, fock_cutoff))
+        layout = psi0.layout.keep(cut.labels)
+        times = [0.0] + sorted(later)
+        try:
+            chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
+        except UnsupportedRegimeError:  # no certified rule: refused, not approximated
+            reject()
+        assert sum(len(chunk) for chunk in chunks) == len(times)
+        for rho in np.concatenate(chunks):
+            DensityMatrix(layout, rho)

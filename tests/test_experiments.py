@@ -108,6 +108,12 @@ def test_simparams_rejection_starts_with_the_field_name(field, value):
         SimParams(**{"fock_cutoff": 8, field: value})
 
 
+@pytest.mark.parametrize("tau", [1j, "5", True, 0.0, -1.0])
+def test_sech_rejection_starts_with_tau(tau):
+    with pytest.raises(ValueError, match="^tau "):
+        Sech(tau)
+
+
 class TestCoherentAmplitudes:
     def test_vacuum(self):
         field = coherent_amplitudes(0.0, 1e-10)
@@ -241,6 +247,22 @@ class TestRunSeries:
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=gamma)
         with pytest.raises(ValueError, match="strictly increasing and start at 0"):
             run_series(params, "negativity", ION_VS_ION, times)
+
+    @pytest.mark.parametrize("measure, calls", [("negativity", 1), ("relative_entropy", 3)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_one_chunk_takes_each_eigendecomposition_once(self, monkeypatch, measure, calls, gamma):
+        # The channel certifies its chunks, so the measure's own spectra are
+        # the only ones taken: the partial transpose's, or S_A, S_B and S_AB.
+        honest, seen = np.linalg.eigvalsh, []
+
+        def counted(matrices):
+            seen.append(matrices.shape)
+            return honest(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        params = SimParams(fock_cutoff=8, nbar=1.0, gamma=gamma)
+        run_series(params, measure, ION_VS_ION, np.linspace(0.0, 3.0, 4))
+        assert len(seen) == calls and all(shape[0] == 4 for shape in seen)
 
     def test_negativity_series_on_reduced_state(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.02)
