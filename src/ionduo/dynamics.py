@@ -15,10 +15,15 @@ acts on the real and the imaginary part of the projected initial state.
 One stacked kernel evaluates this for every evolvable block on the
 nine-state template at once, from the initial state gathered onto it; the
 gather leaves out exactly the blocks truncated by the cutoff ceiling, and
-weight there is refused.  ``evolve_pure`` returns an evolution over a time
-grid as one read-only (T, dim) array whose row i is the state at
-times[i]; it and the dense propagation are oracles.  Production reads the
-pure states through the channel below, in time chunks.
+weight there is refused.  On a chunk of equal steps theta_0 + j dt, as an
+equal time grid gives at constant coupling and gamma = 0, the table comes
+by angle addition from the chunk start and a step table made once per
+call; any other chunk (sech, the gamma > 0 nodes off the centre of the
+rule, unequal grids, one time) takes np.cos and np.sin of w theta.
+``evolve_pure`` returns an evolution over a time grid as one read-only
+(T, dim) array whose row i is the state at times[i]; it and the dense
+propagation are oracles.  Production reads the pure states through the
+channel below, in time chunks.
 
 The intrinsic-decoherence master equation
 
@@ -32,8 +37,8 @@ t + xi.  The production channel, ``milburn_quadrature``, takes it with a
 K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
 factors.  At gamma = 0 that is one node of weight 1 under either profile,
 the pure evolution reduced, which every measure reads.  Each node checks
-every row's norm on the trace of its product, tr(kept kept^dag) being the
-squared norm of the row whatever is kept.  Each time chunk
+every row's norm on the real diagonal of its product, tr(kept kept^dag)
+being the squared norm of the row whatever is kept.  Each time chunk
 takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
 sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
 occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
@@ -154,6 +159,26 @@ def _checked_states(states: np.ndarray) -> np.ndarray:
     return states
 
 
+# A chunk of profile values is equal-step when it lies within this many
+# units of eps max|theta| of theta_0 + j dt; the phases w theta_0 + w j dt
+# then differ from w theta by a few units of its own rounding at most.
+_STEP_ULPS = 4
+
+
+def _grid_step(theta: np.ndarray, known: float | None) -> float | None:
+    """The step dt with which the profile values ``theta`` are theta_0 + j dt
+    to _STEP_ULPS units of eps max|theta|: ``known`` if it fits, else the
+    chunk's own mean step if that fits, else None, and None for one value."""
+    if theta.size < 2:
+        return None
+    bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(theta).max()
+    ramp = np.arange(theta.size)
+    for dt in (known, (theta[-1] - theta[0]) / (theta.size - 1)):
+        if dt is not None and np.abs(theta - (theta[0] + ramp * dt)).max() <= bound:
+            return dt
+    return None
+
+
 def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     """The function from up to ``size`` profile values theta to the unchecked
     (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from the
@@ -162,8 +187,15 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
     -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega); V is split
-    here into its real and imaginary part.  Each call writes into buffers
-    allocated here, so it overwrites the rows the call before returned.
+    here into its real and imaginary part.
+
+    A call whose theta is equal-step (``_grid_step``) takes the cosines and
+    sines by angle addition, as exp(i w theta_0) exp(i w j dt): four
+    products and two sums per value, from np.cos and np.sin of w theta_0 and
+    a step table of exp(i w j dt) that np.cos and np.sin make when a call
+    first needs its dt.  Every other call takes np.cos and np.sin of
+    w theta.  Each call writes into buffers allocated here, so it
+    overwrites the rows the call before returned.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
@@ -171,14 +203,32 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     blocks = len(frequencies)
     table = np.empty((blocks, 5, size))
     table[:, 0] = 1.0
+    steps = np.empty((blocks, 2, size), dtype=np.complex128)  # exp(i w j dt), dt = steps_dt
+    steps_dt = None
     states = np.empty((blocks, 9, size), dtype=np.complex128)
     out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
 
     def evolved(theta: np.ndarray) -> np.ndarray:
+        nonlocal steps_dt
         phases, block_states = table[:, :, : theta.size], states[:, :, : theta.size]
-        np.multiply(frequencies[:, :, None], theta, out=phases[:, 3:])
-        np.cos(phases[:, 3:], out=phases[:, 1:3])
-        np.sin(phases[:, 3:], out=phases[:, 3:])
+        cos, sin = phases[:, 1:3], phases[:, 3:]
+        dt = _grid_step(theta, steps_dt)
+        if dt is None:
+            np.multiply(frequencies[:, :, None], theta, out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
+        else:
+            if dt != steps_dt:
+                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps.imag)
+                np.cos(steps.imag, out=steps.real)
+                np.sin(steps.imag, out=steps.imag)
+                steps_dt = dt
+            angle = frequencies[:, :, None] * theta[0]
+            start = np.cos(angle) + 1j * np.sin(angle)
+            # exp(i w theta_0) exp(i w j dt), in the states that the products below overwrite
+            turned = np.multiply(start, steps[:, :, : theta.size], out=block_states[:, :2])
+            np.copyto(cos, turned.real)
+            np.copyto(sin, turned.imag)
         np.matmul(real, phases, out=block_states.real)
         np.matmul(imag, phases, out=block_states.imag)
         rows = out[: theta.size]
@@ -221,12 +271,13 @@ def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries one time row of a channel chunk holds at most: two
-    states, the reduced state, a node's product (a rule of one node needs
-    none) and the chunk before, which its reader may still hold, and per
-    block the kernel's 9 template states and its 5 real phases, which count
-    half."""
-    return 2 * dim + 3 * dim_keep * dim_keep + 23 * (dim // 9) // 2
+    """Complex entries one time row of a channel chunk holds at most: three
+    states (the kernel's rows, their conjugate and the copy a split into the
+    kept factors may make), the reduced state, a node's product (a rule of
+    one node needs none) and the chunk before, which its reader may still
+    hold, and per block the kernel's 9 template states and its 9 real
+    phases (5 in the table, 4 in the step table), which count half."""
+    return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -289,6 +340,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     evolved = _evolved_rows(system.frequencies, parts, size)
     # Each chunk starts as its first node's product; later ones pass through this buffer.
     products = np.empty((size, dim_keep, dim_keep), dtype=np.complex128) if most > 1 else None
+    conjugates = None  # each node's kept^*, laid out as kept, which the first chunk sizes
     nodes = weights = np.empty(0)
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
@@ -298,10 +350,14 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
         rho = product = None  # neither holds the chunk before while this one is made
         for node, weight in zip(nodes, weights):
             kept = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
+            if conjugates is None:
+                conjugates = np.empty_like(kept)
+            conjugate = np.conjugate(kept, out=conjugates[: len(kept)])
             out = None if rho is None else products[: len(rho)]
-            product = np.matmul(kept, kept.conj().swapaxes(1, 2), out=out)
-            _check_norms(np.trace(product, axis1=1, axis2=2).real)  # each row's squared norm
-            product *= weight
+            product = np.matmul(kept, conjugate.swapaxes(1, 2), out=out)
+            _check_norms(np.einsum("tii->t", product.real))  # each row's squared norm
+            if terms > 1:  # the one node's weight is 1.0
+                product *= weight
             rho = product if rho is None else np.add(rho, product, out=rho)
         yield rho
 

@@ -623,6 +623,16 @@ class TestMilburnReduced:
         kept = psi0.layout.split(evolve_pure(psi0, params, times), keep)
         assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
 
+    @pytest.mark.parametrize("cut", CUT_SHAPES)
+    def test_gamma_zero_on_an_equal_grid_is_the_reduced_pure_evolution(self, cut):
+        params = SimParams(fock_cutoff=8, nbar=1.5, theta=0.5)
+        psi0 = ion_state(8, 1.5, 0.5)
+        times = np.linspace(0.0, 6.0, 5)
+        assert dynamics._grid_step(times, None) is not None  # both take the angle-addition table
+        (reduced,) = milburn_quadrature(psi0, params, times, cut.labels)
+        kept = psi0.layout.split(evolve_pure(psi0, params, times), cut.labels)
+        assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
+
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_each_rule_is_built_once(self, gamma, monkeypatch):
         params = SimParams(fock_cutoff=8, nbar=1.5, gamma=gamma, epsilon=0.8, theta=0.5)
@@ -641,6 +651,114 @@ class TestMilburnReduced:
         assert len(chunks) == 7
         assert built == sorted(set(built))  # each K once, as K grows along the grid
         assert built == [1] if gamma == 0 else len(built) > 1
+
+
+def direct_table(run):
+    """What run() returns with every phase table taken by np.cos and np.sin."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_grid_step", lambda theta, known: None)
+        return run()
+
+
+def channel_run(psi0, params, times, keep):
+    return np.concatenate(list(milburn_quadrature(psi0, params, times, keep)))
+
+
+class TestEqualStepTable:
+    """The kernel's phase table by angle addition on equal-step chunks, against
+    the dense oracle and the direct np.cos / np.sin table, and the chunks that
+    must keep the direct table."""
+
+    @settings(max_examples=30, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        lambda1=couplings,
+        lambda2=couplings,
+        theta=st.floats(0.0, 2 * math.pi),
+        phi=st.floats(0.0, math.pi),
+        span=st.floats(1.0, 3000.0),
+        count=st.integers(2, 400),
+        rows=st.integers(2, 40),
+        cut=st.sampled_from(CUT_SHAPES),
+    )
+    def test_matches_dense_and_the_direct_table(
+        self, fock_cutoff, nbar, lambda1, lambda2, theta, phi, span, count, rows, cut
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            theta=theta,
+            phi=phi,
+        )
+        psi0 = ion_state(fock_cutoff, nbar, theta, phi)
+        times = np.linspace(0.0, span, count)
+        assert dynamics._grid_step(times, None) is not None
+        keep, dim = cut.labels, psi0.layout.total_dim
+        with pytest.MonkeyPatch.context() as patch:  # chunks of `rows` times
+            entries = rows * dynamics._row_entries(dim, psi0.layout.keep(keep).total_dim)
+            patch.setattr(dynamics, "_CHUNK_ENTRIES", entries)
+            channel = channel_run(psi0, params, times, keep)
+            direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+        pure = evolve_pure(psi0, params, times)
+        dense = evolve_pure_dense(psi0, params, times)
+        kept = psi0.layout.split(dense, keep)
+        pairs = (
+            (pure, dense),
+            (pure, direct_table(lambda: evolve_pure(psi0, params, times))),
+            (channel, kept @ kept.conj().swapaxes(1, 2)),
+            (channel, direct),
+        )
+        for one, other in pairs:
+            assert np.abs(one - other).max() <= 1e-12
+
+    @staticmethod
+    def assert_direct(psi0, params, times):
+        keep = ("ion1", "ion2")
+        channel = channel_run(psi0, params, times, keep)
+        assert np.array_equal(channel, direct_table(lambda: channel_run(psi0, params, times, keep)))
+        if params.gamma == 0:
+            pure = evolve_pure(psi0, params, times)
+            assert np.array_equal(pure, direct_table(lambda: evolve_pure(psi0, params, times)))
+
+    def test_a_grid_off_its_equal_steps_keeps_the_direct_table(self):
+        times = np.linspace(0.0, 30.0, 61)
+        unit = np.finfo(np.float64).eps * times[-1]
+        times[17] += 2 * unit  # within the bound of 4 units
+        assert dynamics._grid_step(times, None) is not None
+        times[17] += 4 * unit
+        assert dynamics._grid_step(times, None) is None
+        self.assert_direct(ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5), times)
+
+    def test_a_sech_run_keeps_the_direct_table(self):
+        params = SimParams(fock_cutoff=8, nbar=1.5, modulation=Sech(2.0))
+        self.assert_direct(ion_state(8, 1.5, 0.5), params, np.linspace(0.0, 30.0, 61))
+
+    def test_a_gamma_run_keeps_the_direct_table(self, monkeypatch):
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5, gamma=0.05)
+        times, keep = np.linspace(0.0, 30.0, 61), ("ion1", "ion2")
+        # chunks of ten times, so that chunks start at theta_0 > 0
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
+        # every node of an even rule shifts the profile by x_k sqrt(gamma t), off equal steps
+        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 4)
+        self.assert_direct(psi0, params, times)
+        # an odd rule's middle node lies within 1e-16 of 0, so it takes the table
+        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 3)
+        channel = channel_run(psi0, params, times, keep)
+        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+        assert 0 < np.abs(channel - direct).max() <= 1e-12
+
+    def test_one_time_keeps_the_direct_table(self, monkeypatch):
+        assert dynamics._grid_step(np.array([17.3]), 0.5) is None
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
+        self.assert_direct(psi0, params, [0.0])
+        # the one-time last chunk of an equal grid cut into chunks of two times
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dynamics._row_entries(81, 9))
+        times, keep = np.linspace(0.0, 17.3, 5), ("ion1", "ion2")
+        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+        assert np.array_equal(channel_run(psi0, params, times, keep)[-1], direct[-1])
 
 
 # Every bipartition covering ion1, ion2 and field, each in both orders.
