@@ -9,16 +9,10 @@ from .core import (
     PureState,
     Spectrum,
     hermitian_spectrum,
-    partial_trace,
-    purity,
-    von_neumann_entropy,
 )
 from .dynamics import (
     UnsupportedRegimeError,
     evolve_pure,
-    evolve_pure_dense,
-    milburn_closed_form,
-    milburn_kraus,
     modulation_integral,
 )
 from .entanglement import (
@@ -36,9 +30,6 @@ from .experiments import (
     coherent_amplitudes,
     detect_sudden_events,
     prepare_initial,
-    report_gamma_monotonicity,
-    report_nbar_smoothing,
-    report_sech_birth_delay,
     run_series,
     run_sweep,
     truncated_coherent,
@@ -74,24 +65,15 @@ __all__ = [
     "coherent_amplitudes",
     "detect_sudden_events",
     "evolve_pure",
-    "evolve_pure_dense",
     "get_block_system",
     "hermitian_spectrum",
     "i_concurrence_pure",
-    "milburn_closed_form",
-    "milburn_kraus",
     "mode_function",
     "modulation_integral",
     "negativity",
-    "partial_trace",
     "prepare_initial",
-    "purity",
     "relative_entropy_measure",
-    "report_gamma_monotonicity",
-    "report_nbar_smoothing",
-    "report_sech_birth_delay",
     "run_series",
     "run_sweep",
     "truncated_coherent",
-    "von_neumann_entropy",
 ]

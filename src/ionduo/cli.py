@@ -44,7 +44,6 @@ from .experiments import (
 )
 from .ionmodel import CutoffError, full_layout
 from .params import Constant, Sech, SimParams
-from .selftest import run_selftest
 
 
 class ConfigError(ValueError):
@@ -533,6 +532,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "selftest":
+        from .selftest import run_selftest  # the oracles load for this command only
+
         return run_selftest(
             inject_fault=args.inject_fault, include_claims=not args.skip_claims
         )

@@ -1,4 +1,4 @@
-"""Dimension-generic state containers, partial trace and spectral utilities.
+"""Dimension-generic state containers and spectral utilities.
 
 All operations are pure functions over immutable containers; entropies use
 natural logarithms (nats) throughout.
@@ -102,13 +102,6 @@ class PureState:
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def reduced(self, keep) -> "DensityMatrix":
-        """Reduced density matrix of the given factors (partial trace of the
-        projector, computed without forming the full outer product).
-        Keeping every factor gives the projector itself."""
-        matrix = self.layout.split(self.amplitudes, keep)
-        return DensityMatrix(self.layout.keep(keep), matrix @ matrix.conj().T)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -165,20 +158,6 @@ def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues, eigenvectors)
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every factor not named in ``keep``.
-
-    The returned layout contains exactly the kept factors in their original
-    order.  ``keep`` must be a nonempty proper subset of the layout labels.
-    """
-    keep, layout = set(keep), rho.layout
-    if keep == set(layout.labels):
-        raise ValueError("keep equals the full factor set; partial trace would be a no-op")
-    rows = layout.split(rho.matrix.T, keep)  # (column, kept row, traced row)
-    tensor = layout.split(rows.transpose(1, 2, 0), keep)  # rows, then columns
-    return DensityMatrix(layout.keep(keep), np.einsum("ajbj->ab", tensor))
-
-
 def spectral_entropy(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum p ln p in nats over the last axis of an array of eigenvalues p.
     Values in [EIG_FLOOR, 0) are round-off and clipped to 0, values at most
@@ -189,13 +168,3 @@ def spectral_entropy(eigenvalues: np.ndarray) -> np.ndarray:
     populations = np.clip(eigenvalues, 0.0, None)
     logs = np.log(np.where(populations > EIG_ZERO, populations, 1.0))  # ln 1 = 0 for the rest
     return -np.sum(populations * logs, axis=-1)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho ln rho) in nats."""
-    return float(spectral_entropy(np.linalg.eigvalsh(rho.matrix)))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); equals the squared Frobenius norm for Hermitian rho."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)

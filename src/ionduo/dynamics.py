@@ -21,9 +21,8 @@ by angle addition from the chunk start and a step table made once per
 call; any other chunk (sech, the gamma > 0 nodes off the centre of the
 rule, unequal grids, one time) takes np.cos and np.sin of w theta.
 ``evolve_pure`` returns an evolution over a time grid as one read-only
-(T, dim) array whose row i is the state at times[i]; it and the dense
-propagation are oracles.  Production reads the pure states through the
-channel below, in time chunks.
+(T, dim) array whose row i is the state at times[i]; it is an oracle, and
+production reads the pure states through the channel below, in time chunks.
 
 The intrinsic-decoherence master equation
 
@@ -42,9 +41,8 @@ being the squared norm of the row whatever is kept.  Each time chunk
 takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
 sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
 occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
-grows.  The dense closed form and a truncated Kraus-operator
-sum are its oracles; all of them are defined for time-independent coupling
-only.
+grows.  Its oracles, dense propagation, the dense closed form and a
+truncated Kraus-operator sum, are in ``ionduo.selftest``.
 """
 
 from __future__ import annotations
@@ -54,18 +52,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
-from .ionmodel import (
-    FLOOR_SKIP,
-    BlockSystem,
-    CutoffError,
-    build_full_hamiltonian,
-    full_layout,
-    get_block_system,
-)
+from .core import NORM_TOL, PureState
+from .ionmodel import FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
 from .params import Constant, Modulation, Sech, SimParams
 
-KRAUS_DEFICIT_TARGET = 1e-10
 KRAUS_MAX_TERMS = 512
 QUADRATURE_TARGET = 1e-14
 
@@ -257,19 +247,6 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     return _checked_states(_evolved_rows(system.frequencies, parts, theta.size)(theta))
 
 
-def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
-    """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
-    single eigendecomposition of the assembled Hamiltonian.  Same contract
-    as evolve_pure."""
-    times = check_times(times)
-    _template_amplitudes(psi0, params)  # the same layout and ceiling checks
-    spectrum = hermitian_spectrum(build_full_hamiltonian(params))
-    theta = modulation_integral(params.modulation, times)
-    coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
-    return _checked_states((phases * coeffs) @ spectrum.eigenvectors.T)
-
-
 def _row_entries(dim: int, dim_keep: int) -> int:
     """Complex entries one time row of a channel chunk holds at most: three
     states (the kernel's rows, their conjugate and the copy a split into the
@@ -360,80 +337,3 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
                 product *= weight
             rho = product if rho is None else np.add(rho, product, out=rho)
         yield rho
-
-
-def milburn_closed_form(
-    rho0: DensityMatrix, hamiltonian: np.ndarray, gamma: float, t: float
-) -> DensityMatrix:
-    """Closed-form solution of the intrinsic-decoherence master equation
-    for a time-independent Hamiltonian."""
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    spectrum = hermitian_spectrum(np.asarray(hamiltonian))
-    v = spectrum.eigenvectors
-    gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    damping = np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
-    rho_eig = (v.conj().T @ rho0.matrix @ v) * damping
-    out = v @ rho_eig @ v.conj().T
-    return DensityMatrix(rho0.layout, 0.5 * (out + out.conj().T))
-
-
-def _kraus_diagonal(eigenvalues: np.ndarray, gamma: float, t: float, k: int) -> np.ndarray:
-    """Eigenbasis diagonal of the k-th Kraus operator
-    (gamma t)^(k/2) / sqrt(k!) * E^k * exp(-i E t) * exp(-gamma t E^2 / 2)."""
-    survival = np.exp(-1j * eigenvalues * t - 0.5 * gamma * t * eigenvalues**2)
-    if k == 0:
-        return survival
-    x = gamma * t * eigenvalues**2
-    with np.errstate(divide="ignore"):
-        magnitude = np.exp(0.5 * (k * np.log(x) - math.lgamma(k + 1)))
-    sign = np.where(eigenvalues < 0, (-1.0) ** k, 1.0)
-    return sign * magnitude * survival
-
-
-def _adaptive_kraus_terms(eigenvalues: np.ndarray, gamma: float, t: float) -> int:
-    """Smallest K (capped) whose Poisson-weighted tail leaves a completeness
-    deficit at most KRAUS_DEFICIT_TARGET."""
-    rates = gamma * t * eigenvalues**2
-    term = np.exp(-rates)
-    covered = term.copy()
-    for k in range(1, KRAUS_MAX_TERMS):
-        if 1.0 - covered.min() <= KRAUS_DEFICIT_TARGET:
-            return k
-        term = term * rates / k
-        covered += term
-    return KRAUS_MAX_TERMS
-
-
-def milburn_kraus(
-    rho0: DensityMatrix,
-    hamiltonian: np.ndarray,
-    gamma: float,
-    t: float,
-    terms: int | None = None,
-) -> tuple[DensityMatrix, float]:
-    """Truncated Kraus-operator sum for the intrinsic-decoherence channel.
-
-    Builds each dense Kraus operator and accumulates sum_k M_k rho M_k^dag
-    literally, as an independent cross-check of the closed form.  Returns
-    the evolved state together with the completeness deficit
-    delta(K) = max |sum_k M_k M_k^dag - I|, so callers can certify the
-    truncation.  With ``terms=None`` the count is chosen adaptively so that
-    delta <= 1e-10, capped at 512.
-    """
-    if terms is not None and terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    spectrum = hermitian_spectrum(np.asarray(hamiltonian))
-    if terms is None:
-        terms = _adaptive_kraus_terms(spectrum.eigenvalues, gamma, t)
-    v = spectrum.eigenvectors
-    evolved = np.zeros_like(rho0.matrix)
-    completeness = np.zeros_like(rho0.matrix)
-    for k in range(terms):
-        m_k = (v * _kraus_diagonal(spectrum.eigenvalues, gamma, t, k)) @ v.conj().T
-        evolved = evolved + m_k @ rho0.matrix @ m_k.conj().T
-        completeness = completeness + m_k @ m_k.conj().T
-    deficit = float(np.abs(completeness - np.eye(completeness.shape[0])).max())
-    return DensityMatrix(rho0.layout, 0.5 * (evolved + evolved.conj().T)), deficit

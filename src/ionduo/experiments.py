@@ -27,7 +27,7 @@ from .entanglement import (
     relative_entropy_values,
 )
 from .ionmodel import full_index, full_layout
-from .params import Sech, SimParams
+from .params import SimParams
 
 MEASURES = ("i_concurrence", "negativity", "relative_entropy")
 
@@ -346,97 +346,3 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
     kept = np.diff(rising, prepend=above[0])  # on booleans, diff is "not equal"
     births, deaths = crossings[kept & rising], crossings[kept & ~rising]
     return SuddenEvents(threshold, series.times[births], series.times[deaths])
-
-
-def _default_params(nbar: float, deficit: float = 1e-10, **overrides) -> SimParams:
-    cutoff = coherent_amplitudes(nbar, deficit).cutoff
-    return SimParams(fock_cutoff=cutoff, nbar=nbar, **overrides)
-
-
-def report_gamma_monotonicity(
-    gammas=(0.0, 0.01, 0.05, 0.1),
-    nbar: float = 5.0,
-    theta: float = math.pi / 4,
-    t_max: float = 30.0,
-    n_times: int = 201,
-    slack: float = 1e-6,
-) -> dict:
-    """Check that the time-averaged relative entropy of the two-ion state is
-    non-increasing in the intrinsic-decoherence rate."""
-    params = _default_params(nbar, theta=theta)
-    times = np.linspace(0.0, t_max, n_times)
-    averages = []
-    for gamma in gammas:
-        series = run_series(replace(params, gamma=gamma), "relative_entropy", ION_VS_ION, times)
-        averages.append(float(series.values.mean()))
-    holds = all(later <= earlier + slack for earlier, later in zip(averages, averages[1:]))
-    return {
-        "claim": "time-averaged two-ion relative entropy is non-increasing in gamma",
-        "holds": bool(holds),
-        "gammas": [float(g) for g in gammas],
-        "averages": averages,
-    }
-
-
-def report_sech_birth_delay(
-    tau: float,
-    theta: float = 2.5e-4,
-    threshold: float = 1e-3,
-    nbar: float = 5.0,
-    t_max: float = 30.0,
-    n_times: int = 601,
-) -> dict:
-    """Check that sech modulation delays the first entanglement birth of a
-    near-separable start relative to constant coupling, within one grid
-    step."""
-    params = _default_params(nbar, theta=theta)
-    times = np.linspace(0.0, t_max, n_times)
-    step = float(times[1] - times[0])
-    constant = run_series(params, "i_concurrence", ION_VS_REST, times)
-    modulated = run_series(
-        replace(params, modulation=Sech(tau)), "i_concurrence", ION_VS_REST, times
-    )
-    births_constant = detect_sudden_events(constant, threshold).births
-    births_modulated = detect_sudden_events(modulated, threshold).births
-    if not births_constant:
-        holds = False  # nothing to compare against inside the window
-    elif not births_modulated:
-        holds = True  # delayed beyond the window entirely
-    else:
-        holds = births_modulated[0] >= births_constant[0] - step
-    return {
-        "claim": "sech modulation delays the first entanglement birth",
-        "holds": bool(holds),
-        "tau": float(tau),
-        "theta": float(theta),
-        "first_birth_constant": births_constant[0] if births_constant else None,
-        "first_birth_sech": births_modulated[0] if births_modulated else None,
-        "grid_step": step,
-    }
-
-
-def report_nbar_smoothing(
-    nbar_small: float = 5.0,
-    nbar_large: float = 15.0,
-    threshold: float = 1e-3,
-    theta: float = math.pi / 4,
-    t_max: float = 30.0,
-    n_times: int = 601,
-) -> dict:
-    """Check that a larger initial field intensity produces no more
-    threshold crossings (smoother decay) than a smaller one."""
-    times = np.linspace(0.0, t_max, n_times)
-    counts = {}
-    for nbar in (nbar_small, nbar_large):
-        series = run_series(_default_params(nbar, theta=theta), "i_concurrence", ION_VS_REST, times)
-        flags = series.values >= threshold
-        counts[nbar] = int(np.sum(flags[1:] != flags[:-1]))
-    holds = counts[nbar_large] <= counts[nbar_small]
-    return {
-        "claim": "larger nbar produces no more threshold crossings",
-        "holds": bool(holds),
-        "crossings_small": counts[nbar_small],
-        "crossings_large": counts[nbar_large],
-        "nbar_small": float(nbar_small),
-        "nbar_large": float(nbar_large),
-    }

@@ -48,13 +48,6 @@ def full_index(fock: int, ion1: str, ion2: str, fock_cutoff: int) -> int:
     return (LEVEL_INDEX[ion1] * 3 + LEVEL_INDEX[ion2]) * (fock_cutoff + 1) + fock
 
 
-def block_index(fock_cutoff: int) -> np.ndarray:
-    """Block index n = (Fock number) - (ions not in ``a``) of every basis
-    state of the full layout, in layout order."""
-    ion1, ion2, fock = np.indices((3, 3, fock_cutoff + 1))
-    return (fock - (ion1 != LEVEL_INDEX["a"]) - (ion2 != LEVEL_INDEX["a"])).ravel()
-
-
 def evolvable_blocks(fock_cutoff: int) -> range:
     """Blocks n with n + 2 <= N_max, which keep all their states under the
     cutoff.  The blocks above are truncated by the cutoff ceiling and cannot

@@ -1,4 +1,14 @@
-"""Fast built-in oracle suite behind the ``ionduo selftest`` command.
+"""Fast built-in oracle suite behind the ``ionduo selftest`` command, and the
+home of every independent route that no ``simulate`` or ``figure`` run
+executes.  No production module imports it; the CLI loads it only for the
+``selftest`` command.
+
+It holds the oracles that the checks and the test suite compare production
+against: the partial trace of a dense density matrix, the block index of
+every basis state, dense propagation by one eigendecomposition of the full
+Hamiltonian, the closed-form solution of the intrinsic-decoherence master
+equation and its truncated Kraus-operator sum.  All but the first two are
+defined for time-independent coupling only.
 
 Hard checks compare independent computation routes (block against dense
 propagation, block spectra against the closed-form bright/dark spectrum, the
@@ -8,7 +18,8 @@ evolution, evolved t = 0 concurrence against its closed form, the modulation
 antiderivative against quadrature) plus frozen reference values E(m)
 of the vibrational mode function.  Qualitative claims about the dynamics are
 reported as PASS/WARN and never fail the run, since they encode expected
-physics rather than contracts.
+physics rather than contracts; their floats print at 12 significant digits,
+the CSV's precision, so that round-off does not change a claim line.
 """
 
 from __future__ import annotations
@@ -20,8 +31,219 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, entanglement, experiments, ionmodel
-from .core import partial_trace
+from .core import DensityMatrix, PureState, hermitian_spectrum
+from .experiments import ION_VS_ION, ION_VS_REST, detect_sudden_events, run_series
 from .params import Sech, SimParams
+
+KRAUS_DEFICIT_TARGET = 1e-10
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every factor not named in ``keep``.
+
+    The returned layout contains exactly the kept factors in their original
+    order.  ``keep`` must be a nonempty proper subset of the layout labels.
+    """
+    keep, layout = set(keep), rho.layout
+    if keep == set(layout.labels):
+        raise ValueError("keep equals the full factor set; partial trace would be a no-op")
+    rows = layout.split(rho.matrix.T, keep)  # (column, kept row, traced row)
+    tensor = layout.split(rows.transpose(1, 2, 0), keep)  # rows, then columns
+    return DensityMatrix(layout.keep(keep), np.einsum("ajbj->ab", tensor))
+
+
+def block_index(fock_cutoff: int) -> np.ndarray:
+    """Block index n = (Fock number) - (ions not in ``a``) of every basis
+    state of the full layout, in layout order."""
+    ion1, ion2, fock = np.indices((3, 3, fock_cutoff + 1))
+    a = ionmodel.LEVEL_INDEX["a"]
+    return (fock - (ion1 != a) - (ion2 != a)).ravel()
+
+
+def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
+    """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
+    single eigendecomposition of the assembled Hamiltonian.  Same contract
+    as ``dynamics.evolve_pure``."""
+    times = dynamics.check_times(times)
+    dynamics._template_amplitudes(psi0, params)  # the same layout and ceiling checks
+    spectrum = hermitian_spectrum(ionmodel.build_full_hamiltonian(params))
+    theta = dynamics.modulation_integral(params.modulation, times)
+    coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
+    phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
+    return dynamics._checked_states((phases * coeffs) @ spectrum.eigenvectors.T)
+
+
+def milburn_closed_form(
+    rho0: DensityMatrix, hamiltonian: np.ndarray, gamma: float, t: float
+) -> DensityMatrix:
+    """Closed-form solution of the intrinsic-decoherence master equation
+    for a time-independent Hamiltonian: in its eigenbasis the coherence
+    across a gap dE picks up exp(-i dE t - gamma t dE^2 / 2)."""
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    spectrum = hermitian_spectrum(np.asarray(hamiltonian))
+    v = spectrum.eigenvectors
+    gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    damping = np.exp(-1j * gaps * t - 0.5 * gamma * t * gaps**2)
+    rho_eig = (v.conj().T @ rho0.matrix @ v) * damping
+    out = v @ rho_eig @ v.conj().T
+    return DensityMatrix(rho0.layout, 0.5 * (out + out.conj().T))
+
+
+def _kraus_diagonal(eigenvalues: np.ndarray, gamma: float, t: float, k: int) -> np.ndarray:
+    """Eigenbasis diagonal of the k-th Kraus operator
+    (gamma t)^(k/2) / sqrt(k!) * E^k * exp(-i E t) * exp(-gamma t E^2 / 2)."""
+    survival = np.exp(-1j * eigenvalues * t - 0.5 * gamma * t * eigenvalues**2)
+    if k == 0:
+        return survival
+    x = gamma * t * eigenvalues**2
+    with np.errstate(divide="ignore"):
+        magnitude = np.exp(0.5 * (k * np.log(x) - math.lgamma(k + 1)))
+    sign = np.where(eigenvalues < 0, (-1.0) ** k, 1.0)
+    return sign * magnitude * survival
+
+
+def _adaptive_kraus_terms(eigenvalues: np.ndarray, gamma: float, t: float) -> int:
+    """Smallest K (capped) whose Poisson-weighted tail leaves a completeness
+    deficit at most KRAUS_DEFICIT_TARGET."""
+    rates = gamma * t * eigenvalues**2
+    term = np.exp(-rates)
+    covered = term.copy()
+    for k in range(1, dynamics.KRAUS_MAX_TERMS):
+        if 1.0 - covered.min() <= KRAUS_DEFICIT_TARGET:
+            return k
+        term = term * rates / k
+        covered += term
+    return dynamics.KRAUS_MAX_TERMS
+
+
+def milburn_kraus(
+    rho0: DensityMatrix,
+    hamiltonian: np.ndarray,
+    gamma: float,
+    t: float,
+    terms: int | None = None,
+) -> tuple[DensityMatrix, float]:
+    """Truncated Kraus-operator sum for the intrinsic-decoherence channel.
+
+    Builds each dense Kraus operator and accumulates sum_k M_k rho M_k^dag
+    literally, as an independent cross-check of the closed form.  Returns
+    the evolved state together with the completeness deficit
+    delta(K) = max |sum_k M_k M_k^dag - I|, so callers can certify the
+    truncation.  With ``terms=None`` the count is chosen adaptively so that
+    delta <= 1e-10, capped at 512.
+    """
+    if terms is not None and terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    spectrum = hermitian_spectrum(np.asarray(hamiltonian))
+    if terms is None:
+        terms = _adaptive_kraus_terms(spectrum.eigenvalues, gamma, t)
+    v = spectrum.eigenvectors
+    evolved = np.zeros_like(rho0.matrix)
+    completeness = np.zeros_like(rho0.matrix)
+    for k in range(terms):
+        m_k = (v * _kraus_diagonal(spectrum.eigenvalues, gamma, t, k)) @ v.conj().T
+        evolved = evolved + m_k @ rho0.matrix @ m_k.conj().T
+        completeness = completeness + m_k @ m_k.conj().T
+    deficit = float(np.abs(completeness - np.eye(completeness.shape[0])).max())
+    return DensityMatrix(rho0.layout, 0.5 * (evolved + evolved.conj().T)), deficit
+
+
+def _default_params(nbar: float, **overrides) -> SimParams:
+    cutoff = experiments.coherent_amplitudes(nbar, 1e-10).cutoff
+    return SimParams(fock_cutoff=cutoff, nbar=nbar, **overrides)
+
+
+def report_gamma_monotonicity(
+    gammas=(0.0, 0.01, 0.05, 0.1),
+    nbar: float = 5.0,
+    theta: float = math.pi / 4,
+    t_max: float = 30.0,
+    n_times: int = 201,
+    slack: float = 1e-6,
+) -> dict:
+    """Check that the time-averaged relative entropy of the two-ion state is
+    non-increasing in the intrinsic-decoherence rate."""
+    params = _default_params(nbar, theta=theta)
+    times = np.linspace(0.0, t_max, n_times)
+    averages = []
+    for gamma in gammas:
+        series = run_series(replace(params, gamma=gamma), "relative_entropy", ION_VS_ION, times)
+        averages.append(float(series.values.mean()))
+    holds = all(later <= earlier + slack for earlier, later in zip(averages, averages[1:]))
+    return {
+        "claim": "time-averaged two-ion relative entropy is non-increasing in gamma",
+        "holds": bool(holds),
+        "gammas": [float(g) for g in gammas],
+        "averages": averages,
+    }
+
+
+def report_sech_birth_delay(
+    tau: float,
+    theta: float = 2.5e-4,
+    threshold: float = 1e-3,
+    nbar: float = 5.0,
+    t_max: float = 30.0,
+    n_times: int = 601,
+) -> dict:
+    """Check that sech modulation delays the first entanglement birth of a
+    near-separable start relative to constant coupling, within one grid
+    step."""
+    params = _default_params(nbar, theta=theta)
+    times = np.linspace(0.0, t_max, n_times)
+    step = float(times[1] - times[0])
+    constant = run_series(params, "i_concurrence", ION_VS_REST, times)
+    modulated = run_series(
+        replace(params, modulation=Sech(tau)), "i_concurrence", ION_VS_REST, times
+    )
+    births_constant = detect_sudden_events(constant, threshold).births
+    births_modulated = detect_sudden_events(modulated, threshold).births
+    if not births_constant:
+        holds = False  # nothing to compare against inside the window
+    elif not births_modulated:
+        holds = True  # delayed beyond the window entirely
+    else:
+        holds = births_modulated[0] >= births_constant[0] - step
+    return {
+        "claim": "sech modulation delays the first entanglement birth",
+        "holds": bool(holds),
+        "tau": float(tau),
+        "theta": float(theta),
+        "first_birth_constant": births_constant[0] if births_constant else None,
+        "first_birth_sech": births_modulated[0] if births_modulated else None,
+        "grid_step": step,
+    }
+
+
+def report_nbar_smoothing(
+    nbar_small: float = 5.0,
+    nbar_large: float = 15.0,
+    threshold: float = 1e-3,
+    theta: float = math.pi / 4,
+    t_max: float = 30.0,
+    n_times: int = 601,
+) -> dict:
+    """Check that a larger initial field intensity produces no more
+    threshold crossings (smoother decay) than a smaller one."""
+    times = np.linspace(0.0, t_max, n_times)
+    counts = {}
+    for nbar in (nbar_small, nbar_large):
+        series = run_series(_default_params(nbar, theta=theta), "i_concurrence", ION_VS_REST, times)
+        flags = series.values >= threshold
+        counts[nbar] = int(np.sum(flags[1:] != flags[:-1]))
+    holds = counts[nbar_large] <= counts[nbar_small]
+    return {
+        "claim": "larger nbar produces no more threshold crossings",
+        "holds": bool(holds),
+        "crossings_small": counts[nbar_small],
+        "crossings_large": counts[nbar_large],
+        "nbar_small": float(nbar_small),
+        "nbar_large": float(nbar_large),
+    }
+
 
 #: Frozen spot values E(m) of the mode function (direct evaluation of its
 #: closed form); the first entry is the eta = 0 limit -epsilon/2.
@@ -54,7 +276,7 @@ def _check_block_vs_dense() -> CheckResult:
     psi0 = experiments.prepare_initial(params.theta, params.phi, field)
     times = np.linspace(0.0, 5.0, 51)
     block = dynamics.evolve_pure(psi0, params, times)
-    dense = dynamics.evolve_pure_dense(psi0, params, times)
+    dense = evolve_pure_dense(psi0, params, times)
     worst = float(np.abs(block - dense).max())
     return CheckResult("block-vs-dense", worst <= 1e-8, worst, 1e-8)
 
@@ -69,8 +291,8 @@ def _check_channels_vs_closed() -> CheckResult:
     worst = 0.0
     worst_deficit = 0.0
     for gamma_t in (0.1, 1.0, 5.0):
-        closed = dynamics.milburn_closed_form(rho0, hamiltonian, gamma_t, 1.0)
-        summed, deficit = dynamics.milburn_kraus(rho0, hamiltonian, gamma_t, 1.0)
+        closed = milburn_closed_form(rho0, hamiltonian, gamma_t, 1.0)
+        summed, deficit = milburn_kraus(rho0, hamiltonian, gamma_t, 1.0)
         rho = next(dynamics.milburn_quadrature(psi0, replace(params, gamma=gamma_t), [0, 1], keep))
         block = np.abs(partial_trace(closed, keep).matrix - rho[1]).max()
         worst = max(worst, float(np.abs(closed.matrix - summed.matrix).max()), float(block))
@@ -159,10 +381,24 @@ _CHECKS = (
 
 def _claim_reports() -> list[dict]:
     return [
-        experiments.report_gamma_monotonicity(),
-        experiments.report_sech_birth_delay(tau=5.0),
-        experiments.report_nbar_smoothing(),
+        report_gamma_monotonicity(),
+        report_sech_birth_delay(tau=5.0),
+        report_nbar_smoothing(),
     ]
+
+
+def _claim_line(report: dict) -> str:
+    """The PASS/WARN line of one claim report, each float of its numbers at
+    12 significant digits."""
+
+    def short(value):
+        if isinstance(value, list):
+            return [short(item) for item in value]
+        return float(format(value, ".12g")) if isinstance(value, float) else value
+
+    status = "PASS" if report["holds"] else "WARN"
+    numbers = {key: short(value) for key, value in report.items() if key not in ("claim", "holds")}
+    return f"{status} claim: {report['claim']}  {numbers}"
 
 
 def _clear_caches() -> None:
@@ -205,10 +441,6 @@ def run_selftest(inject_fault: str | None = None, include_claims: bool = True, s
 
     if include_claims and failures == 0:
         for report in _claim_reports():
-            status = "PASS" if report["holds"] else "WARN"
-            numbers = {
-                key: value for key, value in report.items() if key not in ("claim", "holds")
-            }
-            print(f"{status} claim: {report['claim']}  {numbers}", file=stream)
+            print(_claim_line(report), file=stream)
 
     return 0 if failures == 0 else 1

@@ -1,3 +1,4 @@
+import ast
 import functools
 import io
 import itertools
@@ -31,6 +32,8 @@ from ionduo.cli import (
     write_dataset,
 )
 from ionduo.selftest import THETA_LINEAR_PARAMS, run_selftest
+
+PACKAGE = Path(ionduo.cli.__file__).parent
 
 MINIMAL = """
 [sweep]
@@ -724,6 +727,45 @@ class TestVersionAndSelftest:
         ionduo.selftest._clear_caches()
         left = {name for name, cache in caches.items() if cache.cache_info().currsize}
         assert left == {"ionduo.core._split_plan"}
+
+    def test_claim_lines_round_floats_to_twelve_digits(self):
+        def line(average, birth):
+            report = {"claim": "c", "holds": True, "averages": [average], "birth": birth, "n": 0}
+            return ionduo.selftest._claim_line(report)
+
+        # round-off in the 16th and 17th digits, as a rerun on another BLAS may give
+        assert line(1.3530462430288364, 0.15) == line(1.3530462430288368, 0.15000000000000002)
+        expected = "PASS claim: c  {'averages': [1.35304624303], 'birth': 0.15, 'n': 0}"
+        assert line(1.3530462430288368, 0.15000000000000002) == expected
+
+    def test_no_production_module_imports_the_oracles(self):
+        def imported(node):
+            """Absolute names of the modules an import statement may bind."""
+            if isinstance(node, ast.Import):
+                return [alias.name for alias in node.names]
+            base = "ionduo" + (f".{node.module}" if node.module else "") if node.level else node.module
+            return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+        offenders = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.stem == "selftest":
+                continue
+            stack = list(ast.parse(path.read_text()).body)
+            while stack:  # every statement that runs at import: all but function bodies
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if "ionduo.selftest" in imported(node):
+                        offenders.append(f"{path.name}:{node.lineno}")
+                stack.extend(ast.iter_child_nodes(node))
+        assert offenders == []
+
+    def test_import_loads_no_oracles(self):
+        script = "import sys, ionduo, ionduo.cli\nprint('ionduo.selftest' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_import_loads_no_process_pool(self):
         script = (

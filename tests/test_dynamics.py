@@ -16,12 +16,8 @@ from ionduo import (
     Sech,
     SimParams,
     evolve_pure,
-    evolve_pure_dense,
     hermitian_spectrum,
-    milburn_closed_form,
-    milburn_kraus,
     modulation_integral,
-    partial_trace,
     prepare_initial,
     run_series,
     truncated_coherent,
@@ -31,11 +27,17 @@ from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature, quadratu
 from ionduo.entanglement import i_concurrence_values
 from ionduo.ionmodel import (
     CutoffError,
-    block_index,
     build_full_hamiltonian,
     evolvable_blocks,
     full_index,
     full_layout,
+)
+from ionduo.selftest import (
+    block_index,
+    evolve_pure_dense,
+    milburn_closed_form,
+    milburn_kraus,
+    partial_trace,
 )
 
 

@@ -18,18 +18,22 @@ from ionduo import (
     detect_sudden_events,
     i_concurrence_pure,
     prepare_initial,
-    report_gamma_monotonicity,
-    report_nbar_smoothing,
-    report_sech_birth_delay,
     run_series,
     run_sweep,
     truncated_coherent,
 )
 from ionduo import dynamics, experiments
 from ionduo.core import DensityMatrix, HilbertLayout, PureState
-from ionduo.dynamics import check_times, milburn_closed_form, modulation_integral
+from ionduo.dynamics import check_times, modulation_integral
 from ionduo.experiments import FieldPreparation
-from ionduo.ionmodel import FLOOR_SKIP, block_index, evolvable_blocks
+from ionduo.ionmodel import FLOOR_SKIP, evolvable_blocks
+from ionduo.selftest import (
+    block_index,
+    milburn_closed_form,
+    report_gamma_monotonicity,
+    report_nbar_smoothing,
+    report_sech_birth_delay,
+)
 
 
 def synthetic_series(values, step=0.1):

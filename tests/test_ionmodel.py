@@ -22,12 +22,12 @@ from ionduo.ionmodel import (
     CutoffError,
     block_couplings,
     block_frequencies,
-    block_index,
     closed_form_spectrum,
     evolvable_blocks,
     full_index,
     mode_couplings,
 )
+from ionduo.selftest import block_index
 
 CANONICAL_NINE = (
     (0, "a", "a"),
