@@ -106,6 +106,18 @@ class TestPartialTrace:
         assert reduced.layout == layout.keep(labels)
         assert np.abs(reduced.matrix - oracle).max() <= 1e-12
 
+    @pytest.mark.parametrize("layout, labels", layout_cases(proper=True))
+    def test_reduced_density_equals_partial_trace_of_projector(self, rng, layout, labels):
+        # pure route: arrange the amplitudes as M[kept, traced]; the marginal is M M^dagger
+        psi = random_pure(rng, layout)
+        pairs = kept_and_traced(layout, labels)
+        shape = (max(k for k, _ in pairs) + 1, max(t for _, t in pairs) + 1)
+        amplitudes = np.zeros(shape, dtype=complex)
+        for flat, (k, t) in enumerate(pairs):
+            amplitudes[k, t] = psi.amplitudes[flat]
+        direct = amplitudes @ amplitudes.conj().T
+        assert np.abs(direct - partial_trace(psi.to_density(), labels).matrix).max() <= 1e-12
+
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         rho_b = np.diag([0.5, 0.25, 0.25]).astype(complex)

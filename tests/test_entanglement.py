@@ -21,7 +21,12 @@ from ionduo import (
 from ionduo import SimParams
 from ionduo.core import spectral_entropy
 from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature
-from ionduo.entanglement import i_concurrence_values, negativity_values, relative_entropy_values
+from ionduo.entanglement import (
+    concurrence_from_purity,
+    i_concurrence_values,
+    negativity_values,
+    relative_entropy_values,
+)
 from ionduo.selftest import partial_trace
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
@@ -150,6 +155,28 @@ class TestIConcurrence:
             ]
             expected = [math.sqrt(2.0 * (1.0 - np.vdot(m, m).real)) for m in marginals]
             assert np.abs(i_concurrence_values(rows, layout, cut) - expected).max() <= 1e-12
+
+
+class TestConcurrenceFromPurity:
+    def test_pure_marginal_has_none(self):
+        assert concurrence_from_purity(np.array([1.0]), 3)[0] == 0.0
+
+    def test_round_off_above_one_gives_zero(self):
+        values = concurrence_from_purity(np.array([1.0 + 1e-15]), 2)
+        assert values[0] == 0.0
+
+    def test_diagonal_marginal(self):
+        # diag(1/2, 1/4, 1/4) has purity 3/8, so the concurrence is sqrt(5 / 4)
+        assert abs(concurrence_from_purity(np.array([0.375]), 3)[0] - math.sqrt(1.25)) <= 1e-15
+
+    def test_maximally_mixed_marginal_reaches_the_ceiling(self):
+        values = concurrence_from_purity(np.array([1 / 3, 1 / 2]), 3)
+        assert abs(values[0] - math.sqrt(4 / 3)) <= 1e-15
+        assert abs(values[1] - 1.0) <= 1e-15
+
+    def test_purity_below_one_over_d_raises(self):
+        with pytest.raises(ValueError, match="ceiling"):
+            concurrence_from_purity(np.array([0.9, 0.2]), 3)
 
 
 class TestNegativity:
