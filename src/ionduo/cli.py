@@ -380,6 +380,20 @@ def _fmt(value: float) -> str:
 _SLICE_ROWS = 2048  # CSV rows formatted at once; bounds the formatted text
 
 
+def _sidecar_text(sidecar: dict, time_grid: tuple[float, ...]) -> str:
+    """``json.dumps(sidecar, sort_keys=True, indent=2) + "\\n"`` with the
+    time grid, config.sweep.time, joined in one pass: ``indent`` runs the
+    pure-Python encoder, twice as slow over a long grid, and it renders each
+    finite float as ``float.__repr__`` does.  The grid stands in the dump as
+    a NUL string, which no other sidecar string can be: the prefix names a
+    file and the measure, cut and preset are names."""
+    config = sidecar["config"]
+    stub = {**sidecar, "config": {**config, "sweep": {**config["sweep"], "time": "\0"}}}
+    head, _, tail = json.dumps(stub, sort_keys=True, indent=2).partition('"\\u0000"')
+    times = ",\n        ".join(map(float.__repr__, time_grid))
+    return f"{head}[\n        {times}\n      ]{tail}\n"
+
+
 def write_dataset(
     config: RunConfig, series_list: list[MeasureSeries], preset: str | None = None
 ) -> tuple[Path, Path]:
@@ -389,6 +403,8 @@ def write_dataset(
     fields carry 12 significant digits so output is byte-stable.  The time
     grid's rows are rendered once as a template, which grows with the time
     count; each series fills it in slices of _SLICE_ROWS rows at a time.
+    The sidecar is the indented JSON dump with the time grid joined in one
+    pass (_sidecar_text), byte for byte the text json.dumps gives.
     """
     prefix = Path(config.out_prefix)
     if prefix.parent != Path("."):
@@ -452,7 +468,7 @@ def write_dataset(
                 for start, rows in zip(starts, template):
                     values = tuple(series.values[start : start + _SLICE_ROWS].tolist())
                     out.write((rows % values).replace("\0", cell))
-        sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        sidecar_text = _sidecar_text(sidecar, config.time_grid)
         temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
         for temp, path in zip(temps, paths):
             os.replace(temp, path)

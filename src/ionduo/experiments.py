@@ -35,6 +35,8 @@ MEASURES = ("i_concurrence", "negativity", "relative_entropy")
 ION_VS_REST = Bipartition(("ion1",), ("ion2", "field"))
 #: Default bipartition for mixed-state sweeps on the two-ion reduced state.
 ION_VS_ION = Bipartition(("ion1",), ("ion2",))
+# Factor labels of the full space; they do not depend on the cutoff.
+_FACTORS = frozenset(full_layout(0).labels)
 
 # Empty Fock slots kept above the occupied field range, so the
 # phonon-raising dynamics stays clear of the cutoff ceiling.
@@ -177,7 +179,7 @@ _ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(
 
 
 @lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
-def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tuple[float, ...]):
+def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: bytes):
     """Theta-free trace and purity of the marginal on the ions ``keep`` of
     psi(theta, t) = cos(theta) psi(t) + sin(theta) e^{i phi} SWAP psi(t),
     with psi(t) the gamma = 0 run of ``params`` from |a b> x field,
@@ -190,7 +192,11 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: tupl
     with X = e^{-i phi} G SWAP + h.c., and on ``keep`` each part is a partial
     trace of G (_MARGINALS).  Returns (T, 3) and (T, 5) arrays with tr rho =
     sum_j trace[:, j] c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k.
+
+    ``times`` is the float64 grid's ``tobytes()``: as the cache key, one
+    bytes hash and one comparison find the entry of a sweep's grid.
     """
+    times = np.frombuffer(times)
     field = truncated_coherent(params.nbar, params.fock_cutoff)
     chunks = milburn_quadrature(prepare_initial(0.0, 0.0, field), params, times, ("ion1", "ion2"))
     parts = _part_map(keep, params.phi)
@@ -240,13 +246,13 @@ def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np
     purity taken over the squared trace of the marginal."""
     ions = cut.side_b if "field" in cut.side_a else cut.side_a
     trace, purity = _exchange_coefficients(
-        replace(params, theta=0.0), tuple(sorted(ions)), tuple(times.tolist())
+        replace(params, theta=0.0), tuple(sorted(ions)), times.tobytes()
     )
     c, s = math.cos(params.theta), math.sin(params.theta)
     norm = trace @ [c ** (2 - j) * s**j for j in range(3)]
     quartic = purity @ [c ** (4 - k) * s**k for k in range(5)]
-    layout = full_layout(params.fock_cutoff)
-    d = min(layout.keep(side).total_dim for side in (cut.side_a, cut.side_b))
+    # The ion side has 3^len(ions) states, the other side the rest of them.
+    d = min(3 ** len(ions), 3 ** (2 - len(ions)) * (params.fock_cutoff + 1))
     return concurrence_from_purity(quartic / norm**2, d)
 
 
@@ -259,8 +265,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    layout = full_layout(params.fock_cutoff)
-    unknown = cut.labels - set(layout.labels)
+    unknown = cut.labels - _FACTORS
     if unknown:
         raise ValueError(f"cut names unknown factors {sorted(unknown)}")
     times = check_times(times)
@@ -269,7 +274,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
             "i_concurrence is defined for pure states only; gamma > 0 produces "
             "mixed states, use negativity or relative_entropy"
         )
-    if measure == "i_concurrence" and cut.labels != set(layout.labels):
+    if measure == "i_concurrence" and cut.labels != _FACTORS:
         raise IncompatibleMeasureError(
             "i_concurrence needs the global pure state; the cut must cover all factors"
         )
@@ -332,6 +337,9 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
     points; a death is the symmetric downward crossing.  Crossings that
     follow a run shorter than two points are treated as grazing and ignored,
     which keeps the recorded events alternating.
+
+    A series that never crosses the threshold returns at once; otherwise
+    each step compares an array with itself shifted by one place.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -339,10 +347,13 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
         raise ValueError("grid too coarse for event detection (need >= 3 points)")
     above = series.values >= threshold
     changes = np.flatnonzero(above[1:] != above[:-1]) + 1
-    crossings = changes[np.diff(changes, prepend=0) >= 2]  # the run before has >= 2 points
+    if not changes.size:
+        return SuddenEvents(threshold, (), ())
+    runs = changes - np.concatenate(([0], changes))[:-1]  # the run before each change
+    crossings = changes[runs >= 2]
     # Dropping grazing crossings can leave two of one direction in a row; only
     # the first counts, with the initial state standing before the first crossing.
     rising = above[crossings]
-    kept = np.diff(rising, prepend=above[0])  # on booleans, diff is "not equal"
+    kept = rising != np.concatenate(([above[0]], rising))[:-1]
     births, deaths = crossings[kept & rising], crossings[kept & ~rising]
     return SuddenEvents(threshold, series.times[births], series.times[deaths])

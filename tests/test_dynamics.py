@@ -20,11 +20,12 @@ from ionduo import (
     modulation_integral,
     prepare_initial,
     run_series,
+    run_sweep,
     truncated_coherent,
 )
 from ionduo import dynamics, experiments, ionmodel
 from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature, quadrature_terms
-from ionduo.entanglement import i_concurrence_values
+from ionduo.entanglement import concurrence_from_purity, i_concurrence_values
 from ionduo.ionmodel import (
     CutoffError,
     build_full_hamiltonian,
@@ -876,7 +877,7 @@ class TestExchangeSymmetry:
             phi=phi,
             modulation=modulation,
         )
-        times = tuple([0.0] + sorted(later))
+        times = np.array([0.0] + sorted(later)).tobytes()  # the cache key
         coefficients = {
             keep: experiments._exchange_coefficients.__wrapped__(params, keep, times)
             for keep in experiments._MARGINALS
@@ -925,24 +926,47 @@ class TestExchangeSymmetry:
     @pytest.mark.parametrize("keep", list(experiments._MARGINALS))
     def test_coefficients_stay_within_the_chunk_budget(self, keep):
         params = SimParams(fock_cutoff=27, nbar=5.0, phi=0.3)
-        times = tuple(np.linspace(0.0, 30.0, 601).tolist())  # six chunks of the 9 x 9 marginal
+        times = np.linspace(0.0, 30.0, 601)  # six chunks of the 9 x 9 marginal
         coefficients = experiments._exchange_coefficients.__wrapped__  # uncached
-        coefficients(params, keep, times[:1])  # builds the cached block table
-        (trace, purity), peak = traced_peak(lambda: coefficients(params, keep, times))
+        coefficients(params, keep, times[:1].tobytes())  # builds the cached block table
+        key = times.tobytes()
+        (trace, purity), peak = traced_peak(lambda: coefficients(params, keep, key))
         assert peak <= 16 * dynamics._CHUNK_ENTRIES + trace.nbytes + purity.nbytes
+
+    @pytest.mark.parametrize("fock_cutoff", [4, 8])  # at 4 the field side, N + 1 = 5, is smaller
+    @pytest.mark.parametrize("cut", FULL_CUTS)
+    def test_sweep_matches_fresh_cells_bitwise(self, cut, fock_cutoff, monkeypatch):
+        params = SimParams(fock_cutoff=fock_cutoff, nbar=0.5, epsilon=0.8, phi=0.3)
+        thetas = (0.0, math.pi / 2, math.pi, 2 * math.pi)
+        times = np.linspace(0.0, 12.0, 9)
+        dims = []
+
+        def spy(purity, d):
+            dims.append(d)
+            return concurrence_from_purity(purity, d)
+
+        monkeypatch.setattr(experiments, "concurrence_from_purity", spy)
+        experiments._exchange_coefficients.cache_clear()
+        swept = run_sweep(params, thetas, [0.0], "i_concurrence", cut, times)
+        layout = full_layout(fock_cutoff)
+        assert dims == [min(layout.keep(side).total_dim for side in (cut.side_a, cut.side_b))] * 4
+        for series in swept:
+            experiments._exchange_coefficients.cache_clear()  # a fresh evolution per cell
+            fresh = run_series(series.params, "i_concurrence", cut, times)
+            assert np.array_equal(series.values, fresh.values)  # bit identical
 
     @pytest.mark.parametrize("cut", FULL_CUTS)
     def test_chunk_seams_match_per_cell(self, cut, monkeypatch):
         params = SimParams(fock_cutoff=8, nbar=1.5, epsilon=0.8, theta=0.5, phi=0.3)
-        times = tuple(np.linspace(0.0, 12.0, 7).tolist())
+        times = np.linspace(0.0, 12.0, 7)
         dim = full_layout(8).total_dim
         ions = tuple(sorted(cut.side_b if "field" in cut.side_a else cut.side_a))
         coefficients = experiments._exchange_coefficients.__wrapped__  # uncached
-        whole = coefficients(params, ions, times)
+        whole = coefficients(params, ions, times.tobytes())
         # two times per chunk of the 9 x 9 marginal
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dynamics._row_entries(dim, 9))
         experiments._exchange_coefficients.cache_clear()  # so run_series evolves in chunks
-        chunked = coefficients(params, ions, times)
+        chunked = coefficients(params, ions, times.tobytes())
         for one, other in zip(whole, chunked):
             assert np.abs(one - other).max() <= 1e-15
         shared = run_series(params, "i_concurrence", cut, times).values

@@ -352,6 +352,14 @@ class TestThetaSweep:
             assert np.array_equal(a.values, b.values)  # bit identical
             assert np.array_equal(a.values, c.values)
 
+    def test_seven_thetas_evolve_once(self):
+        params = SimParams(fock_cutoff=6, nbar=1.0)
+        thetas = np.linspace(0.0, math.pi, 7)
+        experiments._exchange_coefficients.cache_clear()
+        run_sweep(params, thetas, [0.0], "i_concurrence", ION_VS_REST, np.linspace(0.0, 2.0, 5))
+        info = experiments._exchange_coefficients.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
+
 
 class TestSuddenEvents:
     def test_all_zero_series_has_no_events(self):
@@ -465,3 +473,34 @@ class TestClaimReports:
         )
         assert isinstance(report["holds"], bool)
         assert report["crossings_large"] >= 0
+
+
+def diff_sudden_events(series, threshold=1e-3):
+    """The np.diff(prepend=) form of detect_sudden_events, which the shifted
+    comparisons replaced, kept as their oracle."""
+    above = series.values >= threshold
+    changes = np.flatnonzero(above[1:] != above[:-1]) + 1
+    crossings = changes[np.diff(changes, prepend=0) >= 2]
+    rising = above[crossings]
+    kept = np.diff(rising, prepend=above[0])
+    births, deaths = crossings[kept & rising], crossings[kept & ~rising]
+    return SuddenEvents(threshold, series.times[births], series.times[deaths])
+
+
+def test_sudden_events_match_the_diff_form():
+    rng = np.random.default_rng(28)
+    for size in range(3, 41):
+        alternating = np.arange(size) % 2 == 0
+        shapes = [np.zeros(size, bool), np.ones(size, bool), alternating, ~alternating]
+        shapes += [rng.random(size) < p for p in (0.1, 0.5, 0.9) for _ in range(4)]
+        shapes += [  # runs of 1-5 points, a run of 1 a blip
+            np.repeat(np.arange(size) % 2 == rng.integers(2), rng.integers(1, 6, size))[:size]
+            for _ in range(8)
+        ]
+        for above in shapes:
+            picks = rng.integers(0, 3, size)
+            values = np.where(
+                above, np.take(AT_OR_ABOVE_THRESHOLD, picks), np.take(BELOW_THRESHOLD, picks)
+            )
+            series = synthetic_series(values)
+            assert detect_sudden_events(series) == diff_sudden_events(series)
