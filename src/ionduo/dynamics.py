@@ -35,9 +35,13 @@ rho(t) is the Gaussian average of the pure state evolved to profile value
 t + xi.  The production channel, ``milburn_quadrature``, takes it with a
 K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
 factors.  At gamma = 0 that is one node of weight 1 under either profile,
-the pure evolution reduced, which every measure reads.  Each node checks
-every row's norm on the real diagonal of its product, tr(kept kept^dag)
-being the squared norm of the row whatever is kept.  Each time chunk
+the pure evolution reduced, which every measure reads.  It yields the real
+coordinates C = Re rho + Im rho of the reduced states, each node's term
+one real product on the float64 views of its kept rows in place of the
+complex kept kept^dag; ``density_from_coordinates`` gives rho back.
+Each node checks every row's norm on the diagonal of its product, which
+is the real diagonal of kept kept^dag, tr(kept kept^dag) being the squared
+norm of the row whatever is kept.  Each time chunk
 takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
 sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
 occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
@@ -248,12 +252,15 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries one time row of a channel chunk holds at most: three
-    states (the kernel's rows, their conjugate and the copy a split into the
-    kept factors may make), the reduced state, a node's product (a rule of
-    one node needs none) and the chunk before, which its reader may still
-    hold, and per block the kernel's 9 template states and its 9 real
-    phases (5 in the table, 4 in the step table), which count half."""
+    """Complex entries counted per time row of a channel chunk, at least what
+    it holds: three states (the kernel's rows, their turned copy (1 - i) kept
+    and the copy a split into the kept factors may make), the reduced state,
+    a node's product (a rule of one node needs none) and the chunk before,
+    which its reader may still hold, and per block the kernel's 9 template
+    states and its 9 real phases (5 in the table, 4 in the step table),
+    which count half.  The reduced states and products are real and take
+    half their count; it stays, so that every chunk edge, and with it each
+    chunk's rule, stays where it is."""
     return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
 
 
@@ -281,17 +288,48 @@ def _hermite_rule(terms: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, vectors[0] ** 2
 
 
+def _coordinates(kept: np.ndarray, turned: np.ndarray, out=None) -> np.ndarray:
+    """The real coordinates C = Re G + Im G of the Grams G = kept kept^dag of
+    a (Tc, d, n) stack of kept rows, by one real product on float64 views:
+    Re((1 - i) G) = Re G + Im G and Re(X Y^dag) = view(X) view(Y)^T, so
+    C = view((1 - i) kept) view(kept)^T.  ``turned`` is a C-contiguous
+    complex buffer of at least Tc rows for (1 - i) kept; a ``kept`` that is
+    not contiguous is copied once for its view."""
+    turned = np.multiply(kept, 1 - 1j, out=turned[: len(kept)])
+    rows = np.ascontiguousarray(kept).view(np.float64)
+    return np.matmul(turned.view(np.float64), rows.swapaxes(1, 2), out=out)
+
+
+def density_from_coordinates(coordinates: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices rho, of real part (C + C^T) / 2 and imaginary
+    part (C - C^T) / 2, whose coordinates Re rho + Im rho are the real
+    (..., d, d) ``coordinates`` C: Hermitian bit for bit, with an imaginary
+    diagonal of exact zeros, as a sum and a difference do not depend on the
+    order of their terms."""
+    transposed = coordinates.swapaxes(-1, -2)
+    rho = np.empty(coordinates.shape, dtype=np.complex128)
+    np.add(coordinates, transposed, out=rho.real)
+    np.subtract(coordinates, transposed, out=rho.imag)
+    rho *= 0.5
+    return rho
+
+
 def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Iterator[np.ndarray]:
     """Intrinsic-decoherence evolution of a pure initial state, reduced to the
     factors in ``keep`` (all of them gives the full state).
 
-    Yields (Tc, d, d) chunks of consecutive ``times``, sized by _CHUNK_ENTRIES,
-    each the certified average sum_k w_k kept_k kept_k^dag, w_k >= 0, of the
-    pure evolutions to t + sqrt(gamma t) x_k: Hermitian and positive by
-    construction, with each node's trace checked to NORM_TOL, so no reader
-    checks a chunk again.  At gamma = 0 it is the one node x = 0 under either
-    profile.  Before anything is evolved, raises UnsupportedRegimeError for
-    gamma > 0 under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
+    Yields real (Tc, d, d) chunks of consecutive ``times``, sized by
+    _CHUNK_ENTRIES: the coordinates C = Re rho + Im rho of the certified
+    average rho = sum_k w_k kept_k kept_k^dag, w_k >= 0, of the pure
+    evolutions to t + sqrt(gamma t) x_k, each node's term one real product
+    (``_coordinates``).  ``density_from_coordinates`` gives rho back; it is
+    Hermitian by construction, and positive as a sum of Grams with
+    nonnegative weights, the real product carrying the Gram's real and
+    imaginary parts to round-off.  Each node's trace, the diagonal of C, is
+    checked to NORM_TOL, so no reader checks a chunk again.  At gamma = 0 it
+    is the one node x = 0 under either profile.  Before anything is evolved,
+    raises UnsupportedRegimeError for gamma > 0 under sech, or if no
+    K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
     if params.gamma > 0 and not isinstance(params.modulation, Constant):
@@ -316,24 +354,21 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     size = min(step, times.size)
     evolved = _evolved_rows(system.frequencies, parts, size)
     # Each chunk starts as its first node's product; later ones pass through this buffer.
-    products = np.empty((size, dim_keep, dim_keep), dtype=np.complex128) if most > 1 else None
-    conjugates = None  # each node's kept^*, laid out as kept, which the first chunk sizes
+    products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None
+    turned = np.empty((size, dim_keep, dim // dim_keep), dtype=np.complex128)
     nodes = weights = np.empty(0)
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
         terms = quadrature_terms(spread[chunk][-1] * width)
         if nodes.size != terms:  # K only grows along the grid, up to most
             nodes, weights = _hermite_rule(terms)
-        rho = product = None  # neither holds the chunk before while this one is made
+        summed = product = None  # neither holds the chunk before while this one is made
         for node, weight in zip(nodes, weights):
             kept = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
-            if conjugates is None:
-                conjugates = np.empty_like(kept)
-            conjugate = np.conjugate(kept, out=conjugates[: len(kept)])
-            out = None if rho is None else products[: len(rho)]
-            product = np.matmul(kept, conjugate.swapaxes(1, 2), out=out)
-            _check_norms(np.einsum("tii->t", product.real))  # each row's squared norm
+            out = None if summed is None else products[: len(summed)]
+            product = _coordinates(kept, turned, out)
+            _check_norms(np.einsum("tii->t", product))  # each row's squared norm
             if terms > 1:  # the one node's weight is 1.0
                 product *= weight
-            rho = product if rho is None else np.add(rho, product, out=rho)
-        yield rho
+            summed = product if summed is None else np.add(summed, product, out=summed)
+        yield summed

@@ -101,7 +101,8 @@ def _cut_tensor(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -
 def negativity_values(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
     """Negativity, the sum of |negative eigenvalues| of the partial transpose
     over side_b, of each density matrix of a (T, d, d) stack on ``layout``,
-    unchecked: milburn_quadrature certifies its chunks, DensityMatrix the rest."""
+    unchecked: milburn_quadrature certifies its chunks, which
+    density_from_coordinates turns into rho, and DensityMatrix the rest."""
     dim = layout.total_dim
     transposed = _cut_tensor(matrices, layout, cut).transpose(0, 1, 4, 3, 2)
     eigenvalues = np.linalg.eigvalsh(transposed.reshape(-1, dim, dim))

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import PureState
-from .dynamics import check_times, milburn_quadrature
+from .dynamics import check_times, density_from_coordinates, milburn_quadrature
 from .entanglement import (
     Bipartition,
     concurrence_from_purity,
@@ -232,9 +232,10 @@ def _part_map(keep: tuple[str, ...], phi: float) -> np.ndarray:
 
 
 def _chunk_coefficients(parts: np.ndarray, g: np.ndarray):
-    """Trace and purity coefficients of one chunk of (Tc, 9, 9) two-ion
-    marginals G, from the ``_part_map`` ``parts`` of their ion side."""
-    flat = ((g.real + g.imag).reshape(len(g), -1) @ parts).reshape(len(g), 3, -1)
+    """Trace and purity coefficients of one chunk of the (Tc, 9, 9)
+    coordinates Re G + Im G of two-ion marginals G, as the channel yields
+    them, from the ``_part_map`` ``parts`` of their ion side."""
+    flat = (g.reshape(len(g), -1) @ parts).reshape(len(g), 3, -1)
     gram = flat @ flat.swapaxes(1, 2)  # tr(part_p part_q), the parts Hermitian
     d = math.isqrt(flat.shape[2])
     return flat[:, :, :: d + 1].sum(axis=2), gram.reshape(-1, 9) @ _ANTIDIAGONALS
@@ -286,7 +287,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
         kept = psi0.layout.keep(cut.labels)
         evaluate = negativity_values if measure == "negativity" else relative_entropy_values
         chunks = milburn_quadrature(psi0, params, times, cut.labels)
-        values = np.concatenate([evaluate(rho, kept, cut) for rho in chunks])
+        values = np.concatenate([evaluate(density_from_coordinates(c), kept, cut) for c in chunks])
     return MeasureSeries(measure, cut, params, times, values)
 
 

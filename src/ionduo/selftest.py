@@ -293,7 +293,8 @@ def _check_channels_vs_closed() -> CheckResult:
     for gamma_t in (0.1, 1.0, 5.0):
         closed = milburn_closed_form(rho0, hamiltonian, gamma_t, 1.0)
         summed, deficit = milburn_kraus(rho0, hamiltonian, gamma_t, 1.0)
-        rho = next(dynamics.milburn_quadrature(psi0, replace(params, gamma=gamma_t), [0, 1], keep))
+        chunks = dynamics.milburn_quadrature(psi0, replace(params, gamma=gamma_t), [0, 1], keep)
+        rho = dynamics.density_from_coordinates(next(chunks))
         block = np.abs(partial_trace(closed, keep).matrix - rho[1]).max()
         worst = max(worst, float(np.abs(closed.matrix - summed.matrix).max()), float(block))
         worst_deficit = max(worst_deficit, deficit)

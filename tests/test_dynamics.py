@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -24,7 +24,12 @@ from ionduo import (
     truncated_coherent,
 )
 from ionduo import dynamics, experiments, ionmodel
-from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature, quadrature_terms
+from ionduo.dynamics import (
+    UnsupportedRegimeError,
+    density_from_coordinates,
+    milburn_quadrature,
+    quadrature_terms,
+)
 from ionduo.entanglement import concurrence_from_purity, i_concurrence_values
 from ionduo.ionmodel import (
     CutoffError,
@@ -494,6 +499,22 @@ def occupied_spread(psi0, params):
     return float(energies.max() - energies.min())
 
 
+def complex_node_sum(psi0, params, times, keep):
+    """Oracle for one channel chunk: sum_k w_k kept_k kept_k^dag in complex
+    arithmetic, over the channel's own kernel rows and Gauss-Hermite rule."""
+    system, parts = dynamics._projected(psi0, params)
+    width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
+    spread = np.sqrt(params.gamma * times)
+    nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
+    evolved = dynamics._evolved_rows(system.frequencies, parts, times.size)
+    theta = modulation_integral(params.modulation, times)
+    rho = 0.0
+    for node, weight in zip(nodes, weights):
+        kept = psi0.layout.split(evolved(theta + node * spread), keep)
+        rho = rho + weight * (kept @ kept.conj().swapaxes(1, 2))
+    return rho
+
+
 def traced_peak(run):
     """What run() returns and the peak of the memory it allocated, by tracemalloc."""
     tracemalloc.start()
@@ -542,7 +563,7 @@ class TestMilburnReduced:
                 next(milburn_quadrature(psi0, params, times, cut.labels))
             return
         chunks = list(milburn_quadrature(psi0, params, times, cut.labels))
-        reduced = np.concatenate(chunks)
+        reduced = density_from_coordinates(np.concatenate(chunks))
         assert reduced.shape[0] == len(times)
         worst = max(
             float(np.abs(rho - dense_reduced(psi0, params, t, cut.labels)).max())
@@ -624,7 +645,7 @@ class TestMilburnReduced:
         keep = ("ion1", "ion2")
         (reduced,) = milburn_quadrature(psi0, params, times, keep)
         kept = psi0.layout.split(evolve_pure(psi0, params, times), keep)
-        assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
+        assert np.array_equal(reduced, dynamics._coordinates(kept, np.empty(kept.shape, complex)))
 
     @pytest.mark.parametrize("cut", CUT_SHAPES)
     def test_gamma_zero_on_an_equal_grid_is_the_reduced_pure_evolution(self, cut):
@@ -634,7 +655,43 @@ class TestMilburnReduced:
         assert dynamics._grid_step(times, None) is not None  # both take the angle-addition table
         (reduced,) = milburn_quadrature(psi0, params, times, cut.labels)
         kept = psi0.layout.split(evolve_pure(psi0, params, times), cut.labels)
-        assert np.array_equal(reduced, kept @ kept.conj().swapaxes(1, 2))
+        assert np.array_equal(reduced, dynamics._coordinates(kept, np.empty(kept.shape, complex)))
+
+    @pytest.mark.parametrize("gamma_is_zero", [True, False], ids=["gamma0", "gamma"])
+    @pytest.mark.parametrize("cut", CUT_SHAPES)
+    @settings(max_examples=15, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        gamma=st.floats(0.001, 0.5),
+        lambda1=couplings,
+        lambda2=couplings,
+        theta=st.floats(0.0, 2 * math.pi),
+        phi=st.floats(0.0, math.pi),
+        later=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=4, unique=True),
+    )
+    def test_coordinates_give_back_the_complex_node_sum(
+        self, cut, gamma_is_zero, fock_cutoff, nbar, gamma, lambda1, lambda2, theta, phi, later
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            gamma=0.0 if gamma_is_zero else gamma,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            theta=theta,
+            phi=phi,
+        )
+        psi0 = ion_state(fock_cutoff, nbar, theta, phi)
+        times = np.array([0.0] + sorted(later))
+        try:
+            (chunk,) = milburn_quadrature(psi0, params, times, cut.labels)
+        except UnsupportedRegimeError:  # no certified rule: refused, not approximated
+            reject()
+        assert chunk.dtype == np.float64
+        rho = density_from_coordinates(chunk)
+        assert np.array_equal(rho, rho.conj().swapaxes(1, 2))  # Hermitian bit for bit
+        assert np.abs(rho - complex_node_sum(psi0, params, times, cut.labels)).max() <= 1e-14
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_each_rule_is_built_once(self, gamma, monkeypatch):
@@ -703,8 +760,10 @@ class TestEqualStepTable:
         with pytest.MonkeyPatch.context() as patch:  # chunks of `rows` times
             entries = rows * dynamics._row_entries(dim, psi0.layout.keep(keep).total_dim)
             patch.setattr(dynamics, "_CHUNK_ENTRIES", entries)
-            channel = channel_run(psi0, params, times, keep)
-            direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+            channel = density_from_coordinates(channel_run(psi0, params, times, keep))
+            direct = density_from_coordinates(
+                direct_table(lambda: channel_run(psi0, params, times, keep))
+            )
         pure = evolve_pure(psi0, params, times)
         dense = evolve_pure_dense(psi0, params, times)
         kept = psi0.layout.split(dense, keep)
@@ -912,14 +971,15 @@ class TestExchangeSymmetry:
         )
         psi0 = prepare_initial(0.0, 0.0, truncated_coherent(nbar, fock_cutoff))
         times = [0.0] + sorted(later)
-        (g,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
+        (coordinates,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
+        g = density_from_coordinates(coordinates)
         for keep in experiments._MARGINALS:
             parts = experiments._part_map(keep, phi)
-            fast = experiments._chunk_coefficients(parts, g)
+            fast = experiments._chunk_coefficients(parts, coordinates)
             for one, other in zip(fast, einsum_chunk_coefficients(keep, phi, g)):
                 assert np.abs(one - other).max() <= 1e-14
             # The coefficients are even in phi; the parts pin the phase's sign.
-            mapped = (g.real + g.imag).reshape(len(g), -1) @ parts  # coordinates Re + Im
+            mapped = coordinates.reshape(len(g), -1) @ parts  # coordinates Re + Im
             reference = einsum_parts(keep, phi, g).reshape(len(g), -1)
             assert np.abs(mapped - (reference.real + reference.imag)).max() <= 1e-14
 

@@ -20,7 +20,7 @@ from ionduo import (
 )
 from ionduo import SimParams
 from ionduo.core import spectral_entropy
-from ionduo.dynamics import UnsupportedRegimeError, milburn_quadrature
+from ionduo.dynamics import UnsupportedRegimeError, density_from_coordinates, milburn_quadrature
 from ionduo.entanglement import (
     concurrence_from_purity,
     i_concurrence_values,
@@ -329,7 +329,8 @@ class TestBatchedMeasures:
         params = SimParams(fock_cutoff=4, nbar=1.0, gamma=gamma, epsilon=0.8, theta=0.6, phi=0.4)
         psi0 = prepare_initial(params.theta, params.phi, truncated_coherent(1.0, 4))
         layout = psi0.layout.keep(cut.labels)
-        (chunk,) = milburn_quadrature(psi0, params, np.linspace(0.0, 20.0, 9), cut.labels)
+        (coordinates,) = milburn_quadrature(psi0, params, np.linspace(0.0, 20.0, 9), cut.labels)
+        chunk = density_from_coordinates(coordinates)
         expected = [per_row(DensityMatrix(layout, rho), cut) for rho in chunk]
         assert np.abs(batched(chunk, layout, cut) - expected).max() <= 1e-12
 
@@ -390,5 +391,5 @@ class TestBatchedMeasures:
         except UnsupportedRegimeError:  # no certified rule: refused, not approximated
             reject()
         assert sum(len(chunk) for chunk in chunks) == len(times)
-        for rho in np.concatenate(chunks):
+        for rho in density_from_coordinates(np.concatenate(chunks)):
             DensityMatrix(layout, rho)
