@@ -99,9 +99,6 @@ class PureState:
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -17,9 +17,10 @@ nine-state template at once, from the initial state gathered onto it; the
 gather leaves out exactly the blocks truncated by the cutoff ceiling, and
 weight there is refused.  On a chunk of equal steps theta_0 + j dt, as an
 equal time grid gives at constant coupling and gamma = 0, the table comes
-by angle addition from the chunk start and a step table made once per
-call; any other chunk (sech, the gamma > 0 nodes off the centre of the
-rule, unequal grids, one time) takes np.cos and np.sin of w theta.
+by angle addition, one small matmul of each block's 4 x 4 turn by
+w theta_0 and a real step table of w j dt made once per dt; any other chunk
+(sech, the gamma > 0 nodes off the centre of the rule, unequal grids, one
+time) takes np.cos and np.sin of w theta.
 ``evolve_pure`` returns an evolution over a time grid as one read-only
 (T, dim) array whose row i is the state at times[i]; it is an oracle, and
 production reads the pure states through the channel below, in time chunks.
@@ -133,14 +134,6 @@ def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndar
     return system, np.einsum("ijkl,il->ikj", system.projectors, a0)
 
 
-def _row_norm_sq(states: np.ndarray) -> np.ndarray:
-    """Squared norm of each row, read through real and imaginary views so
-    that no temporary of the array's size is made."""
-    return np.einsum("ij,ij->i", states.real, states.real) + np.einsum(
-        "ij,ij->i", states.imag, states.imag
-    )
-
-
 def _check_norms(norm_sq: np.ndarray) -> None:
     drift = float(np.abs(norm_sq - 1.0).max())
     if not drift <= NORM_TOL:
@@ -148,7 +141,10 @@ def _check_norms(norm_sq: np.ndarray) -> None:
 
 
 def _checked_states(states: np.ndarray) -> np.ndarray:
-    _check_norms(_row_norm_sq(states))
+    """Contiguous complex rows ``states``, made read-only once each row's squared
+    norm, read through their float64 view with no temporary, is checked."""
+    rows = states.view(np.float64)
+    _check_norms(np.einsum("ij,ij->i", rows, rows))
     states.flags.writeable = False
     return states
 
@@ -173,23 +169,41 @@ def _grid_step(theta: np.ndarray, known: float | None) -> float | None:
     return None
 
 
+def _grid_steps(theta: np.ndarray, size: int) -> list:
+    """``_grid_step`` of each chunk theta[i:i + size] in turn, knowing the last
+    step found.  A step found is tried on every later full chunk at once, so
+    _grid_step runs only on the chunks it does not fit and a shorter last one."""
+    full = theta[: theta.size // size * size].reshape(-1, size)
+    bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(full).max(axis=1)
+    ramp, fits = np.arange(size), np.zeros(len(full) + 1, dtype=bool)  # and a shorter last one
+    steps, known = [], None
+    for i, start in enumerate(range(0, theta.size, size)):
+        dt = known if fits[i] else _grid_step(theta[start : start + size], known)
+        if dt is not None and dt != known:
+            known, rest = dt, full[i:]
+            fits[i : len(full)] = np.abs(rest - (rest[:, :1] + ramp * dt)).max(axis=1) <= bound[i:]
+        steps.append(dt)
+    return steps
+
+
 def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
-    """The function from up to ``size`` profile values theta to the unchecked
-    (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from the
-    blocks' (Omega, omega) ``frequencies`` and their ``_projected`` parts U.
+    """The function from up to ``size`` profile values theta and their step
+    dt (``_grid_step``) to the unchecked (len(theta), 9 F) rows of the states
+    sum_j exp(-i w_j theta) U_j, from the blocks' (Omega, omega)
+    ``frequencies`` and their ``_projected`` parts U.
 
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
     -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega); V is split
     here into its real and imaginary part.
 
-    A call whose theta is equal-step (``_grid_step``) takes the cosines and
-    sines by angle addition, as exp(i w theta_0) exp(i w j dt): four
-    products and two sums per value, from np.cos and np.sin of w theta_0 and
-    a step table of exp(i w j dt) that np.cos and np.sin make when a call
-    first needs its dt.  Every other call takes np.cos and np.sin of
-    w theta.  Each call writes into buffers allocated here, so it
-    overwrites the rows the call before returned.
+    Values theta_0 + j dt take their cosines and sines by angle addition, as
+    one small matmul: each block's 4 x 4 turn by its angles w theta_0 times a
+    real step table of the cos and sin of w j dt, which np.cos and np.sin
+    make when a call first needs its dt.  A dt of None takes np.cos and np.sin
+    of w theta.  Each call overwrites the rows the call before returned.  Also
+    returns the complex buffer of size x 9 F entries that holds the blocks'
+    states in a call, free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
@@ -197,32 +211,29 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     blocks = len(frequencies)
     table = np.empty((blocks, 5, size))
     table[:, 0] = 1.0
-    steps = np.empty((blocks, 2, size), dtype=np.complex128)  # exp(i w j dt), dt = steps_dt
-    steps_dt = None
+    steps, steps_dt = np.empty((blocks, 4, size)), None  # cos and sin of w j dt, at steps_dt
+    turn = np.zeros((blocks, 4, 4))  # [[cos, -sin], [sin, cos]] of w theta_0, in 2 x 2 diagonals
     states = np.empty((blocks, 9, size), dtype=np.complex128)
     out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
 
-    def evolved(theta: np.ndarray) -> np.ndarray:
+    def evolved(theta: np.ndarray, dt: float | None) -> np.ndarray:
         nonlocal steps_dt
         phases, block_states = table[:, :, : theta.size], states[:, :, : theta.size]
-        cos, sin = phases[:, 1:3], phases[:, 3:]
-        dt = _grid_step(theta, steps_dt)
         if dt is None:
+            cos, sin = phases[:, 1:3], phases[:, 3:]
             np.multiply(frequencies[:, :, None], theta, out=sin)
             np.cos(sin, out=cos)
             np.sin(sin, out=sin)
         else:
             if dt != steps_dt:
-                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps.imag)
-                np.cos(steps.imag, out=steps.real)
-                np.sin(steps.imag, out=steps.imag)
+                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 2:])
+                np.cos(steps[:, 2:], out=steps[:, :2])
+                np.sin(steps[:, 2:], out=steps[:, 2:])
                 steps_dt = dt
-            angle = frequencies[:, :, None] * theta[0]
-            start = np.cos(angle) + 1j * np.sin(angle)
-            # exp(i w theta_0) exp(i w j dt), in the states that the products below overwrite
-            turned = np.multiply(start, steps[:, :, : theta.size], out=block_states[:, :2])
-            np.copyto(cos, turned.real)
-            np.copyto(sin, turned.imag)
+            angle = frequencies * theta[0]
+            cos, sin = np.cos(angle), np.sin(angle)
+            turn.reshape(-1, 16)[:, [0, 5, 10, 15, 2, 7, 8, 13]] = np.hstack([cos, cos, -sin, sin])
+            np.matmul(turn, steps[:, :, : theta.size], out=phases[:, 1:])
         np.matmul(real, phases, out=block_states.real)
         np.matmul(imag, phases, out=block_states.imag)
         rows = out[: theta.size]
@@ -231,7 +242,7 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
             grid[:, k, : blocks - skip] = block_states[skip:, k].T
         return rows
 
-    return evolved
+    return evolved, states
 
 
 def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
@@ -248,19 +259,21 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
     system, parts = _projected(psi0, params)
-    return _checked_states(_evolved_rows(system.frequencies, parts, theta.size)(theta))
+    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size)
+    return _checked_states(evolved(theta, _grid_step(theta, None)))
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries counted per time row of a channel chunk, at least what
-    it holds: three states (the kernel's rows, their turned copy (1 - i) kept
-    and the copy a split into the kept factors may make), the reduced state,
-    a node's product (a rule of one node needs none) and the chunk before,
-    which its reader may still hold, and per block the kernel's 9 template
-    states and its 9 real phases (5 in the table, 4 in the step table),
-    which count half.  The reduced states and products are real and take
-    half their count; it stays, so that every chunk edge, and with it each
-    chunk's rule, stays where it is."""
+    """Complex entries counted per time row of a kernel chunk, at least what
+    it holds: three states (the kernel's rows, the copy a split into the kept
+    factors may make and a third), three real reduced states (the chunk's, a
+    node's product and the yield before, which its reader may still hold) and
+    per block the kernel's 9 template states, which hold the turned copy
+    (1 - i) kept between calls, and its 9 real phases (5 in the table, 4 in
+    the step table), which count half.  A one-node rule makes no product, and
+    its third state, with the split's copy where the split is a reshape,
+    holds more chunks' reduced states in one yield, counted at 3 d^2 a row.
+    The count stays, so every chunk edge and each chunk's rule stays put."""
     return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
 
 
@@ -319,16 +332,18 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     factors in ``keep`` (all of them gives the full state).
 
     Yields real (Tc, d, d) chunks of consecutive ``times``, sized by
-    _CHUNK_ENTRIES: the coordinates C = Re rho + Im rho of the certified
-    average rho = sum_k w_k kept_k kept_k^dag, w_k >= 0, of the pure
-    evolutions to t + sqrt(gamma t) x_k, each node's term one real product
-    (``_coordinates``).  ``density_from_coordinates`` gives rho back; it is
-    Hermitian by construction, and positive as a sum of Grams with
+    _CHUNK_ENTRIES (``_row_entries``): the coordinates C = Re rho + Im rho of
+    the certified average rho = sum_k w_k kept_k kept_k^dag, w_k >= 0, of the
+    pure evolutions to t + sqrt(gamma t) x_k, each node's term one real
+    product (``_coordinates``).  ``density_from_coordinates`` gives rho back;
+    it is Hermitian by construction, and positive as a sum of Grams with
     nonnegative weights, the real product carrying the Gram's real and
     imaginary parts to round-off.  Each node's trace, the diagonal of C, is
     checked to NORM_TOL, so no reader checks a chunk again.  At gamma = 0 it
-    is the one node x = 0 under either profile.  Before anything is evolved,
-    raises UnsupportedRegimeError for gamma > 0 under sech, or if no
+    is the one node x = 0 under either profile; then every kernel chunk's
+    step is planned at once, a yield may hold several kernel chunks and its
+    traces are checked at once.  Before anything is evolved, raises
+    UnsupportedRegimeError for gamma > 0 under sech, or if no
     K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
@@ -348,27 +363,39 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             f"with occupied energy spread w = {width:.6g}; shorten the time grid or lower gamma"
         )
     theta = modulation_integral(params.modulation, times)
-    dim = psi0.layout.total_dim
-    dim_keep = psi0.layout.keep(keep).total_dim
+    dim, kept = psi0.layout.total_dim, psi0.layout.keep(keep)
+    dim_keep = kept.total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
     size = min(step, times.size)
-    evolved = _evolved_rows(system.frequencies, parts, size)
-    # Each chunk starts as its first node's product; later ones pass through this buffer.
-    products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None
-    turned = np.empty((size, dim_keep, dim // dim_keep), dtype=np.complex128)
+    evolved, states = _evolved_rows(system.frequencies, parts, size)
+    turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
+    leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split is a reshape
+    shape, group = (-1, dim_keep, dim // dim_keep), step  # group: the rows of a yield
+    if most == 1:  # one node x = 0, so every chunk's values are theta's: their steps are planned
+        plan = _grid_steps(theta, step)
+        group *= 1 + (1 + leading) * dim // (3 * dim_keep * dim_keep)  # see _row_entries
+    products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
     nodes = weights = np.empty(0)
-    for start in range(0, times.size, step):
-        chunk = slice(start, start + step)
-        terms = quadrature_terms(spread[chunk][-1] * width)
-        if nodes.size != terms:  # K only grows along the grid, up to most
-            nodes, weights = _hermite_rule(terms)
-        summed = product = None  # neither holds the chunk before while this one is made
-        for node, weight in zip(nodes, weights):
-            kept = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
-            out = None if summed is None else products[: len(summed)]
-            product = _coordinates(kept, turned, out)
-            _check_norms(np.einsum("tii->t", product))  # each row's squared norm
-            if terms > 1:  # the one node's weight is 1.0
-                product *= weight
-            summed = product if summed is None else np.add(summed, product, out=summed)
+    known = None
+    for first in range(0, times.size, group):
+        summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
+        for start in range(first, first + len(summed), step):
+            chunk, into = slice(start, start + step), summed[start - first : start - first + step]
+            terms = 1 if most == 1 else quadrature_terms(spread[chunk][-1] * width)
+            if nodes.size != terms:  # K only grows along the grid, up to most
+                nodes, weights = _hermite_rule(terms)
+            for k, (node, weight) in enumerate(zip(nodes, weights)):
+                values = theta[chunk] + node * spread[chunk]
+                dt = plan[start // step] if most == 1 else _grid_step(values, known)
+                known = known if dt is None else dt
+                rows = evolved(values, dt)
+                split = rows.reshape(shape) if leading else psi0.layout.split(rows, keep)
+                product = _coordinates(split, turned, products[: len(into)] if k else into)
+                if terms > 1:  # each node's rows' squared norms; the one node's weight is 1.0
+                    _check_norms(np.einsum("tii->t", product))
+                    product *= weight
+                if k:
+                    into += product
+        if terms == 1:  # those of every chunk of the yield at once
+            _check_norms(np.einsum("tii->t", summed))
         yield summed

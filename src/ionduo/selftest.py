@@ -4,11 +4,11 @@ executes.  No production module imports it; the CLI loads it only for the
 ``selftest`` command.
 
 It holds the oracles that the checks and the test suite compare production
-against: the partial trace of a dense density matrix, the block index of
-every basis state, dense propagation by one eigendecomposition of the full
-Hamiltonian, the closed-form solution of the intrinsic-decoherence master
-equation and its truncated Kraus-operator sum.  All but the first two are
-defined for time-independent coupling only.
+against: the projector of a pure state, the partial trace of a dense density
+matrix, the block index of every basis state, dense propagation by one
+eigendecomposition of the full Hamiltonian, the closed-form solution of the
+intrinsic-decoherence master equation and its truncated Kraus-operator sum.
+All but the first three are defined for time-independent coupling only.
 
 Hard checks compare independent computation routes (block against dense
 propagation, block spectra against the closed-form bright/dark spectrum, the
@@ -36,6 +36,11 @@ from .experiments import ION_VS_ION, ION_VS_REST, detect_sudden_events, run_seri
 from .params import Sech, SimParams
 
 KRAUS_DEFICIT_TARGET = 1e-10
+
+
+def pure_density(psi: PureState) -> DensityMatrix:
+    """The projector |psi><psi| of a pure state, checked as a density matrix."""
+    return DensityMatrix(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -285,7 +290,7 @@ def _check_channels_vs_closed() -> CheckResult:
     params = SimParams(fock_cutoff=8, nbar=2.0, theta=math.pi / 4)
     field = experiments.truncated_coherent(params.nbar, params.fock_cutoff)
     psi0 = experiments.prepare_initial(params.theta, params.phi, field)
-    rho0 = psi0.to_density()
+    rho0 = pure_density(psi0)
     hamiltonian = ionmodel.build_full_hamiltonian(params)
     keep = experiments.ION_VS_ION.labels
     worst = 0.0

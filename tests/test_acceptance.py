@@ -30,6 +30,7 @@ from ionduo.selftest import (
     milburn_closed_form,
     milburn_kraus,
     partial_trace,
+    pure_density,
     report_gamma_monotonicity,
     report_nbar_smoothing,
     report_sech_birth_delay,
@@ -66,7 +67,7 @@ def test_criterion_1_block_dense_oracle_equivalence():
 
 def test_criterion_2_milburn_consistency():
     params = SimParams(fock_cutoff=8, nbar=2.0, theta=math.pi / 4)
-    rho0 = ion_initial(8, 2.0, math.pi / 4).to_density()
+    rho0 = pure_density(ion_initial(8, 2.0, math.pi / 4))
     hamiltonian = build_full_hamiltonian(params)
     worst_dev = 0.0
     worst_deficit = 0.0
@@ -126,7 +127,7 @@ def test_criterion_4_modulation_integral():
 
 def test_criterion_5_channel_sanity():
     params = SimParams(fock_cutoff=8, nbar=2.0, theta=math.pi / 4)
-    rho0 = ion_initial(8, 2.0, math.pi / 4).to_density()
+    rho0 = pure_density(ion_initial(8, 2.0, math.pi / 4))
     hamiltonian = build_full_hamiltonian(params)
     spectrum = hermitian_spectrum(hamiltonian)
     gaps = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
@@ -156,7 +157,7 @@ def test_criterion_6_pure_state_identity_and_measure_agreement():
     times = np.linspace(0.0, 30.0, 10)
     worst = 0.0
     for amplitudes in evolve_pure(psi0, params, times):
-        rho = PureState(psi0.layout, amplitudes).to_density()
+        rho = pure_density(PureState(psi0.layout, amplitudes))
         measured = relative_entropy_measure(rho, ION_VS_REST)
         marginal = partial_trace(rho, {"ion2", "field"}).matrix
         expected = 2.0 * spectral_entropy(np.linalg.eigvalsh(marginal))

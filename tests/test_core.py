@@ -6,7 +6,7 @@ import pytest
 
 from ionduo import DensityMatrix, HilbertLayout, PureState, hermitian_spectrum
 from ionduo.core import spectral_entropy
-from ionduo.selftest import partial_trace
+from ionduo.selftest import partial_trace, pure_density
 
 LAYOUT_334 = HilbertLayout((("A", 3), ("B", 3), ("C", 4)))
 LAYOUT_25 = HilbertLayout((("P", 2), ("Q", 5)))
@@ -116,7 +116,7 @@ class TestPartialTrace:
         for flat, (k, t) in enumerate(pairs):
             amplitudes[k, t] = psi.amplitudes[flat]
         direct = amplitudes @ amplitudes.conj().T
-        assert np.abs(direct - partial_trace(psi.to_density(), labels).matrix).max() <= 1e-12
+        assert np.abs(direct - partial_trace(pure_density(psi), labels).matrix).max() <= 1e-12
 
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
@@ -130,7 +130,7 @@ class TestPartialTrace:
         layout = HilbertLayout((("A", 2), ("B", 2)))
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / math.sqrt(2)
-        reduced = partial_trace(PureState(layout, bell).to_density(), {"A"})
+        reduced = partial_trace(pure_density(PureState(layout, bell)), {"A"})
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_matches_index_summation_oracle(self, rng):
@@ -145,7 +145,7 @@ class TestPartialTrace:
                         oracle[j * 3 + k, jp * 3 + kp] = sum(
                             tensor[j, k, m] * np.conj(tensor[jp, kp, m]) for m in range(4)
                         )
-        reduced = partial_trace(psi.to_density(), {"A", "B"})
+        reduced = partial_trace(pure_density(psi), {"A", "B"})
         assert np.abs(reduced.matrix - oracle).max() <= 1e-12
 
     def test_discard_order_commutes(self, rng):
@@ -157,7 +157,7 @@ class TestPartialTrace:
     def test_every_single_factor_reduction_is_valid(self, rng):
         psi = random_pure(rng, LAYOUT_334)
         for label in LAYOUT_334.labels:
-            reduced = partial_trace(psi.to_density(), {label})
+            reduced = partial_trace(pure_density(psi), {label})
             assert isinstance(reduced, DensityMatrix)  # invariants checked on construction
             assert reduced.layout.labels == (label,)
 
@@ -207,7 +207,7 @@ class TestEntropy:
     def test_pure_projector_is_zero(self):
         layout = HilbertLayout((("A", 3),))
         psi = PureState(layout, np.array([1.0, 0.0, 0.0], dtype=complex))
-        assert abs(spectral_entropy(np.linalg.eigvalsh(psi.to_density().matrix))) <= 1e-12
+        assert abs(spectral_entropy(np.linalg.eigvalsh(pure_density(psi).matrix))) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
         layout = HilbertLayout((("A", 2),))

@@ -44,6 +44,7 @@ from ionduo.selftest import (
     milburn_closed_form,
     milburn_kraus,
     partial_trace,
+    pure_density,
 )
 
 
@@ -339,7 +340,7 @@ class TestMilburnKraus:
 class TestEvolveMilburn:
     def test_kraus_grid_matches_closed_grid(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.3)
-        rho0 = ion_state(8, 1.0).to_density()
+        rho0 = pure_density(ion_state(8, 1.0))
         hamiltonian = build_full_hamiltonian(params)
         worst = 0.0
         for t in (0.0, 1.0, 3.0):
@@ -354,7 +355,7 @@ class TestEvolveMilburn:
         times = [0.0, 1.5, 4.0]
         hamiltonian = build_full_hamiltonian(params)
         for t, psi in zip(times, evolve_pure(psi0, params, times)):
-            rho = milburn_closed_form(psi0.to_density(), hamiltonian, 0.0, t)
+            rho = milburn_closed_form(pure_density(psi0), hamiltonian, 0.0, t)
             projector = np.outer(psi, psi.conj())
             assert np.abs(rho.matrix - projector).max() <= 1e-10
 
@@ -481,7 +482,7 @@ class TestCeilingCheck:
 
 def dense_reduced(psi0, params, t, keep):
     """Oracle: the dense closed form on the full space, then the partial trace."""
-    rho = milburn_closed_form(psi0.to_density(), build_full_hamiltonian(params), params.gamma, t)
+    rho = milburn_closed_form(pure_density(psi0), build_full_hamiltonian(params), params.gamma, t)
     return rho.matrix if set(keep) == set(rho.layout.labels) else partial_trace(rho, keep).matrix
 
 
@@ -506,11 +507,12 @@ def complex_node_sum(psi0, params, times, keep):
     width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
-    evolved = dynamics._evolved_rows(system.frequencies, parts, times.size)
+    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size)
     theta = modulation_integral(params.modulation, times)
     rho = 0.0
     for node, weight in zip(nodes, weights):
-        kept = psi0.layout.split(evolved(theta + node * spread), keep)
+        values = theta + node * spread
+        kept = psi0.layout.split(evolved(values, dynamics._grid_step(values, None)), keep)
         rho = rho + weight * (kept @ kept.conj().swapaxes(1, 2))
     return rho
 
@@ -597,8 +599,34 @@ class TestMilburnReduced:
         times = np.linspace(0.0, 30.0, 3 * step + 1)  # three full chunks and a one-row chunk
         list(milburn_quadrature(psi0, params, times[:1], keep))  # builds the cached block table
         chunks, peak = traced_peak(lambda: list(milburn_quadrature(psi0, params, times, keep)))
-        assert [len(chunk) for chunk in chunks] == [step] * 3 + [1]
+        # At gamma = 0 with both ions kept, one yield gathers the three full kernel chunks.
+        grouped = gamma == 0 and keep == ("ion1", "ion2")
+        assert [len(chunk) for chunk in chunks] == ([3 * step, 1] if grouped else [step] * 3 + [1])
         assert peak <= 16 * dynamics._CHUNK_ENTRIES + sum(chunk.nbytes for chunk in chunks)
+
+    @pytest.mark.parametrize("cut", CUT_SHAPES)
+    def test_grouped_yields_are_the_kernel_chunks_bit_for_bit(self, cut, monkeypatch):
+        params = SimParams(fock_cutoff=16, nbar=1.5, epsilon=0.8, theta=0.5, phi=0.3)
+        psi0, keep = ion_state(16, 1.5, 0.5, 0.3), cut.labels
+        dim, dim_keep = psi0.layout.total_dim, psi0.layout.keep(keep).total_dim
+        times = np.linspace(0.0, 12.0, 22)
+        times[9] += 1e-9  # one kernel chunk off its equal steps
+        # kernel chunks of three times, and a one-time last one
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 3 * dynamics._row_entries(dim, dim_keep))
+        chunks = list(milburn_quadrature(psi0, params, times, keep))
+        # only the 9 x 9 two-ion state is small enough beside dim 153 to group
+        lengths = [6, 6, 6, 4] if dim_keep == 9 else [3] * 7 + [1]
+        assert [len(chunk) for chunk in chunks] == lengths
+        # Oracle: one kernel chunk at a time, each with _grid_step's step for it.
+        system, parts = dynamics._projected(psi0, params)
+        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3)
+        steps = chunkwise_steps(times, 3)
+        assert steps.count(None) == 2  # the nudged chunk and the one-time last chunk
+        alone = []
+        for i, start in enumerate(range(0, times.size, 3)):
+            kept = psi0.layout.split(evolved(times[start : start + 3], steps[i]), keep)
+            alone.append(dynamics._coordinates(kept, np.empty(kept.shape, complex)))
+        assert np.array_equal(np.concatenate(chunks), np.concatenate(alone))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     def test_norm_drift_rejected(self, gamma, monkeypatch):
@@ -711,6 +739,60 @@ class TestMilburnReduced:
         assert len(chunks) == 7
         assert built == sorted(set(built))  # each K once, as K grows along the grid
         assert built == [1] if gamma == 0 else len(built) > 1
+
+
+def chunkwise_steps(theta, size):
+    """Oracle for dynamics._grid_steps: _grid_step on each chunk in turn,
+    knowing the last step found before it."""
+    steps, known = [], None
+    for start in range(0, theta.size, size):
+        dt = dynamics._grid_step(theta[start : start + size], known)
+        known = known if dt is None else dt
+        steps.append(dt)
+    return steps
+
+
+@st.composite
+def profile_grids(draw):
+    """Strictly increasing profile grids from 0: equal steps, one point
+    nudged by units of eps |theta| on either side of the 4-unit bound, two
+    runs of different steps, or unequal steps."""
+    count = draw(st.integers(1, 300))
+    theta = np.linspace(0.0, draw(st.floats(1.0, 3000.0)), count)
+    kind = draw(st.sampled_from(["equal", "nudged", "two steps", "unequal"]))
+    if kind == "nudged" and count > 2:
+        at = draw(st.integers(1, count - 2))
+        theta[at] += draw(st.sampled_from([1, 2, 3, 5, 8])) * np.finfo(float).eps * theta[at]
+    elif kind == "two steps" and count > 2:
+        at = draw(st.integers(1, count - 2))
+        theta[at:] = theta[at] + (theta[at:] - theta[at]) * draw(st.floats(0.5, 2.0))
+    elif kind == "unequal":
+        gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=count - 1, max_size=count - 1))
+        theta = np.concatenate([[0.0], np.cumsum(gaps)])
+    return theta
+
+
+class TestStepPlan:
+    """The per-pass plan of each kernel chunk's step against _grid_step chunk by chunk."""
+
+    @settings(max_examples=200, **FAIL_FAST)
+    @given(theta=profile_grids(), size=st.integers(1, 40))
+    def test_matches_grid_step_chunk_by_chunk(self, theta, size):
+        assert dynamics._grid_steps(theta, size) == chunkwise_steps(theta, size)
+
+    def test_a_one_time_last_chunk_has_no_step(self):
+        theta = np.linspace(0.0, 30.0, 61)
+        steps = dynamics._grid_steps(theta, 4)
+        assert steps[:-1] == [steps[0]] * 15 and steps[0] is not None and steps[-1] is None
+
+    def test_the_direct_table_plans_no_step(self, monkeypatch):
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
+        times, keep = np.linspace(0.0, 30.0, 61), ("ion1", "ion2")
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
+        assert direct_table(lambda: dynamics._grid_steps(times, 10)) == [None] * 7
+        channel = channel_run(psi0, params, times, keep)
+        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+        assert 0 < np.abs(channel - direct).max() <= 1e-12
 
 
 def direct_table(run):

@@ -27,7 +27,7 @@ from ionduo.entanglement import (
     negativity_values,
     relative_entropy_values,
 )
-from ionduo.selftest import partial_trace
+from ionduo.selftest import partial_trace, pure_density
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
 QUTRIT_PAIR = HilbertLayout((("A", 3), ("B", 3)))
@@ -150,7 +150,7 @@ class TestIConcurrence:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         for cut in (Bipartition(("B",), ("A", "C")), Bipartition(("A", "C"), ("B",))):
             marginals = [
-                partial_trace(PureState(layout, row).to_density(), cut.side_a).matrix
+                partial_trace(pure_density(PureState(layout, row)), cut.side_a).matrix
                 for row in rows
             ]
             expected = [math.sqrt(2.0 * (1.0 - np.vdot(m, m).real)) for m in marginals]
@@ -188,13 +188,13 @@ class TestNegativity:
 
     def test_bell_projector_in_qutrits(self):
         # partial-transpose eigenvalues +-1/2 from the 2x2 coherence block
-        rho = bell_pair(QUTRIT_PAIR).to_density()
+        rho = pure_density(bell_pair(QUTRIT_PAIR))
         assert negativity(rho, CUT_AB) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_entangled_qutrits(self):
         amps = np.zeros(9, dtype=complex)
         amps[[0, 4, 8]] = 1 / math.sqrt(3)
-        rho = PureState(QUTRIT_PAIR, amps).to_density()
+        rho = pure_density(PureState(QUTRIT_PAIR, amps))
         assert negativity(rho, CUT_AB) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_on_separable_mixtures(self, rng):
@@ -266,12 +266,12 @@ class TestRelativeEntropyMeasure:
         layout = HilbertLayout((("A", 3), ("B", 4)))
         vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         psi = PureState(layout, vec / np.linalg.norm(vec))
-        rho = psi.to_density()
+        rho = pure_density(psi)
         expected = 2.0 * spectral_entropy(np.linalg.eigvalsh(partial_trace(rho, {"B"}).matrix))
         assert relative_entropy_measure(rho, CUT_AB) == pytest.approx(expected, abs=1e-9)
 
     def test_bell_projector(self):
-        rho = bell_pair().to_density()
+        rho = pure_density(bell_pair())
         assert relative_entropy_measure(rho, CUT_AB) == pytest.approx(
             2 * math.log(2), abs=1e-12
         )
@@ -292,7 +292,7 @@ class TestRelativeEntropyMeasure:
         field = truncated_coherent(1.0, 8)
         for theta in np.linspace(0.05, math.pi / 2 - 0.05, 7):
             psi = prepare_initial(theta, 0.0, field)
-            rho = psi.to_density()
+            rho = pure_density(psi)
             p = math.cos(theta) ** 2
             expected = -2.0 * (p * math.log(p) + (1 - p) * math.log(1 - p))
             measured = relative_entropy_measure(

@@ -4,7 +4,10 @@ A change that moves any digest bumps ``__version__`` (and the
 ``pyproject.toml`` version), records the new digests under it and lists the
 flipped rows in CHANGES.md.  Each preset is written with the relative
 ``--out`` of its own name, as the sidecar records the prefix; fig4 runs at
-``--tau 5``.
+``--tau 5``.  fig3's CSV prints 12 digits, which hide the last bits of its
+gamma > 0 cells, so the manifest also holds the digest of the float64 bytes
+of its four ``run_sweep`` series, taken at one BLAS thread; full bits may
+differ on a CPU whose vector paths round differently.
 """
 
 import hashlib
@@ -22,12 +25,31 @@ from ionduo.cli import main
 
 MANIFEST = Path(__file__).with_name("output_digests.json")
 PRESETS = {"fig1": [], "fig2": [], "fig3": [], "fig4": ["--tau", "5"]}
+SERIES = """
+import hashlib
+import numpy as np
+from ionduo.cli import figure_config
+from ionduo.experiments import run_sweep
+c = figure_config("fig3")
+swept = run_sweep(c.params, c.theta_grid, c.gamma_grid, c.measure, c.cut, np.asarray(c.time_grid))
+print(hashlib.sha256(b"".join(series.values.tobytes() for series in swept)).hexdigest())
+"""
+
+
+def manifest():
+    digests = json.loads(MANIFEST.read_text()).get(__version__)
+    assert digests is not None, f"{MANIFEST.name} has no digests for version {__version__}"
+    return digests
 
 
 def expected(name):
-    digests = json.loads(MANIFEST.read_text()).get(__version__)
-    assert digests is not None, f"{MANIFEST.name} has no digests for version {__version__}"
-    return {suffix: digests[f"{name}.{suffix}"] for suffix in ("csv", "json")}
+    return {suffix: manifest()[f"{name}.{suffix}"] for suffix in ("csv", "json")}
+
+
+def package_env(**variables):
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = str(Path(ionduo.cli.__file__).parent.parent)
+    return env
 
 
 def written(directory, name):
@@ -46,9 +68,15 @@ def test_preset_bytes_match_the_manifest(name, tmp_path, monkeypatch):
 
 
 def test_two_blas_threads_write_the_same_bytes(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env["PYTHONPATH"] = str(Path(ionduo.cli.__file__).parent.parent)
+    env = package_env(OPENBLAS_NUM_THREADS="2")
     command = [sys.executable, "-m", "ionduo.cli", "figure", "fig3", "--out", "fig3"]
     proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert written(tmp_path, "fig3") == expected("fig3")
+
+
+def test_fig3_series_bits_match_the_manifest():
+    env = package_env(OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", SERIES], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == manifest()["fig3.series"]
