@@ -169,23 +169,6 @@ def _grid_step(theta: np.ndarray, known: float | None) -> float | None:
     return None
 
 
-def _grid_steps(theta: np.ndarray, size: int) -> list:
-    """``_grid_step`` of each chunk theta[i:i + size] in turn, knowing the last
-    step found.  A step found is tried on every later full chunk at once, so
-    _grid_step runs only on the chunks it does not fit and a shorter last one."""
-    full = theta[: theta.size // size * size].reshape(-1, size)
-    bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(full).max(axis=1)
-    ramp, fits = np.arange(size), np.zeros(len(full) + 1, dtype=bool)  # and a shorter last one
-    steps, known = [], None
-    for i, start in enumerate(range(0, theta.size, size)):
-        dt = known if fits[i] else _grid_step(theta[start : start + size], known)
-        if dt is not None and dt != known:
-            known, rest = dt, full[i:]
-            fits[i : len(full)] = np.abs(rest - (rest[:, :1] + ramp * dt)).max(axis=1) <= bound[i:]
-        steps.append(dt)
-    return steps
-
-
 def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     """The function from up to ``size`` profile values theta and their step
     dt (``_grid_step``) to the unchecked (len(theta), 9 F) rows of the states
@@ -271,7 +254,7 @@ def _row_entries(dim: int, dim_keep: int) -> int:
     per block the kernel's 9 template states, which hold the turned copy
     (1 - i) kept between calls, and its 9 real phases (5 in the table, 4 in
     the step table), which count half.  A one-node rule makes no product, and
-    its third state, with the split's copy where the split is a reshape,
+    its third state, with the split's copy where the split makes none,
     holds more chunks' reduced states in one yield, counted at 3 d^2 a row.
     The count stays, so every chunk edge and each chunk's rule stays put."""
     return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
@@ -340,10 +323,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     nonnegative weights, the real product carrying the Gram's real and
     imaginary parts to round-off.  Each node's trace, the diagonal of C, is
     checked to NORM_TOL, so no reader checks a chunk again.  At gamma = 0 it
-    is the one node x = 0 under either profile; then every kernel chunk's
-    step is planned at once, a yield may hold several kernel chunks and its
-    traces are checked at once.  Before anything is evolved, raises
-    UnsupportedRegimeError for gamma > 0 under sech, or if no
+    is the one node x = 0 under either profile; then a yield may hold several
+    kernel chunks and its traces are checked at once.  Before anything is
+    evolved, raises UnsupportedRegimeError for gamma > 0 under sech, or if no
     K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
@@ -369,10 +351,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     size = min(step, times.size)
     evolved, states = _evolved_rows(system.frequencies, parts, size)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
-    leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split is a reshape
-    shape, group = (-1, dim_keep, dim // dim_keep), step  # group: the rows of a yield
-    if most == 1:  # one node x = 0, so every chunk's values are theta's: their steps are planned
-        plan = _grid_steps(theta, step)
+    leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
+    group = step  # the rows of a yield
+    if most == 1:
         group *= 1 + (1 + leading) * dim // (3 * dim_keep * dim_keep)  # see _row_entries
     products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
     nodes = weights = np.empty(0)
@@ -386,10 +367,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
                 nodes, weights = _hermite_rule(terms)
             for k, (node, weight) in enumerate(zip(nodes, weights)):
                 values = theta[chunk] + node * spread[chunk]
-                dt = plan[start // step] if most == 1 else _grid_step(values, known)
+                dt = _grid_step(values, known)
                 known = known if dt is None else dt
-                rows = evolved(values, dt)
-                split = rows.reshape(shape) if leading else psi0.layout.split(rows, keep)
+                split = psi0.layout.split(evolved(values, dt), keep)
                 product = _coordinates(split, turned, products[: len(into)] if k else into)
                 if terms > 1:  # each node's rows' squared norms; the one node's weight is 1.0
                     _check_norms(np.einsum("tii->t", product))

@@ -620,12 +620,13 @@ class TestMilburnReduced:
         # Oracle: one kernel chunk at a time, each with _grid_step's step for it.
         system, parts = dynamics._projected(psi0, params)
         evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3)
-        steps = chunkwise_steps(times, 3)
-        assert steps.count(None) == 2  # the nudged chunk and the one-time last chunk
-        alone = []
-        for i, start in enumerate(range(0, times.size, 3)):
-            kept = psi0.layout.split(evolved(times[start : start + 3], steps[i]), keep)
+        alone, steps, known = [], [], None
+        for start in range(0, times.size, 3):
+            dt = dynamics._grid_step(times[start : start + 3], known)
+            known, _ = (known if dt is None else dt), steps.append(dt)
+            kept = psi0.layout.split(evolved(times[start : start + 3], dt), keep)
             alone.append(dynamics._coordinates(kept, np.empty(kept.shape, complex)))
+        assert steps.count(None) == 2  # the nudged chunk and the one-time last chunk
         assert np.array_equal(np.concatenate(chunks), np.concatenate(alone))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
@@ -741,60 +742,6 @@ class TestMilburnReduced:
         assert built == [1] if gamma == 0 else len(built) > 1
 
 
-def chunkwise_steps(theta, size):
-    """Oracle for dynamics._grid_steps: _grid_step on each chunk in turn,
-    knowing the last step found before it."""
-    steps, known = [], None
-    for start in range(0, theta.size, size):
-        dt = dynamics._grid_step(theta[start : start + size], known)
-        known = known if dt is None else dt
-        steps.append(dt)
-    return steps
-
-
-@st.composite
-def profile_grids(draw):
-    """Strictly increasing profile grids from 0: equal steps, one point
-    nudged by units of eps |theta| on either side of the 4-unit bound, two
-    runs of different steps, or unequal steps."""
-    count = draw(st.integers(1, 300))
-    theta = np.linspace(0.0, draw(st.floats(1.0, 3000.0)), count)
-    kind = draw(st.sampled_from(["equal", "nudged", "two steps", "unequal"]))
-    if kind == "nudged" and count > 2:
-        at = draw(st.integers(1, count - 2))
-        theta[at] += draw(st.sampled_from([1, 2, 3, 5, 8])) * np.finfo(float).eps * theta[at]
-    elif kind == "two steps" and count > 2:
-        at = draw(st.integers(1, count - 2))
-        theta[at:] = theta[at] + (theta[at:] - theta[at]) * draw(st.floats(0.5, 2.0))
-    elif kind == "unequal":
-        gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=count - 1, max_size=count - 1))
-        theta = np.concatenate([[0.0], np.cumsum(gaps)])
-    return theta
-
-
-class TestStepPlan:
-    """The per-pass plan of each kernel chunk's step against _grid_step chunk by chunk."""
-
-    @settings(max_examples=200, **FAIL_FAST)
-    @given(theta=profile_grids(), size=st.integers(1, 40))
-    def test_matches_grid_step_chunk_by_chunk(self, theta, size):
-        assert dynamics._grid_steps(theta, size) == chunkwise_steps(theta, size)
-
-    def test_a_one_time_last_chunk_has_no_step(self):
-        theta = np.linspace(0.0, 30.0, 61)
-        steps = dynamics._grid_steps(theta, 4)
-        assert steps[:-1] == [steps[0]] * 15 and steps[0] is not None and steps[-1] is None
-
-    def test_the_direct_table_plans_no_step(self, monkeypatch):
-        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
-        times, keep = np.linspace(0.0, 30.0, 61), ("ion1", "ion2")
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
-        assert direct_table(lambda: dynamics._grid_steps(times, 10)) == [None] * 7
-        channel = channel_run(psi0, params, times, keep)
-        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
-        assert 0 < np.abs(channel - direct).max() <= 1e-12
-
-
 def direct_table(run):
     """What run() returns with every phase table taken by np.cos and np.sin."""
     with pytest.MonkeyPatch.context() as patch:
@@ -893,6 +840,17 @@ class TestEqualStepTable:
         channel = channel_run(psi0, params, times, keep)
         direct = direct_table(lambda: channel_run(psi0, params, times, keep))
         assert 0 < np.abs(channel - direct).max() <= 1e-12
+
+    def test_the_direct_table_reaches_every_chunk(self, monkeypatch):
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
+        times, keep = np.linspace(0.0, 30.0, 61), ("ion1", "ion2")
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
+        channel = channel_run(psi0, params, times, keep)
+        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
+        # each chunk from theta_0 > 0 with more than one time turns its step table
+        gaps = np.abs(channel - direct)
+        differs = [gaps[start : start + 10].max() for start in range(10, 60, 10)]
+        assert 0 < min(differs) and max(differs) <= 1e-12
 
     def test_one_time_keeps_the_direct_table(self, monkeypatch):
         assert dynamics._grid_step(np.array([17.3]), 0.5) is None

@@ -7,7 +7,8 @@ flipped rows in CHANGES.md.  Each preset is written with the relative
 ``--tau 5``.  fig3's CSV prints 12 digits, which hide the last bits of its
 gamma > 0 cells, so the manifest also holds the digest of the float64 bytes
 of its four ``run_sweep`` series, taken at one BLAS thread; full bits may
-differ on a CPU whose vector paths round differently.
+differ on a CPU whose vector paths round differently, so the manifest
+records NumPy's SIMD dispatch targets enabled where that digest was taken.
 """
 
 import hashlib
@@ -75,8 +76,23 @@ def test_two_blas_threads_write_the_same_bytes(tmp_path):
     assert written(tmp_path, "fig3") == expected("fig3")
 
 
+def simd_targets():
+    """NumPy's SIMD dispatch targets this CPU enables, which pick its vector
+    cos and sin; OpenBLAS picks its kernels by the same features."""
+    from numpy._core import _multiarray_umath as umath
+
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
 def test_fig3_series_bits_match_the_manifest():
     env = package_env(OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", SERIES], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == manifest()["fig3.series"]
+    taken_on, here = manifest()["fig3.series_simd"], simd_targets()
+    host = (
+        ""
+        if here == taken_on
+        else f"; the digest was taken on SIMD targets {taken_on!r} and this CPU enables "
+        f"{here!r}, so the host's rounding, not the code, may differ"
+    )
+    assert proc.stdout.strip() == manifest()["fig3.series"], "fig3 series bits moved" + host
