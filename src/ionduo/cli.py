@@ -6,8 +6,11 @@ and ``output``) is documented key by key in the README.  Numbers may use
 ``pi`` (``pi``, ``pi/4``, ``0.5*pi``).  Grids are either comma-separated
 numbers or ``linspace:<start>:<stop>:<count>``.  The JSON sidecar written
 next to each dataset can itself be fed back through ``--config`` and
-reproduces the dataset byte for byte.  Every sweep runs in this one process;
-the ``[output] workers`` key is checked and recorded, and selects nothing.
+reproduces the dataset byte for byte.  It records a grid that
+``np.linspace`` rebuilds bit for bit as that spec and any other grid as a
+list; a sidecar of 0.3.0 or earlier, which lists every grid, still loads.
+Every sweep runs in this one process; the ``[output] workers`` key is
+checked and recorded, and selects nothing.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation),
@@ -107,7 +110,7 @@ def _parse_grid(value) -> tuple[float, ...]:
         count = _parse_int(parts[3])
         if count < 1:
             raise ValueError(f"linspace count must be >= 1, got {count}")
-        grid = tuple(float(x) for x in np.linspace(start, stop, count))
+        grid = tuple(np.linspace(start, stop, count).tolist())
     else:
         grid = tuple(_parse_number(piece) for piece in str(value).split(",") if piece.strip())
     if not grid:
@@ -154,12 +157,21 @@ def _parse_cut(value) -> Bipartition:
 
 
 def _sidecar_value(value):
-    """The JSON form of a parsed value, which its parser reads back unchanged."""
+    """The JSON form of a parsed value, which its parser reads back unchanged.
+    A grid of three or more values that ``np.linspace`` of its ends rebuilds
+    bit for bit is written as that ``linspace:`` spec, any other as a list."""
     if isinstance(value, complex):
         return str(value)
     if isinstance(value, Bipartition):
         return " | ".join(",".join(side) for side in (value.side_a, value.side_b))
-    return list(value) if isinstance(value, tuple) else value
+    if not isinstance(value, tuple):
+        return value
+    if len(value) >= 3:
+        first, last = float(value[0]), float(value[-1])  # a np.float64 repr does not parse
+        spaced = np.linspace(first, last, len(value))
+        if spaced.tobytes() == np.asarray(value, dtype=np.float64).tobytes():
+            return f"linspace:{first!r}:{last!r}:{len(value)}"
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -380,20 +392,6 @@ def _fmt(value: float) -> str:
 _SLICE_ROWS = 2048  # CSV rows formatted at once; bounds the formatted text
 
 
-def _sidecar_text(sidecar: dict, time_grid: tuple[float, ...]) -> str:
-    """``json.dumps(sidecar, sort_keys=True, indent=2) + "\\n"`` with the
-    time grid, config.sweep.time, joined in one pass: ``indent`` runs the
-    pure-Python encoder, twice as slow over a long grid, and it renders each
-    finite float as ``float.__repr__`` does.  The grid stands in the dump as
-    a NUL string, which no other sidecar string can be: the prefix names a
-    file and the measure, cut and preset are names."""
-    config = sidecar["config"]
-    stub = {**sidecar, "config": {**config, "sweep": {**config["sweep"], "time": "\0"}}}
-    head, _, tail = json.dumps(stub, sort_keys=True, indent=2).partition('"\\u0000"')
-    times = ",\n        ".join(map(float.__repr__, time_grid))
-    return f"{head}[\n        {times}\n      ]{tail}\n"
-
-
 def write_dataset(
     config: RunConfig, series_list: list[MeasureSeries], preset: str | None = None
 ) -> tuple[Path, Path]:
@@ -403,8 +401,8 @@ def write_dataset(
     fields carry 12 significant digits so output is byte-stable.  The time
     grid's rows are rendered once as a template, which grows with the time
     count; each series fills it in slices of _SLICE_ROWS rows at a time.
-    The sidecar is the indented JSON dump with the time grid joined in one
-    pass (_sidecar_text), byte for byte the text json.dumps gives.
+    The sidecar is the sorted, indented JSON dump, in which an evenly spaced
+    grid stands as its ``linspace:`` spec (_sidecar_value).
     """
     prefix = Path(config.out_prefix)
     if prefix.parent != Path("."):
@@ -468,7 +466,7 @@ def write_dataset(
                 for start, rows in zip(starts, template):
                     values = tuple(series.values[start : start + _SLICE_ROWS].tolist())
                     out.write((rows % values).replace("\0", cell))
-        sidecar_text = _sidecar_text(sidecar, config.time_grid)
+        sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
         for temp, path in zip(temps, paths):
             os.replace(temp, path)

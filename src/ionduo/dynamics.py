@@ -215,7 +215,8 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
                 steps_dt = dt
             angle = frequencies * theta[0]
             cos, sin = np.cos(angle), np.sin(angle)
-            turn.reshape(-1, 16)[:, [0, 5, 10, 15, 2, 7, 8, 13]] = np.hstack([cos, cos, -sin, sin])
+            entries = np.concatenate([cos, cos, -sin, sin], axis=1)
+            turn.reshape(-1, 16)[:, [0, 5, 10, 15, 2, 7, 8, 13]] = entries
             np.matmul(turn, steps[:, :, : theta.size], out=phases[:, 1:])
         np.matmul(real, phases, out=block_states.real)
         np.matmul(imag, phases, out=block_states.imag)

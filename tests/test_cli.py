@@ -278,23 +278,19 @@ class TestSimulateCommand:
         assert [row.split(",")[3] for row in rows] == [_fmt(t) for t in grid]
 
     @pytest.mark.parametrize("count", [1, 601, 20001])
-    def test_sidecar_is_the_indented_json_dump(self, tmp_path, monkeypatch, count):
+    def test_sidecar_is_the_indented_json_dump(self, tmp_path, count):
         config = load_config(write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "grid")))
         grid = tuple(np.linspace(0.0, 1000.0, count).tolist())
         config = replace(config, time_grid=grid)
         values = np.maximum(0.0, np.sin(np.asarray(grid) / 7.0))  # births and deaths
         series = MeasureSeries(config.measure, config.cut, config.params, grid, values)
-        dumps = []
-        joined = ionduo.cli._sidecar_text
-
-        def spy(sidecar, time_grid):
-            dumps.append(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-            return joined(sidecar, time_grid)
-
-        monkeypatch.setattr(ionduo.cli, "_sidecar_text", spy)
         _, json_path = write_dataset(config, [series], preset="fig1")
-        assert bool(json.loads(dumps[0])["events"][0]["births"]) == (count > 1)
-        assert json_path.read_text(encoding="utf-8") == dumps[0]
+        text = json_path.read_text(encoding="utf-8")
+        sidecar = json.loads(text)
+        assert text == json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        assert bool(sidecar["events"][0]["births"]) == (count > 1)
+        spec = [0.0] if count == 1 else f"linspace:0.0:1000.0:{count}"
+        assert sidecar["config"]["sweep"]["time"] == spec
 
     def test_gamma_with_sech_exits_infeasible(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x")

@@ -1,5 +1,6 @@
-"""Property tests of the config schema: sidecar round trips, located errors
-for corrupted keys, and the README grammar against the table.
+"""Property tests of the config schema: sidecar round trips, the sidecar
+form of a grid, located errors for corrupted keys, and the README grammar
+against the table.
 
 Every test here only builds configs; none evolves a state.  Corrupted
 values are drawn from NaN, infinities, division by zero, bools, fractional
@@ -17,10 +18,11 @@ import math
 import re
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from ionduo.cli import _SCHEMA, build_config, main
+from ionduo.cli import _SCHEMA, _parse_grid, _sidecar_value, build_config, main
 
 SETTINGS = dict(derandomize=True, deadline=None)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -80,6 +82,43 @@ def test_sidecar_form_rebuilds_the_same_config(config):
     again = build_config(json.loads(sidecar))
     assert again == first
     assert json.dumps(again.to_json_dict(), sort_keys=True) == sidecar
+
+
+def read_back(written) -> bytes:
+    """The float64 bytes of the grid a sidecar value parses back to."""
+    return np.array(_parse_grid(json.loads(json.dumps(written)))).tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(start=FINITE, stop=FINITE, count=st.integers(3, 5000), data=st.data())
+def test_linspace_grid_is_written_as_its_spec(start, stop, count, data):
+    try:  # leave out ends whose difference or steps overflow the float range
+        with np.errstate(all="raise"):
+            grid = np.linspace(start, stop, count)
+    except FloatingPointError:
+        reject()
+    written = _sidecar_value(tuple(grid.tolist()))
+    assert written == f"linspace:{float(grid[0])!r}:{float(grid[-1])!r}:{count}"
+    assert read_back(written) == grid.tobytes()
+    # One interior entry one ulp off: no longer a linspace, so a full list.
+    moved = grid.copy()
+    index = data.draw(st.integers(1, count - 2))
+    moved[index] = np.nextafter(moved[index], data.draw(st.sampled_from([-np.inf, np.inf])))
+    assume(np.isfinite(moved[index]))
+    written = _sidecar_value(tuple(moved.tolist()))
+    assert isinstance(written, list)
+    assert read_back(written) == moved.tobytes()
+
+
+def test_negative_zero_start_keeps_the_list():
+    """np.linspace(-0.0, 1.0, 3) starts at +0.0, which equals -0.0 but
+    prints as another CSV cell, so only the list keeps the grid's bits."""
+    grid = (-0.0, 0.5, 1.0)
+    assert _sidecar_value(grid) == [-0.0, 0.5, 1.0]
+    assert read_back(_sidecar_value(grid)) == np.array(grid).tobytes()
 
 
 # A valid INI that sets every key of the README grammar.

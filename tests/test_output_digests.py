@@ -18,11 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ionduo.cli
 from ionduo import __version__, experiments
-from ionduo.cli import main
+from ionduo.cli import load_config, main
 
 MANIFEST = Path(__file__).with_name("output_digests.json")
 PRESETS = {"fig1": [], "fig2": [], "fig3": [], "fig4": ["--tau", "5"]}
@@ -66,6 +67,24 @@ def test_preset_bytes_match_the_manifest(name, tmp_path, monkeypatch):
     experiments._exchange_coefficients.cache_clear()  # evolve afresh, as a new process does
     assert main(["figure", name, "--out", name, *PRESETS[name]]) == 0
     assert written(tmp_path, name) == expected(name)
+
+
+def test_0_3_0_sidecar_still_reproduces_its_csv(tmp_path, monkeypatch):
+    """0.3.0 listed every time of a grid that 0.4.0 writes as its spec; the
+    listed form still loads to the same grids and reproduces the CSV."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "fig3", "--out", "fig3"]) == 0
+    sidecar = json.loads(Path("fig3.json").read_text(encoding="utf-8"))
+    assert sidecar["config"]["sweep"]["time"] == "linspace:0.0:30.0:601"
+    sidecar["version"] = "0.3.0"
+    sidecar["config"]["sweep"]["time"] = [float(t) for t in np.linspace(0.0, 30.0, 601)]
+    old = Path("old.json")
+    old.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    digests = json.loads(MANIFEST.read_text())["0.3.0"]
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == digests["fig3.json"]
+    assert load_config(old) == load_config("fig3.json")
+    assert main(["simulate", "--config", str(old), "--out", "old"]) == 0
+    assert Path("old.csv").read_bytes() == Path("fig3.csv").read_bytes()
 
 
 def test_two_blas_threads_write_the_same_bytes(tmp_path):
