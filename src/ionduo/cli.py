@@ -110,7 +110,10 @@ def _parse_grid(value) -> tuple[float, ...]:
         count = _parse_int(parts[3])
         if count < 1:
             raise ValueError(f"linspace count must be >= 1, got {count}")
-        grid = tuple(np.linspace(start, stop, count).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            grid = tuple(np.linspace(start, stop, count).tolist())
+        if not np.isfinite(grid).all():
+            raise ValueError(f"linspace from {start!r} to {stop!r} overflows float64")
     else:
         grid = tuple(_parse_number(piece) for piece in str(value).split(",") if piece.strip())
     if not grid:

@@ -11,16 +11,17 @@ P_w its spectral projectors in the cached block table a pure state evolves as
 
 in real arithmetic: each frequency pairs with its negative into a cosine
 and a sine, so one real table of (1, cos, cos, sin, sin) per block and time
-acts on the real and the imaginary part of the projected initial state.
+meets the real and imaginary parts of the projected initial state, side by
+side in one real array, in one matmul per time chunk.
 One stacked kernel evaluates this for every evolvable block on the
 nine-state template at once, from the initial state gathered onto it; the
 gather leaves out exactly the blocks truncated by the cutoff ceiling, and
 weight there is refused.  On a chunk of equal steps theta_0 + j dt, as an
 equal time grid gives at constant coupling and gamma = 0, the table comes
-by angle addition, one small matmul of each block's 4 x 4 turn by
-w theta_0 and a real step table of w j dt made once per dt; any other chunk
-(sech, the gamma > 0 nodes off the centre of the rule, unequal grids, one
-time) takes np.cos and np.sin of w theta.
+by angle addition: each block's 5 x 5 turn by w theta_0 is applied to those
+parts, which then meet a real step table of w j dt made once per dt; any
+other chunk (sech, the gamma > 0 nodes off the centre of the rule, unequal
+grids, one time) takes np.cos and np.sin of w theta.
 ``evolve_pure`` returns an evolution over a time grid as one read-only
 (T, dim) array whose row i is the state at times[i]; it is an oracle, and
 production reads the pure states through the channel below, in time chunks.
@@ -177,53 +178,55 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
 
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
-    -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega); V is split
-    here into its real and imaginary part.
+    -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega), held as one
+    real (F, 5, 18) array whose column 2 k + c is the real (c = 0) or
+    imaginary (c = 1) part of template state k.  One batched matmul of each
+    block's (len(theta), 5) phases by V gives a call's states, as float64.
 
-    Values theta_0 + j dt take their cosines and sines by angle addition, as
-    one small matmul: each block's 4 x 4 turn by its angles w theta_0 times a
+    Values theta_0 + j dt take their cosines and sines by angle addition:
+    each block's 5 x 5 turn by its angles w theta_0, applied to V, meets a
     real step table of the cos and sin of w j dt, which np.cos and np.sin
     make when a call first needs its dt.  A dt of None takes np.cos and np.sin
-    of w theta.  Each call overwrites the rows the call before returned.  Also
-    returns the complex buffer of size x 9 F entries that holds the blocks'
-    states in a call, free between calls.
+    of w theta.  Both tables hold (1, cos, cos, sin, sin) as (F, 5, size)
+    rows, which the matmul reads transposed.  Each call overwrites the rows
+    the call before returned.  Also returns the complex buffer of size x 9 F
+    entries that holds the blocks' states in a call, free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
-    real, imag = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    v = np.ascontiguousarray(v.swapaxes(1, 2)).view(np.float64)
     blocks = len(frequencies)
-    table = np.empty((blocks, 5, size))
-    table[:, 0] = 1.0
-    steps, steps_dt = np.empty((blocks, 4, size)), None  # cos and sin of w j dt, at steps_dt
-    turn = np.zeros((blocks, 4, 4))  # [[cos, -sin], [sin, cos]] of w theta_0, in 2 x 2 diagonals
-    states = np.empty((blocks, 9, size), dtype=np.complex128)
+    table, steps = np.ones((blocks, 5, size)), np.ones((blocks, 5, size))  # row 0 stays 1
+    steps_dt = None  # the dt of the step table's cos and sin of w j dt
+    turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
+    states = np.empty((blocks, size, 9), dtype=np.complex128)
     out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
 
     def evolved(theta: np.ndarray, dt: float | None) -> np.ndarray:
         nonlocal steps_dt
-        phases, block_states = table[:, :, : theta.size], states[:, :, : theta.size]
+        block_states = states[:, : theta.size]
         if dt is None:
+            phases, vectors = table[:, :, : theta.size], v
             cos, sin = phases[:, 1:3], phases[:, 3:]
             np.multiply(frequencies[:, :, None], theta, out=sin)
             np.cos(sin, out=cos)
             np.sin(sin, out=sin)
         else:
             if dt != steps_dt:
-                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 2:])
-                np.cos(steps[:, 2:], out=steps[:, :2])
-                np.sin(steps[:, 2:], out=steps[:, 2:])
+                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
+                np.cos(steps[:, 3:], out=steps[:, 1:3])
+                np.sin(steps[:, 3:], out=steps[:, 3:])
                 steps_dt = dt
             angle = frequencies * theta[0]
             cos, sin = np.cos(angle), np.sin(angle)
-            entries = np.concatenate([cos, cos, -sin, sin], axis=1)
-            turn.reshape(-1, 16)[:, [0, 5, 10, 15, 2, 7, 8, 13]] = entries
-            np.matmul(turn, steps[:, :, : theta.size], out=phases[:, 1:])
-        np.matmul(real, phases, out=block_states.real)
-        np.matmul(imag, phases, out=block_states.imag)
+            entries = np.concatenate([cos, cos, sin, -sin], axis=1)
+            turn.reshape(-1, 25)[:, [6, 12, 18, 24, 8, 14, 16, 22]] = entries
+            phases, vectors = steps[:, :, : theta.size], np.matmul(turn, v, out=turned)
+        np.matmul(phases.swapaxes(1, 2), vectors, out=block_states.view(np.float64))
         rows = out[: theta.size]
         grid = rows.reshape(theta.size, 9, blocks)
         for k, skip in enumerate(FLOOR_SKIP):
-            grid[:, k, : blocks - skip] = block_states[skip:, k].T
+            grid[:, k, : blocks - skip] = block_states[skip:, :, k].T
         return rows
 
     return evolved, states
@@ -248,16 +251,17 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries counted per time row of a kernel chunk, at least what
-    it holds: three states (the kernel's rows, the copy a split into the kept
-    factors may make and a third), three real reduced states (the chunk's, a
-    node's product and the yield before, which its reader may still hold) and
-    per block the kernel's 9 template states, which hold the turned copy
-    (1 - i) kept between calls, and its 9 real phases (5 in the table, 4 in
-    the step table), which count half.  A one-node rule makes no product, and
-    its third state, with the split's copy where the split makes none,
-    holds more chunks' reduced states in one yield, counted at 3 d^2 a row.
-    The count stays, so every chunk edge and each chunk's rule stays put."""
+    """Complex entries counted per time row of a kernel chunk: three states
+    (the kernel's rows, the copy a split into the kept factors may make and
+    a third), three real reduced states (the chunk's, a node's product and
+    the yield before, which its reader may still hold) and per block the
+    kernel's 9 template states, which hold its matmul's result in a call and
+    the turned copy (1 - i) kept between calls, and, at half an entry each,
+    its 10 real phases but the step table's row of ones.  A one-node rule
+    makes no product, and its third state, with the split's copy where the
+    split makes none, holds more chunks' reduced states in one yield, counted
+    at 3 d^2 a row.  The count stays, so every chunk edge and each chunk's
+    rule stays put."""
     return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
 
 

@@ -79,13 +79,15 @@ class SimParams:
     modulation: Modulation = field(default_factory=Constant)
 
     def __post_init__(self):
-        for kind, names in (
-            (numbers.Integral, ("fock_cutoff",)),
-            (numbers.Complex, ("lambda1", "lambda2")),
-            (numbers.Real, ("eta", "epsilon", "gamma", "nbar", "theta", "phi")),
+        for kind, exact, names in (  # the exact built-in types skip the slower ABC check
+            (numbers.Integral, (int,), ("fock_cutoff",)),
+            (numbers.Complex, (int, float, complex), ("lambda1", "lambda2")),
+            (numbers.Real, (int, float), ("eta", "epsilon", "gamma", "nbar", "theta", "phi")),
         ):
             for name in names:
                 value = getattr(self, name)
+                if type(value) in exact:
+                    continue
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         object.__setattr__(self, "lambda1", complex(self.lambda1))

@@ -8,7 +8,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,30 @@ LEGACY_SIDECAR = {
         "output": {"prefix": "legacy", "deficit": 1e-10, "event_threshold": 0.001, "workers": 1},
     },
 }
+
+
+NUMBER_FIELDS = [f.name for f in fields(SimParams) if f.name != "modulation"]
+NUMBER_VALUES = [
+    3, 0, -1, 0.5, 3.0, math.nan, math.inf, 0.5 + 0.5j, 2j,
+    True, np.float64(0.5), np.int64(3), Fraction(1, 2),
+]
+
+
+class AbcInt(int):
+    pass
+
+
+class AbcFloat(float):
+    pass
+
+
+class AbcComplex(complex):
+    pass
+
+
+# Not of the exact built-in type, so SimParams checks these on the
+# numbers-ABC path its fast path skips for int, float and complex.
+ABC_PATH = {int: AbcInt, float: AbcFloat, complex: AbcComplex}
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -158,6 +183,22 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, text))
         assert (caught.value.section, caught.value.key, caught.value.line) == ("params", key, 2)
         assert str(caught.value).count("[params]") == 1
+
+    @pytest.mark.parametrize("name", NUMBER_FIELDS)
+    @pytest.mark.parametrize("value", NUMBER_VALUES, ids=repr)
+    def test_simparams_fast_path_agrees_with_the_abc_path(self, name, value):
+        slow = ABC_PATH.get(type(value))
+
+        def outcome(value):
+            try:
+                return SimParams(**{"fock_cutoff": 4, name: value})
+            except ValueError as error:
+                return str(error)
+
+        fast = outcome(value)
+        assert fast == outcome(value if slow is None else slow(value))
+        if type(value) in ((bool,) if name.startswith("lambda") else (bool, complex)):
+            assert fast.startswith(f"{name} must be ")  # refused for its type
 
     def test_mixed_case_key_keeps_its_line(self, tmp_path):
         text = "[params]\nETA = abc\n\n[sweep]\ntheta = 0\ntime = 0, 1\n"
@@ -387,8 +428,16 @@ class TestSimulateCommand:
             ({"nbar = 2": "nbar = 2\nlambda1 = nan"}, "[params] lambda1 (line 13)"),
             ({"nbar = 2": "nbar = nan"}, "[params] nbar (line 12)"),
             ({"theta = 0": "theta = pi/0"}, "[sweep] theta (line 3)"),
+            # np.linspace must not warn: pytest turns any warning into an error
+            (
+                {"theta = 0": "theta = linspace:-1e308:1e308:3"},
+                "[sweep] theta (line 3): linspace from -1e+308 to 1e+308 overflows float64\n",
+            ),
         ],
-        ids=["deficit", "gamma", "event_threshold", "eta", "epsilon", "lambda1", "nbar", "theta"],
+        ids=[
+            "deficit", "gamma", "event_threshold", "eta", "epsilon", "lambda1", "nbar", "theta",
+            "linspace_overflow",
+        ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, edits, where):
         text = MINIMAL.format(prefix=tmp_path / "x")
