@@ -1,7 +1,7 @@
 """Entanglement dynamics of two three-level trapped ions coupled to one
 quantized vibrational mode by a time-modulated laser."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .core import (
     DensityMatrix,

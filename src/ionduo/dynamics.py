@@ -16,12 +16,12 @@ side in one real array, in one matmul per time chunk.
 One stacked kernel evaluates this for every evolvable block on the
 nine-state template at once, from the initial state gathered onto it; the
 gather leaves out exactly the blocks truncated by the cutoff ceiling, and
-weight there is refused.  On a chunk of equal steps theta_0 + j dt, as an
-equal time grid gives at constant coupling and gamma = 0, the table comes
-by angle addition: each block's 5 x 5 turn by w theta_0 is applied to those
-parts, which then meet a real step table of w j dt made once per dt; any
-other chunk (sech, the gamma > 0 nodes off the centre of the rule, unequal
-grids, one time) takes np.cos and np.sin of w theta.
+weight there is refused.  A chunk that fits the pass's one step dt, the mean
+step of its profile (as an equal grid does at constant coupling and on the
+rule's centre node), takes the table by angle addition: each block's 5 x 5
+turn by w theta_0 is applied to those parts, which then meet a real step
+table of w j dt made once per pass; any other chunk (sech, off-centre nodes
+at gamma > 0, unequal grids, one time) takes np.cos and np.sin of w theta.
 ``evolve_pure`` returns an evolution over a time grid as one read-only
 (T, dim) array whose row i is the state at times[i]; it is an oracle, and
 production reads the pure states through the channel below, in time chunks.
@@ -156,25 +156,20 @@ def _checked_states(states: np.ndarray) -> np.ndarray:
 _STEP_ULPS = 4
 
 
-def _grid_step(theta: np.ndarray, known: float | None) -> float | None:
-    """The step dt with which the profile values ``theta`` are theta_0 + j dt
-    to _STEP_ULPS units of eps max|theta|: ``known`` if it fits, else the
-    chunk's own mean step if that fits, else None, and None for one value."""
+def _grid_step(theta: np.ndarray, dt: float) -> bool:
+    """Whether the profile values ``theta`` are theta_0 + j dt to _STEP_ULPS
+    units of eps max|theta|; never for one value."""
     if theta.size < 2:
-        return None
+        return False
     bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(theta).max()
-    ramp = np.arange(theta.size)
-    for dt in (known, (theta[-1] - theta[0]) / (theta.size - 1)):
-        if dt is not None and np.abs(theta - (theta[0] + ramp * dt)).max() <= bound:
-            return dt
-    return None
+    return bool(np.abs(theta - (theta[0] + np.arange(theta.size) * dt)).max() <= bound)
 
 
-def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
-    """The function from up to ``size`` profile values theta and their step
-    dt (``_grid_step``) to the unchecked (len(theta), 9 F) rows of the states
-    sum_j exp(-i w_j theta) U_j, from the blocks' (Omega, omega)
-    ``frequencies`` and their ``_projected`` parts U.
+def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, profile: np.ndarray):
+    """The function from up to ``size`` profile values theta to the unchecked
+    (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from
+    the blocks' (Omega, omega) ``frequencies`` and their ``_projected`` parts
+    U, in a pass over the values ``profile``.
 
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
@@ -183,45 +178,44 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int):
     imaginary (c = 1) part of template state k.  One batched matmul of each
     block's (len(theta), 5) phases by V gives a call's states, as float64.
 
-    Values theta_0 + j dt take their cosines and sines by angle addition:
-    each block's 5 x 5 turn by its angles w theta_0, applied to V, meets a
-    real step table of the cos and sin of w j dt, which np.cos and np.sin
-    make when a call first needs its dt.  A dt of None takes np.cos and np.sin
-    of w theta.  Both tables hold (1, cos, cos, sin, sin) as (F, 5, size)
-    rows, which the matmul reads transposed.  Each call overwrites the rows
-    the call before returned.  Also returns the complex buffer of size x 9 F
-    entries that holds the blocks' states in a call, free between calls.
+    The pass's one step dt = (theta_last - theta_0) / (T - 1), of its T
+    profile values, gives a real step table of the cos and sin of w j dt,
+    made here once.  A call whose values fit dt (``_grid_step``) takes its
+    cosines and sines by angle addition: each block's 5 x 5 turn by its
+    angles w theta_0, applied to V, meets the step table; any other call
+    takes np.cos and np.sin of w theta.  Both tables hold (1, cos, cos, sin,
+    sin) as (F, 5, size) rows, which the matmul reads transposed.  Each call
+    overwrites the rows the call before returned.  Also returns the complex
+    buffer of size x 9 F entries that holds the blocks' states in a call,
+    free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
     v = np.ascontiguousarray(v.swapaxes(1, 2)).view(np.float64)
     blocks = len(frequencies)
     table, steps = np.ones((blocks, 5, size)), np.ones((blocks, 5, size))  # row 0 stays 1
-    steps_dt = None  # the dt of the step table's cos and sin of w j dt
+    dt = (profile[-1] - profile[0]) / max(profile.size - 1, 1)
+    np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
+    np.cos(steps[:, 3:], out=steps[:, 1:3])
+    np.sin(steps[:, 3:], out=steps[:, 3:])
     turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
     states = np.empty((blocks, size, 9), dtype=np.complex128)
     out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
 
-    def evolved(theta: np.ndarray, dt: float | None) -> np.ndarray:
-        nonlocal steps_dt
+    def evolved(theta: np.ndarray) -> np.ndarray:
         block_states = states[:, : theta.size]
-        if dt is None:
-            phases, vectors = table[:, :, : theta.size], v
-            cos, sin = phases[:, 1:3], phases[:, 3:]
-            np.multiply(frequencies[:, :, None], theta, out=sin)
-            np.cos(sin, out=cos)
-            np.sin(sin, out=sin)
-        else:
-            if dt != steps_dt:
-                np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
-                np.cos(steps[:, 3:], out=steps[:, 1:3])
-                np.sin(steps[:, 3:], out=steps[:, 3:])
-                steps_dt = dt
+        if _grid_step(theta, dt):
             angle = frequencies * theta[0]
             cos, sin = np.cos(angle), np.sin(angle)
             entries = np.concatenate([cos, cos, sin, -sin], axis=1)
             turn.reshape(-1, 25)[:, [6, 12, 18, 24, 8, 14, 16, 22]] = entries
             phases, vectors = steps[:, :, : theta.size], np.matmul(turn, v, out=turned)
+        else:
+            phases, vectors = table[:, :, : theta.size], v
+            cos, sin = phases[:, 1:3], phases[:, 3:]
+            np.multiply(frequencies[:, :, None], theta, out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
         np.matmul(phases.swapaxes(1, 2), vectors, out=block_states.view(np.float64))
         rows = out[: theta.size]
         grid = rows.reshape(theta.size, 9, blocks)
@@ -246,8 +240,8 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
     system, parts = _projected(psi0, params)
-    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size)
-    return _checked_states(evolved(theta, _grid_step(theta, None)))
+    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size, theta)
+    return _checked_states(evolved(theta))
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
@@ -354,7 +348,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     dim_keep = kept.total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
     size = min(step, times.size)
-    evolved, states = _evolved_rows(system.frequencies, parts, size)
+    evolved, states = _evolved_rows(system.frequencies, parts, size, theta)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
     leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield
@@ -362,7 +356,6 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
         group *= 1 + (1 + leading) * dim // (3 * dim_keep * dim_keep)  # see _row_entries
     products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
     nodes = weights = np.empty(0)
-    known = None
     for first in range(0, times.size, group):
         summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
         for start in range(first, first + len(summed), step):
@@ -371,10 +364,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             if nodes.size != terms:  # K only grows along the grid, up to most
                 nodes, weights = _hermite_rule(terms)
             for k, (node, weight) in enumerate(zip(nodes, weights)):
-                values = theta[chunk] + node * spread[chunk]
-                dt = _grid_step(values, known)
-                known = known if dt is None else dt
-                split = psi0.layout.split(evolved(values, dt), keep)
+                split = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
                 product = _coordinates(split, turned, products[: len(into)] if k else into)
                 if terms > 1:  # each node's rows' squared norms; the one node's weight is 1.0
                     _check_norms(np.einsum("tii->t", product))

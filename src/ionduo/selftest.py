@@ -305,7 +305,7 @@ def _check_channels_vs_closed() -> CheckResult:
         worst_deficit = max(worst_deficit, deficit)
     passed = worst <= 1e-10 and worst_deficit <= 1e-10
     return CheckResult(
-        "channels-vs-closed", passed, worst, 1e-10, detail=f"Kraus deficit {worst_deficit:.2e}"
+        "channels-vs-closed", passed, worst, 1e-10, detail=f"Kraus deficit {_decade(worst_deficit)}"
     )
 
 
@@ -407,6 +407,15 @@ def _claim_line(report: dict) -> str:
     return f"{status} claim: {report['claim']}  {numbers}"
 
 
+def _decade(value: float) -> str:
+    """``<= 1eN``, 1eN the least power of ten at or above a positive finite
+    ``value`` (log10 may round across a power), else the value as it is."""
+    if not 0 < value < math.inf:
+        return f"{value:g}"
+    exponent = math.floor(math.log10(value))
+    return f"<= 1e{exponent + (float(f'1e{exponent}') < value)}"
+
+
 def _clear_caches() -> None:
     """Empty every cache that holds data derived from the mode function."""
     ionmodel.get_block_system.cache_clear()
@@ -434,7 +443,7 @@ def run_selftest(inject_fault: str | None = None, include_claims: bool = True, s
             status = "PASS" if result.passed else "FAIL"
             extra = f"  [{result.detail}]" if result.detail else ""
             print(
-                f"{status} {result.name:24s} max deviation {result.deviation:.3e} "
+                f"{status} {result.name:24s} max deviation {_decade(result.deviation)} "
                 f"(tol {result.tolerance:.1e}){extra}",
                 file=stream,
             )

@@ -802,6 +802,38 @@ class TestVersionAndSelftest:
         expected = "PASS claim: c  {'averages': [1.35304624303], 'birth': 0.15, 'n': 0}"
         assert line(1.3530462430288368, 0.15000000000000002) == expected
 
+    def test_check_lines_print_the_decade_of_each_deviation(self, monkeypatch):
+        def lines(*deviations):
+            checks = [
+                functools.partial(ionduo.selftest.CheckResult, "c", True, deviation, 1e-12)
+                for deviation in deviations
+            ]
+            monkeypatch.setattr(ionduo.selftest, "_CHECKS", checks)
+            out = io.StringIO()
+            assert run_selftest(include_claims=False, stream=out) == 0
+            return out.getvalue()
+
+        # round-off in the 4th digit, as another summation order may give
+        assert lines(3.998e-15, 1e-15, 0.0) == lines(3.991e-15, 1e-15, 0.0)
+        bounds = ("<= 1e-14", "<= 1e-15", "0")
+        expected = [f"PASS {'c':24s} max deviation {bound} (tol 1.0e-12)" for bound in bounds]
+        assert lines(3.998e-15, 1e-15, 0.0).splitlines() == expected
+
+    def test_the_kraus_deficit_prints_as_its_decade(self, monkeypatch):
+        honest, details = ionduo.selftest.milburn_kraus, []
+
+        def scaled(scale):
+            def kraus(*args):
+                rho, deficit = honest(*args)
+                return rho, scale * deficit
+
+            return kraus
+
+        for scale in (1.0, 1.0003):  # a deficit moved in its 4th digit
+            monkeypatch.setattr(ionduo.selftest, "milburn_kraus", scaled(scale))
+            details.append(ionduo.selftest._check_channels_vs_closed().detail)
+        assert details == ["Kraus deficit <= 1e-11"] * 2
+
     def test_no_production_module_imports_the_oracles(self):
         def imported(node):
             """Absolute names of the modules an import statement may bind."""

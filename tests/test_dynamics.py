@@ -507,12 +507,11 @@ def complex_node_sum(psi0, params, times, keep):
     width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
-    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size)
     theta = modulation_integral(params.modulation, times)
+    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size, theta)
     rho = 0.0
     for node, weight in zip(nodes, weights):
-        values = theta + node * spread
-        kept = psi0.layout.split(evolved(values, dynamics._grid_step(values, None)), keep)
+        kept = psi0.layout.split(evolved(theta + node * spread), keep)
         rho = rho + weight * (kept @ kept.conj().swapaxes(1, 2))
     return rho
 
@@ -617,16 +616,15 @@ class TestMilburnReduced:
         # only the 9 x 9 two-ion state is small enough beside dim 153 to group
         lengths = [6, 6, 6, 4] if dim_keep == 9 else [3] * 7 + [1]
         assert [len(chunk) for chunk in chunks] == lengths
-        # Oracle: one kernel chunk at a time, each with _grid_step's step for it.
+        # Oracle: one kernel chunk at a time, each tested against the pass's step.
         system, parts = dynamics._projected(psi0, params)
-        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3)
-        alone, steps, known = [], [], None
+        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3, times)
+        alone, fits, dt = [], [], (times[-1] - times[0]) / (times.size - 1)
         for start in range(0, times.size, 3):
-            dt = dynamics._grid_step(times[start : start + 3], known)
-            known, _ = (known if dt is None else dt), steps.append(dt)
-            kept = psi0.layout.split(evolved(times[start : start + 3], dt), keep)
+            fits.append(dynamics._grid_step(times[start : start + 3], dt))
+            kept = psi0.layout.split(evolved(times[start : start + 3]), keep)
             alone.append(dynamics._coordinates(kept, np.empty(kept.shape, complex)))
-        assert steps.count(None) == 2  # the nudged chunk and the one-time last chunk
+        assert fits.count(False) == 2  # the nudged chunk and the one-time last chunk
         assert np.array_equal(np.concatenate(chunks), np.concatenate(alone))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
@@ -681,7 +679,7 @@ class TestMilburnReduced:
         params = SimParams(fock_cutoff=8, nbar=1.5, theta=0.5)
         psi0 = ion_state(8, 1.5, 0.5)
         times = np.linspace(0.0, 6.0, 5)
-        assert dynamics._grid_step(times, None) is not None  # both take the angle-addition table
+        assert fits_its_mean_step(times)  # both take the angle-addition table
         (reduced,) = milburn_quadrature(psi0, params, times, cut.labels)
         kept = psi0.layout.split(evolve_pure(psi0, params, times), cut.labels)
         assert np.array_equal(reduced, dynamics._coordinates(kept, np.empty(kept.shape, complex)))
@@ -742,10 +740,15 @@ class TestMilburnReduced:
         assert built == [1] if gamma == 0 else len(built) > 1
 
 
+def fits_its_mean_step(theta):
+    """Whether _grid_step fits the values ``theta`` to their own mean step."""
+    return dynamics._grid_step(theta, (theta[-1] - theta[0]) / (theta.size - 1))
+
+
 def direct_table(run):
     """What run() returns with every phase table taken by np.cos and np.sin."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_grid_step", lambda theta, known: None)
+        patch.setattr(dynamics, "_grid_step", lambda theta, dt: False)
         return run()
 
 
@@ -784,7 +787,7 @@ class TestEqualStepTable:
         )
         psi0 = ion_state(fock_cutoff, nbar, theta, phi)
         times = np.linspace(0.0, span, count)
-        assert dynamics._grid_step(times, None) is not None
+        assert fits_its_mean_step(times)
         keep, dim = cut.labels, psi0.layout.total_dim
         with pytest.MonkeyPatch.context() as patch:  # chunks of `rows` times
             entries = rows * dynamics._row_entries(dim, psi0.layout.keep(keep).total_dim)
@@ -818,9 +821,9 @@ class TestEqualStepTable:
         times = np.linspace(0.0, 30.0, 61)
         unit = np.finfo(np.float64).eps * times[-1]
         times[17] += 2 * unit  # within the bound of 4 units
-        assert dynamics._grid_step(times, None) is not None
+        assert fits_its_mean_step(times)
         times[17] += 4 * unit
-        assert dynamics._grid_step(times, None) is None
+        assert not fits_its_mean_step(times)
         self.assert_direct(ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5), times)
 
     def test_a_sech_run_keeps_the_direct_table(self):
@@ -852,8 +855,33 @@ class TestEqualStepTable:
         differs = [gaps[start : start + 10].max() for start in range(10, 60, 10)]
         assert 0 < min(differs) and max(differs) <= 1e-12
 
+    def test_one_step_per_pass(self, monkeypatch):
+        honest, calls = dynamics._grid_step, []
+
+        def spied(theta, dt):
+            calls.append((dt, honest(theta, dt)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "_grid_step", spied)
+        psi0, keep = ion_state(8, 1.5, 0.5), ("ion1", "ion2")
+        # gamma 0: kernel chunks of three times, one nudged off its steps, a one-time last one
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 3 * dynamics._row_entries(81, 9))
+        times = np.linspace(0.0, 12.0, 22)
+        times[9] += 1e-9
+        channel_run(psi0, SimParams(fock_cutoff=8, nbar=1.5), times, keep)
+        assert [dt for dt, _ in calls] == [(times[-1] - times[0]) / 21] * 8
+        assert [fits for _, fits in calls] == [True] * 3 + [False] + [True] * 3 + [False]
+        # gamma 0.05 under a three-node rule, chunks of ten times: only the centre node fits
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
+        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 3)
+        times = np.linspace(0.0, 29.5, 60)
+        channel_run(psi0, SimParams(fock_cutoff=8, nbar=1.5, gamma=0.05), times, keep)
+        assert [dt for dt, _ in calls] == [0.5] * 18
+        assert [fits for _, fits in calls] == [False, True, False] * 6
+
     def test_one_time_keeps_the_direct_table(self, monkeypatch):
-        assert dynamics._grid_step(np.array([17.3]), 0.5) is None
+        assert not dynamics._grid_step(np.array([17.3]), 0.5)
         psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
         self.assert_direct(psi0, params, [0.0])
         # the one-time last chunk of an equal grid cut into chunks of two times

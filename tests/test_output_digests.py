@@ -9,6 +9,8 @@ gamma > 0 cells, so the manifest also holds the digest of the float64 bytes
 of its four ``run_sweep`` series, taken at one BLAS thread; full bits may
 differ on a CPU whose vector paths round differently, so the manifest
 records NumPy's SIMD dispatch targets enabled where that digest was taken.
+The CSV and sidecar digests hinge on the same vector cos and sin, so every
+digest failure names this CPU's targets when they differ from those.
 """
 
 import hashlib
@@ -61,12 +63,32 @@ def written(directory, name):
     }
 
 
+def simd_targets():
+    """NumPy's SIMD dispatch targets this CPU enables, which pick its vector
+    cos and sin; OpenBLAS picks its kernels by the same features."""
+    from numpy._core import _multiarray_umath as umath
+
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+def host_note():
+    """Empty on the SIMD targets the manifest records for this version, else
+    a note that names this CPU's targets, as its rounding may differ."""
+    taken_on, here = manifest()["fig3.series_simd"], simd_targets()
+    if here == taken_on:
+        return ""
+    return (
+        f"; the digests were taken on SIMD targets {taken_on!r} and this CPU enables "
+        f"{here!r}, so the host's rounding, not the code, may differ"
+    )
+
+
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_preset_bytes_match_the_manifest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     experiments._exchange_coefficients.cache_clear()  # evolve afresh, as a new process does
     assert main(["figure", name, "--out", name, *PRESETS[name]]) == 0
-    assert written(tmp_path, name) == expected(name)
+    assert written(tmp_path, name) == expected(name), f"{name} bytes moved" + host_note()
 
 
 def test_0_3_0_sidecar_still_reproduces_its_csv(tmp_path, monkeypatch):
@@ -92,26 +114,11 @@ def test_two_blas_threads_write_the_same_bytes(tmp_path):
     command = [sys.executable, "-m", "ionduo.cli", "figure", "fig3", "--out", "fig3"]
     proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert written(tmp_path, "fig3") == expected("fig3")
-
-
-def simd_targets():
-    """NumPy's SIMD dispatch targets this CPU enables, which pick its vector
-    cos and sin; OpenBLAS picks its kernels by the same features."""
-    from numpy._core import _multiarray_umath as umath
-
-    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    assert written(tmp_path, "fig3") == expected("fig3"), "fig3 bytes moved" + host_note()
 
 
 def test_fig3_series_bits_match_the_manifest():
     env = package_env(OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", SERIES], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    taken_on, here = manifest()["fig3.series_simd"], simd_targets()
-    host = (
-        ""
-        if here == taken_on
-        else f"; the digest was taken on SIMD targets {taken_on!r} and this CPU enables "
-        f"{here!r}, so the host's rounding, not the code, may differ"
-    )
-    assert proc.stdout.strip() == manifest()["fig3.series"], "fig3 series bits moved" + host
+    assert proc.stdout.strip() == manifest()["fig3.series"], "fig3 series bits moved" + host_note()
