@@ -12,6 +12,12 @@ list; a sidecar of 0.3.0 or earlier, which lists every grid, still loads.
 Every sweep runs in this one process; the ``[output] workers`` key is
 checked and recorded, and selects nothing.
 
+Importing this module loads no command-line or INI machinery: ``main``
+imports ``argparse``, ``load_config`` imports ``configparser`` for an INI
+file, and only ``selftest`` loads ``ionduo.selftest``.  The containers
+that hold arrays compare and hash by identity, the value containers
+(``SimParams``, ``RunConfig`` and the like) by value.
+
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation),
 4 numerical failure during the run (e.g. a norm-drift check); no dataset
@@ -20,9 +26,7 @@ is written then.
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import configparser
 import json
 import math
 import os
@@ -376,6 +380,8 @@ def load_config(path: str | Path) -> RunConfig:
         if not isinstance(sections, dict):
             raise ConfigError("file", str(path), "JSON config must be an object")
         return build_config(sections, raw_text=None)
+    import configparser  # loaded for INI files only
+
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_string(text, source=str(path))
@@ -524,6 +530,8 @@ def figure_config(name: str, tau: float | None = None, out: str | None = None) -
 
 
 def main(argv=None) -> int:
+    import argparse  # loaded for the command line only
+
     parser = argparse.ArgumentParser(
         prog="ionduo",
         description="Entanglement dynamics of two three-level trapped ions "

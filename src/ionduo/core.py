@@ -1,7 +1,9 @@
 """Dimension-generic state containers and spectral utilities.
 
 All operations are pure functions over immutable containers; entropies use
-natural logarithms (nats) throughout.
+natural logarithms (nats) throughout.  Containers that hold arrays compare
+and hash by identity (``eq=False``): a field-wise ``==`` of arrays has no
+single truth value.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _as_readonly(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over a HilbertLayout."""
 
@@ -100,7 +102,7 @@ class PureState:
             raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a layout, checked here."""
 
@@ -124,7 +126,7 @@ class DensityMatrix:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue = {min_eig:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix: ascending eigenvalues and
     a unitary matrix whose columns are the eigenvectors."""

@@ -50,7 +50,7 @@ class IncompatibleMeasureError(ValueError):
     """The requested measure is undefined for the state the run produces."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldPreparation:
     """Real coherent-state amplitudes q_n on a truncated Fock space.
 
@@ -141,7 +141,7 @@ def prepare_initial(theta: float, phi: float, field: FieldPreparation) -> PureSt
     return PureState(layout, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSeries:
     """Values of one entanglement measure over a time grid, with the full
     parameter set for provenance."""

@@ -101,7 +101,7 @@ def block_couplings(params: SimParams) -> np.ndarray:
     return raising + raising.conj().swapaxes(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMatrix:
     """One block: its read-only Hermitian coupling matrix and its spectrum."""
 

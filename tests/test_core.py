@@ -4,8 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from ionduo import DensityMatrix, HilbertLayout, PureState, hermitian_spectrum
-from ionduo.core import spectral_entropy
+from ionduo import (
+    ION_VS_REST,
+    Bipartition,
+    Constant,
+    DensityMatrix,
+    HilbertLayout,
+    MeasureSeries,
+    PureState,
+    Sech,
+    SimParams,
+    SuddenEvents,
+    hermitian_spectrum,
+)
+from ionduo.cli import build_config
+from ionduo.core import Spectrum, spectral_entropy
+from ionduo.experiments import FieldPreparation
+from ionduo.ionmodel import BlockMatrix
 from ionduo.selftest import partial_trace, pure_density
 
 LAYOUT_334 = HilbertLayout((("A", 3), ("B", 3), ("C", 4)))
@@ -254,3 +269,51 @@ class TestStateInvariants:
         psi = random_pure(rng, LAYOUT_334)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+
+def _spectrum():
+    return Spectrum(np.array([0.0, 1.0]), np.eye(2, dtype=complex))
+
+
+# Factories called twice: each call builds an equal-content, distinct instance.
+ARRAY_HOLDERS = {
+    "PureState": lambda: PureState(LAYOUT_25, np.eye(10, dtype=complex)[3]),
+    "DensityMatrix": lambda: DensityMatrix(LAYOUT_25, np.eye(10, dtype=complex) / 10),
+    "Spectrum": _spectrum,
+    "BlockMatrix": lambda: BlockMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), _spectrum()),
+    "FieldPreparation": lambda: FieldPreparation(0.0, 1, [1.0, 0.0], 0.0),
+    "MeasureSeries": lambda: MeasureSeries(
+        "negativity", ION_VS_REST, SimParams(fock_cutoff=4), [0.0, 1.0], [0.0, 0.5]
+    ),
+}
+VALUE_KEYED = {
+    "SimParams": lambda: SimParams(fock_cutoff=4, theta=0.3, modulation=Sech(2.0)),
+    "Constant": Constant,
+    "Sech": lambda: Sech(2.0),
+    "HilbertLayout": lambda: HilbertLayout((("A", 3), ("B", 4))),
+    "Bipartition": lambda: Bipartition(("A",), ("B", "C")),
+    "RunConfig": lambda: build_config(
+        {"sweep": {"theta": "0, pi/4", "time": "0, 1"}, "measure": {"name": "negativity"}}
+    ),
+    "SuddenEvents": lambda: SuddenEvents(1e-3, np.array([1.0, 3.0]), np.array([2.0])),
+}
+
+
+class TestContainerEquality:
+    """Containers holding arrays compare and hash by identity; the value
+    containers that key the block, split-plan and exchange caches compare
+    and hash by value."""
+
+    @pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+    def test_array_holders_compare_by_identity(self, make):
+        first, second = make(), make()
+        assert first == first
+        assert first != second
+        assert len({first, second}) == 2  # each hashes by identity
+
+    @pytest.mark.parametrize("make", VALUE_KEYED.values(), ids=VALUE_KEYED.keys())
+    def test_value_containers_compare_by_value(self, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
