@@ -10,13 +10,12 @@ reproduces the dataset byte for byte.  It records a grid that
 ``np.linspace`` rebuilds bit for bit as that spec and any other grid as a
 list; a sidecar of 0.3.0 or earlier, which lists every grid, still loads.
 Every sweep runs in this one process; the ``[output] workers`` key is
-checked and recorded, and selects nothing.
+checked and recorded, and selects nothing.  ``--out`` passes the check of
+the ``[output] prefix`` key, which refuses a prefix naming a directory.
 
 Importing this module loads no command-line or INI machinery: ``main``
 imports ``argparse``, ``load_config`` imports ``configparser`` for an INI
-file, and only ``selftest`` loads ``ionduo.selftest``.  The containers
-that hold arrays compare and hash by identity, the value containers
-(``SimParams``, ``RunConfig`` and the like) by value.
+file, and only ``selftest`` loads ``ionduo.selftest``.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation),
@@ -49,7 +48,7 @@ from .experiments import (
     run_sweep,
     truncated_coherent,
 )
-from .ionmodel import CutoffError, full_layout
+from .ionmodel import FACTORS, CutoffError
 from .params import Constant, Sech, SimParams
 
 
@@ -136,9 +135,13 @@ def _parse_complex(value) -> complex:
     return number
 
 
-def _parse_text(value) -> str:
+def _parse_prefix(value) -> str:
+    """A nonempty output prefix whose last component names the files; one
+    that ends in a path separator, ``.`` or ``..`` names a directory."""
     if not isinstance(value, str) or not value.strip():
         raise ValueError(f"expected a nonempty string, got {value!r}")
+    if os.path.basename(value) in ("", ".", ".."):
+        raise ValueError(f"{value!r} names a directory; end the prefix with a file name")
     return value
 
 
@@ -156,10 +159,9 @@ def _parse_cut(value) -> Bipartition:
     cut = Bipartition(
         *(tuple(label.strip() for label in side.split(",") if label.strip()) for side in sides)
     )
-    factors = full_layout(0).labels  # the labels do not depend on the cutoff
-    unknown = cut.labels - set(factors)
+    unknown = cut.labels - set(FACTORS)
     if unknown:
-        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {factors}")
+        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {FACTORS}")
     return cut
 
 
@@ -251,7 +253,7 @@ _SCHEMA = {
         "cut": (_parse_cut, ION_VS_REST, "cut"),
     },
     "output": {
-        "prefix": (_parse_text, "dataset", "out_prefix"),
+        "prefix": (_parse_prefix, "dataset", "out_prefix"),
         "deficit": (_parse_positive, 1e-10, "deficit"),
         "event_threshold": (_parse_positive, 1e-3, "event_threshold"),
         "workers": (_parse_workers, 1, "workers"),
@@ -568,7 +570,7 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             if args.out is not None:  # the flag passes the [output] prefix check
                 try:
-                    config = replace(config, out_prefix=_parse_text(args.out))
+                    config = replace(config, out_prefix=_parse_prefix(args.out))
                 except ValueError as exc:
                     raise ConfigError("output", "prefix", str(exc)) from None
         else:

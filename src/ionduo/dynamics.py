@@ -158,10 +158,13 @@ _STEP_ULPS = 4
 
 def _grid_step(theta: np.ndarray, dt: float) -> bool:
     """Whether the profile values ``theta`` are theta_0 + j dt to _STEP_ULPS
-    units of eps max|theta|; never for one value."""
+    units of eps max|theta|; never for one value.  The last value's residual,
+    which an off-centre node misses, is tested before all of them."""
     if theta.size < 2:
         return False
     bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(theta).max()
+    if not abs(theta[-1] - (theta[0] + (theta.size - 1) * dt)) <= bound:
+        return False
     return bool(np.abs(theta - (theta[0] + np.arange(theta.size) * dt)).max() <= bound)
 
 

@@ -26,7 +26,7 @@ from .entanglement import (
     negativity_values,
     relative_entropy_values,
 )
-from .ionmodel import full_index, full_layout
+from .ionmodel import FACTORS, full_index, full_layout
 from .params import SimParams
 
 MEASURES = ("i_concurrence", "negativity", "relative_entropy")
@@ -35,9 +35,6 @@ MEASURES = ("i_concurrence", "negativity", "relative_entropy")
 ION_VS_REST = Bipartition(("ion1",), ("ion2", "field"))
 #: Default bipartition for mixed-state sweeps on the two-ion reduced state.
 ION_VS_ION = Bipartition(("ion1",), ("ion2",))
-# Factor labels of the full space; they do not depend on the cutoff.
-_FACTORS = frozenset(full_layout(0).labels)
-
 # Empty Fock slots kept above the occupied field range, so the
 # phonon-raising dynamics stays clear of the cutoff ceiling.
 _HEADROOM = 2
@@ -215,20 +212,16 @@ def _part_map(keep: tuple[str, ...], phi: float) -> np.ndarray:
     of a two-ion marginal G to those of its three parts on ``keep``: the
     partial traces of _MARGINALS, the middle one made X by the phase
     e^{-i phi} and its Hermitian part.  The coordinates of a Hermitian H are
-    Re H + Im H, entry by entry, in which tr(H K) is the dot product, as the
-    symmetric real part and the antisymmetric imaginary part do not mix.
-    The map is real linear in G, so it is read off the images of G's 162
-    real basis matrices."""
-    basis = np.eye(162).view(np.complex128).reshape(162, 3, 3, 3, 3)
+    Re H + Im H, entry by entry (``density_from_coordinates``), in which
+    tr(H K) is the dot product.  The map is real linear in G, so row j is
+    the image of the G whose coordinates are the j-th unit vector."""
+    basis = density_from_coordinates(np.eye(81).reshape(81, 9, 9)).reshape(81, 3, 3, 3, 3)
     d = 3 ** len(keep)
-    own, cross, other = (np.einsum(spec, basis).reshape(162, d, d) for spec in _MARGINALS[keep])
+    own, cross, other = (np.einsum(spec, basis).reshape(81, d, d) for spec in _MARGINALS[keep])
     cross = cross * np.exp(-1j * phi)
     cross += cross.conj().swapaxes(1, 2)
-    images = np.stack([own, cross, other], axis=1).reshape(9, 9, 2, -1)  # G's entry, Re or Im
-    images = images.real + images.imag
-    # Re G_ab = (g_ab + g_ba) / 2 and Im G_ab = (g_ab - g_ba) / 2 for the coordinates g of G.
-    real, imag = images[:, :, 0], images[:, :, 1]
-    return ((real + real.swapaxes(0, 1) + imag - imag.swapaxes(0, 1)) / 2).reshape(81, -1)
+    images = np.stack([own, cross, other], axis=1)
+    return (images.real + images.imag).reshape(81, -1)
 
 
 def _chunk_coefficients(parts: np.ndarray, g: np.ndarray):
@@ -266,7 +259,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    unknown = cut.labels - _FACTORS
+    unknown = cut.labels - set(FACTORS)
     if unknown:
         raise ValueError(f"cut names unknown factors {sorted(unknown)}")
     times = check_times(times)
@@ -275,7 +268,7 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
             "i_concurrence is defined for pure states only; gamma > 0 produces "
             "mixed states, use negativity or relative_entropy"
         )
-    if measure == "i_concurrence" and cut.labels != _FACTORS:
+    if measure == "i_concurrence" and cut.labels != set(FACTORS):
         raise IncompatibleMeasureError(
             "i_concurrence needs the global pure state; the cut must cover all factors"
         )

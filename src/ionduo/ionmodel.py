@@ -13,7 +13,8 @@ exp(-eta^2 / 2) of the phonon number m after the step.  The quantity
 is conserved, so the Hamiltonian decomposes into independent blocks of at
 most nine states, laid on one nine-state template as one stacked table that
 a single batched eigendecomposition diagonalizes exactly, its eigenvalues
-checked against every block's closed-form frequencies.
+checked against every block's closed-form frequencies.  The selftest's fault
+rebinds ``mode_function``, which every caller here looks up at each call.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .core import HilbertLayout, Spectrum, hermitian_spectrum
 from .params import Constant, SimParams
 
 LEVEL_INDEX = {"a": 0, "b": 1, "c": 2}
-
-# Test hook: selftest corrupts this for the duration of one run to prove the
-# oracle checks can fail, then restores it.  Never set it anywhere else.
-_FAULT_SCALE = 1.0
+#: Labels of the factors of the full space, in layout order, at every cutoff.
+FACTORS = ("ion1", "ion2", "field")
 
 
 class CutoffError(ValueError):
@@ -40,7 +39,7 @@ class CutoffError(ValueError):
 
 def full_layout(fock_cutoff: int) -> HilbertLayout:
     """Layout of the full space: ion1 (3) x ion2 (3) x field (N_max + 1)."""
-    return HilbertLayout((("ion1", 3), ("ion2", 3), ("field", fock_cutoff + 1)))
+    return HilbertLayout(tuple(zip(FACTORS, (3, 3, fock_cutoff + 1))))
 
 
 def full_index(fock: int, ion1: str, ion2: str, fock_cutoff: int) -> int:
@@ -63,7 +62,7 @@ def mode_function(params: SimParams) -> np.ndarray:
     laguerre = [1.0, 1.0 - x]
     for m in range(2, params.fock_cutoff + 1):
         laguerre.append(((2 * m - x - 1) * laguerre[-1] - (m - 1) * laguerre[-2]) / m)
-    return -0.5 * params.epsilon * (np.array(laguerre) * math.exp(-x / 2)) * _FAULT_SCALE
+    return -0.5 * params.epsilon * (np.array(laguerre) * math.exp(-x / 2))
 
 
 # The template of every block n: state k holds ion1 in level k // 3 and ion2

@@ -425,18 +425,20 @@ def _clear_caches() -> None:
 def run_selftest(inject_fault: str | None = None, include_claims: bool = True, stream=None) -> int:
     """Run the oracle suite; returns 0 iff every hard check passes.
 
-    ``inject_fault='mode_strength'`` corrupts the mode function while the
-    checks run, as a negative control proving they can fail; the mode
-    function and the spectrum cache are clean again when this returns.
+    ``inject_fault='mode_strength'`` binds ``ionmodel.mode_function`` to the
+    honest function times 1.001 while the checks run, as a negative control
+    proving they can fail; the honest function is bound again and the caches
+    are clean when this returns.
     """
     stream = stream if stream is not None else sys.stdout
     if inject_fault not in (None, "mode_strength"):
         raise ValueError(f"unknown fault {inject_fault!r}")
 
     failures = 0
+    honest = ionmodel.mode_function
     try:
         if inject_fault == "mode_strength":
-            ionmodel._FAULT_SCALE = 1.001
+            ionmodel.mode_function = lambda params: honest(params) * 1.001
             _clear_caches()
         for check in _CHECKS:
             result = check()
@@ -451,7 +453,7 @@ def run_selftest(inject_fault: str | None = None, include_claims: bool = True, s
                 failures += 1
     finally:
         if inject_fault is not None:
-            ionmodel._FAULT_SCALE = 1.0
+            ionmodel.mode_function = honest
             _clear_caches()
 
     if include_claims and failures == 0:

@@ -14,16 +14,15 @@ from ionduo import (
     PureState,
     Sech,
     SimParams,
-    evolve_pure,
-    i_concurrence_pure,
     modulation_integral,
     prepare_initial,
-    relative_entropy_measure,
     run_series,
     truncated_coherent,
 )
 from ionduo.cli import execute, figure_config
 from ionduo.core import hermitian_spectrum, spectral_entropy
+from ionduo.dynamics import evolve_pure
+from ionduo.entanglement import i_concurrence_pure, relative_entropy_measure
 from ionduo.ionmodel import build_full_hamiltonian
 from ionduo.selftest import (
     evolve_pure_dense,

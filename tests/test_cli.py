@@ -487,6 +487,20 @@ class TestSimulateCommand:
         assert "config error: [output] prefix: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
+    @pytest.mark.parametrize("prefix", ["bad/", "bad/.", "bad/..", ".", ".."])
+    @pytest.mark.parametrize("route", ["config", "out"])
+    def test_prefix_naming_a_directory_is_config_error(
+        self, tmp_path, capsys, monkeypatch, route, prefix
+    ):
+        monkeypatch.chdir(tmp_path)
+        text = MINIMAL.format(prefix=prefix if route == "config" else "x")
+        argv = ["simulate", "--config", str(write_config(tmp_path, text))]
+        assert main(argv + (["--out", prefix] if route == "out" else [])) == 2
+        where = " (line 16)" if route == "config" else ""
+        message = f"{prefix!r} names a directory; end the prefix with a file name"
+        assert capsys.readouterr().err == f"config error: [output] prefix{where}: {message}\n"
+        assert [path.name for path in tmp_path.rglob("*")] == ["run.ini"]
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
 
@@ -751,8 +765,9 @@ class TestVersionAndSelftest:
         assert "FAIL mode-function-reference" in proc.stdout
 
     def test_injected_fault_does_not_outlive_its_run(self):
-        out = io.StringIO()
+        out, honest = io.StringIO(), ionduo.ionmodel.mode_function
         assert run_selftest(inject_fault="mode_strength", include_claims=False, stream=out) == 1
+        assert ionduo.ionmodel.mode_function is honest
         # The faulted run filled the caches with the theta-linear check's run.
         script = (
             "import json, numpy as np\n"
@@ -857,6 +872,21 @@ class TestVersionAndSelftest:
                         offenders.append(f"{path.name}:{node.lineno}")
                 stack.extend(ast.iter_child_nodes(node))
         assert offenders == []
+
+    def test_the_package_exports_only_the_production_surface(self):
+        assert [name for name in ionduo.__all__ if not hasattr(ionduo, name)] == []
+        oracles = [
+            "DensityMatrix",
+            "Spectrum",
+            "hermitian_spectrum",
+            "evolve_pure",
+            "i_concurrence_pure",
+            "negativity",
+            "relative_entropy_measure",
+            "build_block",
+            "build_full_hamiltonian",
+        ]
+        assert [name for name in oracles if hasattr(ionduo, name)] == []
 
     def test_import_loads_no_oracles(self):
         script = "import sys, ionduo, ionduo.cli\nprint('ionduo.selftest' in sys.modules)\n"

@@ -8,17 +8,15 @@ from ionduo import (
     ION_VS_REST,
     Bipartition,
     Constant,
-    DensityMatrix,
     HilbertLayout,
     MeasureSeries,
     PureState,
     Sech,
     SimParams,
     SuddenEvents,
-    hermitian_spectrum,
 )
 from ionduo.cli import build_config
-from ionduo.core import Spectrum, spectral_entropy
+from ionduo.core import DensityMatrix, Spectrum, hermitian_spectrum, spectral_entropy
 from ionduo.experiments import FieldPreparation
 from ionduo.ionmodel import BlockMatrix
 from ionduo.selftest import partial_trace, pure_density

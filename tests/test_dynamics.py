@@ -10,13 +10,10 @@ from scipy.integrate import quad, solve_ivp
 from ionduo import (
     Bipartition,
     Constant,
-    DensityMatrix,
     HilbertLayout,
     PureState,
     Sech,
     SimParams,
-    evolve_pure,
-    hermitian_spectrum,
     modulation_integral,
     prepare_initial,
     run_series,
@@ -24,9 +21,11 @@ from ionduo import (
     truncated_coherent,
 )
 from ionduo import dynamics, experiments, ionmodel
+from ionduo.core import DensityMatrix, hermitian_spectrum
 from ionduo.dynamics import (
     UnsupportedRegimeError,
     density_from_coordinates,
+    evolve_pure,
     milburn_quadrature,
     quadrature_terms,
 )

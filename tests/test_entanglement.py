@@ -8,23 +8,22 @@ from scipy.linalg import logm
 
 from ionduo import (
     Bipartition,
-    DensityMatrix,
     HilbertLayout,
     ION_VS_REST,
     PureState,
-    i_concurrence_pure,
-    negativity,
     prepare_initial,
-    relative_entropy_measure,
     truncated_coherent,
 )
 from ionduo import SimParams
-from ionduo.core import spectral_entropy
+from ionduo.core import DensityMatrix, spectral_entropy
 from ionduo.dynamics import UnsupportedRegimeError, density_from_coordinates, milburn_quadrature
 from ionduo.entanglement import (
     concurrence_from_purity,
+    i_concurrence_pure,
     i_concurrence_values,
+    negativity,
     negativity_values,
+    relative_entropy_measure,
     relative_entropy_values,
 )
 from ionduo.selftest import partial_trace, pure_density

@@ -16,7 +16,6 @@ from ionduo import (
     UnsupportedRegimeError,
     coherent_amplitudes,
     detect_sudden_events,
-    i_concurrence_pure,
     prepare_initial,
     run_series,
     run_sweep,
@@ -25,6 +24,7 @@ from ionduo import (
 from ionduo import dynamics, experiments
 from ionduo.core import DensityMatrix, HilbertLayout, PureState
 from ionduo.dynamics import check_times, modulation_integral
+from ionduo.entanglement import i_concurrence_pure
 from ionduo.experiments import FieldPreparation
 from ionduo.ionmodel import FLOOR_SKIP, evolvable_blocks
 from ionduo.selftest import (

@@ -7,14 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
-from ionduo import (
-    Sech,
-    SimParams,
-    build_block,
-    build_full_hamiltonian,
-    get_block_system,
-    mode_function,
-)
+from ionduo import Sech, SimParams, get_block_system, mode_function
 from ionduo import ionmodel
 from ionduo.ionmodel import (
     LEVEL_INDEX,
@@ -22,6 +15,8 @@ from ionduo.ionmodel import (
     CutoffError,
     block_couplings,
     block_frequencies,
+    build_block,
+    build_full_hamiltonian,
     closed_form_spectrum,
     evolvable_blocks,
     full_index,
