@@ -10,12 +10,12 @@ reproduces the dataset byte for byte.  It records a grid that
 ``np.linspace`` rebuilds bit for bit as that spec and any other grid as a
 list; a sidecar of 0.3.0 or earlier, which lists every grid, still loads.
 Every sweep runs in this one process; the ``[output] workers`` key is
-checked and recorded, and selects nothing.  ``--out`` passes the check of
-the ``[output] prefix`` key, which refuses a prefix naming a directory.
+checked and recorded, and selects nothing.  ``--out`` replaces ``[output]
+prefix`` before its check, which refuses a prefix naming a directory.
 
 Importing this module loads no command-line or INI machinery: ``main``
-imports ``argparse``, ``load_config`` imports ``configparser`` for an INI
-file, and only ``selftest`` loads ``ionduo.selftest``.
+imports ``argparse``, reading an INI file imports ``configparser``, and
+only ``selftest`` loads ``ionduo.selftest``.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
 3 infeasible run (e.g. decoherence combined with sech modulation),
@@ -368,6 +368,11 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a RunConfig from an INI file or a JSON sidecar."""
+    return build_config(*_read_sections(path))
+
+
+def _read_sections(path: str | Path) -> tuple[dict, str | None]:
+    """The {section: {key: value}} of an INI file or JSON sidecar, and the INI text."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -381,7 +386,7 @@ def load_config(path: str | Path) -> RunConfig:
         sections = payload.get("config", payload) if isinstance(payload, dict) else payload
         if not isinstance(sections, dict):
             raise ConfigError("file", str(path), "JSON config must be an object")
-        return build_config(sections, raw_text=None)
+        return sections, None
     import configparser  # loaded for INI files only
 
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -393,7 +398,7 @@ def load_config(path: str | Path) -> RunConfig:
         section.lower(): {key: value for key, value in parser.items(section)}
         for section in parser.sections()
     }
-    return build_config(sections, raw_text=text)
+    return sections, text
 
 
 def _fmt(value: float) -> str:
@@ -567,8 +572,11 @@ def main(argv=None) -> int:
     preset = args.name if args.command == "figure" else None
     try:
         if preset is None:
-            config = load_config(args.config)
-            if args.out is not None:  # the flag passes the [output] prefix check
+            sections, text = _read_sections(args.config)
+            if args.out is not None and isinstance(sections.get("output"), dict):
+                sections["output"].pop("prefix", None)  # the flag replaces it, so it is not checked
+            config = build_config(sections, text)
+            if args.out is not None:  # the flag takes the [output] prefix check
                 try:
                     config = replace(config, out_prefix=_parse_prefix(args.out))
                 except ValueError as exc:

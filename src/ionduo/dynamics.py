@@ -16,14 +16,14 @@ side in one real array, in one matmul per time chunk.
 One stacked kernel evaluates this for every evolvable block on the
 nine-state template at once, from the initial state gathered onto it; the
 gather leaves out exactly the blocks truncated by the cutoff ceiling, and
-weight there is refused.  A chunk that fits the pass's one step dt, the mean
-step of its profile (as an equal grid does at constant coupling and on the
-rule's centre node), takes the table by angle addition: each block's 5 x 5
-turn by w theta_0 is applied to those parts, which then meet a real step
-table of w j dt made once per pass; any other chunk (sech, off-centre nodes
-at gamma > 0, unequal grids, one time) takes np.cos and np.sin of w theta.
-``evolve_pure`` returns an evolution over a time grid as one read-only
-(T, dim) array whose row i is the state at times[i]; it is an oracle, and
+weight there is refused.  A one-node pass (``evolve_pure``, or the channel
+at gamma = 0) decides once whether its whole profile lies on its mean step
+dt (``_grid_step``), as an equal grid does at constant coupling.  If so,
+each chunk of more than one value takes the table by angle addition: each
+block's 5 x 5 turn by w theta_0 is applied to those parts, which then meet
+a real step table of w j dt made once per pass.  Every other chunk (sech,
+unequal grids, one value, every node at gamma > 0) takes np.cos and np.sin.
+``evolve_pure``, which returns the whole (T, dim) evolution, is an oracle;
 production reads the pure states through the channel below, in time chunks.
 
 The intrinsic-decoherence master equation
@@ -34,21 +34,19 @@ is solved in closed form in the eigenbasis of H, where the coherence across
 a gap dE = E_m - E_n picks up exp(-i dE t - gamma t dE^2 / 2) (Milburn, PRA
 44, 5401, 1991).  That is E[exp(-i dE (t + xi))] with xi ~ N(0, gamma t), so
 rho(t) is the Gaussian average of the pure state evolved to profile value
-t + xi.  The production channel, ``milburn_quadrature``, takes it with a
-K-node Gauss-Hermite rule: K weighted pure evolutions reduced to the kept
-factors.  At gamma = 0 that is one node of weight 1 under either profile,
-the pure evolution reduced, which every measure reads.  It yields the real
-coordinates C = Re rho + Im rho of the reduced states, each node's term
-one real product on the float64 views of its kept rows in place of the
-complex kept kept^dag; ``density_from_coordinates`` gives rho back.
-Each node checks every row's norm on the diagonal of its product, which
-is the real diagonal of kept kept^dag, tr(kept kept^dag) being the squared
-norm of the row whatever is kept.  Each time chunk
-takes the smallest K whose error bound K! (sigma w)^(2K) / (2K)!, at
-sigma^2 = gamma t and w = 2 max Omega_n the spread of the energies of the
-occupied blocks, meets QUADRATURE_TARGET; the rule is rebuilt only where K
-grows.  Its oracles, dense propagation, the dense closed form and a
-truncated Kraus-operator sum, are in ``ionduo.selftest``.
+t + xi.  The production channel, ``milburn_quadrature``, takes it with one
+K-node Gauss-Hermite rule per pass: K weighted pure evolutions reduced to
+the kept factors, K the smallest whose error bound K! (sigma w)^(2K) / (2K)!
+meets QUADRATURE_TARGET at sigma^2 = gamma t_max, w = 2 max Omega_n being
+the spread of the energies of the occupied blocks; the bound grows with t,
+so the rule certifies every time.  At gamma = 0 that is one node of weight
+1 under either profile, the pure evolution reduced, which every measure
+reads.  It yields the real coordinates C = Re rho + Im rho of the reduced
+states, each node's term one real product on the float64 views of its kept
+rows in place of the complex kept kept^dag, whose diagonal checks each
+row's squared norm; ``density_from_coordinates`` gives rho back.  Its
+oracles, dense propagation, the dense closed form and a truncated
+Kraus-operator sum, are in ``ionduo.selftest``.
 """
 
 from __future__ import annotations
@@ -150,29 +148,28 @@ def _checked_states(states: np.ndarray) -> np.ndarray:
     return states
 
 
-# A chunk of profile values is equal-step when it lies within this many
-# units of eps max|theta| of theta_0 + j dt; the phases w theta_0 + w j dt
-# then differ from w theta by a few units of its own rounding at most.
+# A pass's profile is equal-step when each value lies within this many units
+# of eps max|theta| of theta_0 + j dt; a chunk anchored at its first value
+# theta_s then takes phases w theta_s + w j dt within twice that bound,
+# 8 eps |w| max|theta|, of w theta, and a few units of their own rounding.
 _STEP_ULPS = 4
 
 
-def _grid_step(theta: np.ndarray, dt: float) -> bool:
-    """Whether the profile values ``theta`` are theta_0 + j dt to _STEP_ULPS
-    units of eps max|theta|; never for one value.  The last value's residual,
-    which an off-centre node misses, is tested before all of them."""
-    if theta.size < 2:
-        return False
+def _grid_step(theta: np.ndarray) -> float | None:
+    """The mean step dt of a pass's profile values ``theta`` if each is
+    theta_0 + j dt to _STEP_ULPS units of eps max|theta|, else (and for one value) None."""
+    dt = (theta[-1] - theta[0]) / max(theta.size - 1, 1)
     bound = _STEP_ULPS * np.finfo(np.float64).eps * np.abs(theta).max()
-    if not abs(theta[-1] - (theta[0] + (theta.size - 1) * dt)) <= bound:
-        return False
-    return bool(np.abs(theta - (theta[0] + np.arange(theta.size) * dt)).max() <= bound)
+    fits = theta.size > 1 and np.abs(theta - (theta[0] + np.arange(theta.size) * dt)).max() <= bound
+    return dt if fits else None
 
 
-def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, profile: np.ndarray):
+def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, dt: float | None):
     """The function from up to ``size`` profile values theta to the unchecked
     (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from
     the blocks' (Omega, omega) ``frequencies`` and their ``_projected`` parts
-    U, in a pass over the values ``profile``.
+    U, in a pass whose profile has the equal step ``dt`` (``_grid_step``)
+    or, if not, None.
 
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
@@ -181,33 +178,31 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, profile
     imaginary (c = 1) part of template state k.  One batched matmul of each
     block's (len(theta), 5) phases by V gives a call's states, as float64.
 
-    The pass's one step dt = (theta_last - theta_0) / (T - 1), of its T
-    profile values, gives a real step table of the cos and sin of w j dt,
-    made here once.  A call whose values fit dt (``_grid_step``) takes its
-    cosines and sines by angle addition: each block's 5 x 5 turn by its
-    angles w theta_0, applied to V, meets the step table; any other call
-    takes np.cos and np.sin of w theta.  Both tables hold (1, cos, cos, sin,
-    sin) as (F, 5, size) rows, which the matmul reads transposed.  Each call
-    overwrites the rows the call before returned.  Also returns the complex
-    buffer of size x 9 F entries that holds the blocks' states in a call,
-    free between calls.
+    Given dt, a real step table of the cos and sin of w j dt is made here
+    once, and a call of more than one value takes its cosines and sines by
+    angle addition: each block's 5 x 5 turn by its angles w theta_0, applied
+    to V, meets the step table.  Any other call takes np.cos and np.sin of
+    w theta.  Both tables hold (1, cos, cos, sin, sin) as (F, 5, size) rows,
+    which the matmul reads transposed.  Each call overwrites the rows the
+    call before returned.  Also returns the complex buffer of size x 9 F
+    entries that holds the blocks' states in a call, free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
     v = np.ascontiguousarray(v.swapaxes(1, 2)).view(np.float64)
     blocks = len(frequencies)
-    table, steps = np.ones((blocks, 5, size)), np.ones((blocks, 5, size))  # row 0 stays 1
-    dt = (profile[-1] - profile[0]) / max(profile.size - 1, 1)
-    np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
-    np.cos(steps[:, 3:], out=steps[:, 1:3])
-    np.sin(steps[:, 3:], out=steps[:, 3:])
+    table, steps = np.ones((2, blocks, 5, size))  # row 0 stays 1
     turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
+    if dt is not None:
+        np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
+        np.cos(steps[:, 3:], out=steps[:, 1:3])
+        np.sin(steps[:, 3:], out=steps[:, 3:])
     states = np.empty((blocks, size, 9), dtype=np.complex128)
     out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
 
     def evolved(theta: np.ndarray) -> np.ndarray:
         block_states = states[:, : theta.size]
-        if _grid_step(theta, dt):
+        if dt is not None and theta.size > 1:
             angle = frequencies * theta[0]
             cos, sin = np.cos(angle), np.sin(angle)
             entries = np.concatenate([cos, cos, sin, -sin], axis=1)
@@ -235,15 +230,14 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
 
     Returns a read-only (T, dim) complex array on the layout of ``psi0``
     whose row i is the state at ``times[i]``; a row whose squared norm
-    drifts from 1 by more than NORM_TOL raises ValueError.  The initial
-    state must be expressed on the full layout of ``params.fock_cutoff``
-    and must not populate the blocks truncated by the cutoff ceiling (those
-    cannot be evolved faithfully).
+    drifts from 1 by more than NORM_TOL raises ValueError.  ``psi0`` must be
+    on the full layout of ``params.fock_cutoff`` and must not populate the
+    blocks truncated by the cutoff ceiling, which cannot be evolved faithfully.
     """
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
     system, parts = _projected(psi0, params)
-    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size, theta)
+    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size, _grid_step(theta))
     return _checked_states(evolved(theta))
 
 
@@ -257,8 +251,7 @@ def _row_entries(dim: int, dim_keep: int) -> int:
     its 10 real phases but the step table's row of ones.  A one-node rule
     makes no product, and its third state, with the split's copy where the
     split makes none, holds more chunks' reduced states in one yield, counted
-    at 3 d^2 a row.  The count stays, so every chunk edge and each chunk's
-    rule stays put."""
+    at 3 d^2 a row.  The count stays, so no gamma = 0 chunk edge moves."""
     return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
 
 
@@ -318,17 +311,18 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
 
     Yields real (Tc, d, d) chunks of consecutive ``times``, sized by
     _CHUNK_ENTRIES (``_row_entries``): the coordinates C = Re rho + Im rho of
-    the certified average rho = sum_k w_k kept_k kept_k^dag, w_k >= 0, of the
-    pure evolutions to t + sqrt(gamma t) x_k, each node's term one real
-    product (``_coordinates``).  ``density_from_coordinates`` gives rho back;
-    it is Hermitian by construction, and positive as a sum of Grams with
-    nonnegative weights, the real product carrying the Gram's real and
-    imaginary parts to round-off.  Each node's trace, the diagonal of C, is
-    checked to NORM_TOL, so no reader checks a chunk again.  At gamma = 0 it
-    is the one node x = 0 under either profile; then a yield may hold several
-    kernel chunks and its traces are checked at once.  Before anything is
-    evolved, raises UnsupportedRegimeError for gamma > 0 under sech, or if no
-    K <= KRAUS_MAX_TERMS certifies t_max.
+    the average rho = sum_k w_k kept_k kept_k^dag, w_k >= 0, of the pure
+    evolutions to t + sqrt(gamma t) x_k under the pass's one rule, built
+    before the first chunk as the one that certifies t_max, each node's term
+    one real product (``_coordinates``).  ``density_from_coordinates`` gives
+    rho back; it is Hermitian by construction, and positive as a sum of
+    Grams with nonnegative weights to round-off.  Each node's trace, the
+    diagonal of C, is checked to NORM_TOL, so no reader checks a chunk
+    again.  At gamma = 0 it is the one node x = 0 under either profile; then
+    a yield may hold several kernel chunks, whose traces are checked at
+    once, and an equal-step profile takes the step table (``_evolved_rows``).
+    Before anything is evolved, raises UnsupportedRegimeError for gamma > 0
+    under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
     """
     times = check_times(times)
     if params.gamma > 0 and not isinstance(params.modulation, Constant):
@@ -346,34 +340,32 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             f"to {QUADRATURE_TARGET:.0e} at gamma * t_max = {params.gamma * times[-1]:.6g} "
             f"with occupied energy spread w = {width:.6g}; shorten the time grid or lower gamma"
         )
+    nodes, weights = _hermite_rule(most)
     theta = modulation_integral(params.modulation, times)
     dim, kept = psi0.layout.total_dim, psi0.layout.keep(keep)
     dim_keep = kept.total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
     size = min(step, times.size)
-    evolved, states = _evolved_rows(system.frequencies, parts, size, theta)
+    dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
+    evolved, states = _evolved_rows(system.frequencies, parts, size, dt)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
     leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield
     if most == 1:
         group *= 1 + (1 + leading) * dim // (3 * dim_keep * dim_keep)  # see _row_entries
     products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
-    nodes = weights = np.empty(0)
     for first in range(0, times.size, group):
         summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
         for start in range(first, first + len(summed), step):
             chunk, into = slice(start, start + step), summed[start - first : start - first + step]
-            terms = 1 if most == 1 else quadrature_terms(spread[chunk][-1] * width)
-            if nodes.size != terms:  # K only grows along the grid, up to most
-                nodes, weights = _hermite_rule(terms)
             for k, (node, weight) in enumerate(zip(nodes, weights)):
                 split = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
                 product = _coordinates(split, turned, products[: len(into)] if k else into)
-                if terms > 1:  # each node's rows' squared norms; the one node's weight is 1.0
+                if most > 1:  # each node's rows' squared norms; the one node's weight is 1.0
                     _check_norms(np.einsum("tii->t", product))
                     product *= weight
                 if k:
                     into += product
-        if terms == 1:  # those of every chunk of the yield at once
+        if most == 1:  # those of every chunk of the yield at once
             _check_norms(np.einsum("tii->t", summed))
         yield summed

@@ -501,6 +501,28 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"config error: [output] prefix{where}: {message}\n"
         assert [path.name for path in tmp_path.rglob("*")] == ["run.ini"]
 
+    @pytest.mark.parametrize("out", [None, "good"], ids=["refused", "rescued"])
+    def test_out_replaces_a_sidecar_prefix_naming_a_directory(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # 0.6.0 and earlier wrote the refused prefix of `--out bad/` into the sidecar
+        monkeypatch.chdir(tmp_path)
+        first = write_config(tmp_path, MINIMAL.format(prefix="run"))
+        assert main(["simulate", "--config", str(first)]) == 0
+        sidecar = json.loads(Path("run.json").read_text(encoding="utf-8"))
+        sidecar["version"], sidecar["config"]["output"]["prefix"] = "0.6.0", "bad/"
+        write_config(tmp_path, json.dumps(sidecar), "old.json")
+        argv = ["simulate", "--config", "old.json"] + ([] if out is None else ["--out", out])
+        if out is None:
+            assert main(argv) == 2
+            message = "'bad/' names a directory; end the prefix with a file name"
+            assert capsys.readouterr().err == f"config error: [output] prefix: {message}\n"
+            assert not Path("bad").exists()
+        else:
+            assert main(argv) == 0
+            assert Path("good.csv").read_bytes() == Path("run.csv").read_bytes()
+            assert json.loads(Path("good.json").read_text())["config"]["output"]["prefix"] == "good"
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
 

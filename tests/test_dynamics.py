@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from ionduo import (
+    ION_VS_ION,
     Bipartition,
     Constant,
     HilbertLayout,
     PureState,
     Sech,
     SimParams,
+    coherent_amplitudes,
     modulation_integral,
     prepare_initial,
     run_series,
@@ -507,7 +509,8 @@ def complex_node_sum(psi0, params, times, keep):
     spread = np.sqrt(params.gamma * times)
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
     theta = modulation_integral(params.modulation, times)
-    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size, theta)
+    dt = dynamics._grid_step(theta) if len(nodes) == 1 else None  # the channel's own table
+    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size, dt)
     rho = 0.0
     for node, weight in zip(nodes, weights):
         kept = psi0.layout.split(evolved(theta + node * spread), keep)
@@ -576,9 +579,6 @@ class TestMilburnReduced:
         params = SimParams(fock_cutoff=8, nbar=1.5, gamma=0.1, epsilon=0.8, theta=0.5, phi=0.3)
         psi0 = ion_state(8, 1.5, 0.5, 0.3)
         times = np.linspace(0.0, 12.0, 7)
-        # One rule for every chunk, so that only the seams can differ; each
-        # chunk's own certified rule is tested below.
-        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 16)
         whole = np.concatenate(list(milburn_quadrature(psi0, params, times, cut.labels)))
         dim = whole.shape[1]
         two_rows = 2 * dynamics._row_entries(psi0.layout.total_dim, dim)
@@ -602,28 +602,29 @@ class TestMilburnReduced:
         assert [len(chunk) for chunk in chunks] == ([3 * step, 1] if grouped else [step] * 3 + [1])
         assert peak <= 16 * dynamics._CHUNK_ENTRIES + sum(chunk.nbytes for chunk in chunks)
 
+    @pytest.mark.parametrize("nudged", [False, True], ids=["equal", "nudged"])
     @pytest.mark.parametrize("cut", CUT_SHAPES)
-    def test_grouped_yields_are_the_kernel_chunks_bit_for_bit(self, cut, monkeypatch):
+    def test_grouped_yields_are_the_kernel_chunks_bit_for_bit(self, cut, nudged, monkeypatch):
         params = SimParams(fock_cutoff=16, nbar=1.5, epsilon=0.8, theta=0.5, phi=0.3)
         psi0, keep = ion_state(16, 1.5, 0.5, 0.3), cut.labels
         dim, dim_keep = psi0.layout.total_dim, psi0.layout.keep(keep).total_dim
         times = np.linspace(0.0, 12.0, 22)
-        times[9] += 1e-9  # one kernel chunk off its equal steps
+        times[9] += 1e-9 if nudged else 0.0  # a grid off its equal steps
+        assert (dynamics._grid_step(times) is None) == nudged
         # kernel chunks of three times, and a one-time last one
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 3 * dynamics._row_entries(dim, dim_keep))
         chunks = list(milburn_quadrature(psi0, params, times, keep))
         # only the 9 x 9 two-ion state is small enough beside dim 153 to group
         lengths = [6, 6, 6, 4] if dim_keep == 9 else [3] * 7 + [1]
         assert [len(chunk) for chunk in chunks] == lengths
-        # Oracle: one kernel chunk at a time, each tested against the pass's step.
+        # Oracle: one kernel chunk at a time, under the pass's one step decision.
         system, parts = dynamics._projected(psi0, params)
-        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3, times)
-        alone, fits, dt = [], [], (times[-1] - times[0]) / (times.size - 1)
+        dt = dynamics._grid_step(times)
+        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3, dt)
+        alone = []
         for start in range(0, times.size, 3):
-            fits.append(dynamics._grid_step(times[start : start + 3], dt))
             kept = psi0.layout.split(evolved(times[start : start + 3]), keep)
             alone.append(dynamics._coordinates(kept, np.empty(kept.shape, complex)))
-        assert fits.count(False) == 2  # the nudged chunk and the one-time last chunk
         assert np.array_equal(np.concatenate(chunks), np.concatenate(alone))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
@@ -720,7 +721,7 @@ class TestMilburnReduced:
         assert np.abs(rho - complex_node_sum(psi0, params, times, cut.labels)).max() <= 1e-14
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
-    def test_each_rule_is_built_once(self, gamma, monkeypatch):
+    def test_each_pass_builds_one_rule(self, gamma, monkeypatch):
         params = SimParams(fock_cutoff=8, nbar=1.5, gamma=gamma, epsilon=0.8, theta=0.5)
         psi0 = ion_state(8, 1.5, 0.5)
         keep = ("ion1", "ion2")
@@ -735,24 +736,44 @@ class TestMilburnReduced:
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", one_row)
         chunks = list(milburn_quadrature(psi0, params, np.linspace(0.0, 12.0, 7), keep))
         assert len(chunks) == 7
-        assert built == sorted(set(built))  # each K once, as K grows along the grid
-        assert built == [1] if gamma == 0 else len(built) > 1
+        # one rule, built before the first chunk: the one that certifies t_max
+        most = quadrature_terms(math.sqrt(gamma * 12.0) * occupied_spread(psi0, params))
+        assert built == [most]
+        assert most == 1 if gamma == 0 else most > 1
 
 
 def fits_its_mean_step(theta):
     """Whether _grid_step fits the values ``theta`` to their own mean step."""
-    return dynamics._grid_step(theta, (theta[-1] - theta[0]) / (theta.size - 1))
+    return dynamics._grid_step(theta) is not None
 
 
 def direct_table(run):
     """What run() returns with every phase table taken by np.cos and np.sin."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_grid_step", lambda theta, dt: False)
+        patch.setattr(dynamics, "_grid_step", lambda theta: None)
         return run()
 
 
 def channel_run(psi0, params, times, keep):
     return np.concatenate(list(milburn_quadrature(psi0, params, times, keep)))
+
+
+def spy_on_the_step(monkeypatch):
+    """Lists of the sizes of the profiles _grid_step decides and of the
+    steps (or None) each kernel gets, filled as passes run."""
+    grid_step, evolved_rows, decided, given = dynamics._grid_step, dynamics._evolved_rows, [], []
+
+    def deciding(theta):
+        decided.append(theta.size)
+        return grid_step(theta)
+
+    def taking(frequencies, parts, size, dt):
+        given.append(dt)
+        return evolved_rows(frequencies, parts, size, dt)
+
+    monkeypatch.setattr(dynamics, "_grid_step", deciding)
+    monkeypatch.setattr(dynamics, "_evolved_rows", taking)
+    return decided, given
 
 
 class TestEqualStepTable:
@@ -816,32 +837,31 @@ class TestEqualStepTable:
             pure = evolve_pure(psi0, params, times)
             assert np.array_equal(pure, direct_table(lambda: evolve_pure(psi0, params, times)))
 
-    def test_a_grid_off_its_equal_steps_keeps_the_direct_table(self):
+    def test_a_grid_off_its_equal_steps_keeps_the_direct_table(self, monkeypatch):
         times = np.linspace(0.0, 30.0, 61)
         unit = np.finfo(np.float64).eps * times[-1]
         times[17] += 2 * unit  # within the bound of 4 units
         assert fits_its_mean_step(times)
         times[17] += 4 * unit
         assert not fits_its_mean_step(times)
+        # chunks of ten times: the chunks on equal steps keep the direct table too
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
         self.assert_direct(ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5), times)
 
     def test_a_sech_run_keeps_the_direct_table(self):
         params = SimParams(fock_cutoff=8, nbar=1.5, modulation=Sech(2.0))
         self.assert_direct(ion_state(8, 1.5, 0.5), params, np.linspace(0.0, 30.0, 61))
 
-    def test_a_gamma_run_keeps_the_direct_table(self, monkeypatch):
+    @pytest.mark.parametrize("terms", [4, 3], ids=["even", "odd"])
+    def test_a_gamma_run_keeps_the_direct_table(self, terms, monkeypatch):
         psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5, gamma=0.05)
-        times, keep = np.linspace(0.0, 30.0, 61), ("ion1", "ion2")
+        decided, given = spy_on_the_step(monkeypatch)
         # chunks of ten times, so that chunks start at theta_0 > 0
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
-        # every node of an even rule shifts the profile by x_k sqrt(gamma t), off equal steps
-        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 4)
-        self.assert_direct(psi0, params, times)
-        # an odd rule's middle node lies within 1e-16 of 0, so it takes the table
-        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 3)
-        channel = channel_run(psi0, params, times, keep)
-        direct = direct_table(lambda: channel_run(psi0, params, times, keep))
-        assert 0 < np.abs(channel - direct).max() <= 1e-12
+        # no node takes the step table, not even an odd rule's centre node
+        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: terms)
+        channel_run(psi0, params, np.linspace(0.0, 30.0, 61), ("ion1", "ion2"))
+        assert decided == [] and given == [None]
 
     def test_the_direct_table_reaches_every_chunk(self, monkeypatch):
         psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
@@ -854,33 +874,24 @@ class TestEqualStepTable:
         differs = [gaps[start : start + 10].max() for start in range(10, 60, 10)]
         assert 0 < min(differs) and max(differs) <= 1e-12
 
-    def test_one_step_per_pass(self, monkeypatch):
-        honest, calls = dynamics._grid_step, []
-
-        def spied(theta, dt):
-            calls.append((dt, honest(theta, dt)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(dynamics, "_grid_step", spied)
-        psi0, keep = ion_state(8, 1.5, 0.5), ("ion1", "ion2")
-        # gamma 0: kernel chunks of three times, one nudged off its steps, a one-time last one
+    def test_one_step_decision_per_pass(self, monkeypatch):
+        decided, given = spy_on_the_step(monkeypatch)
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
+        keep = ("ion1", "ion2")
+        # kernel chunks of three times and a one-time last one, decided once on the whole profile
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 3 * dynamics._row_entries(81, 9))
         times = np.linspace(0.0, 12.0, 22)
+        channel_run(psi0, params, times, keep)
+        evolve_pure(psi0, params, times)
+        assert decided == [22, 22] and given == [(times[-1] - times[0]) / 21] * 2
+        decided.clear()
+        given.clear()
         times[9] += 1e-9
-        channel_run(psi0, SimParams(fock_cutoff=8, nbar=1.5), times, keep)
-        assert [dt for dt, _ in calls] == [(times[-1] - times[0]) / 21] * 8
-        assert [fits for _, fits in calls] == [True] * 3 + [False] + [True] * 3 + [False]
-        # gamma 0.05 under a three-node rule, chunks of ten times: only the centre node fits
-        calls.clear()
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 10 * dynamics._row_entries(81, 9))
-        monkeypatch.setattr(dynamics, "quadrature_terms", lambda spread: 3)
-        times = np.linspace(0.0, 29.5, 60)
-        channel_run(psi0, SimParams(fock_cutoff=8, nbar=1.5, gamma=0.05), times, keep)
-        assert [dt for dt, _ in calls] == [0.5] * 18
-        assert [fits for _, fits in calls] == [False, True, False] * 6
+        channel_run(psi0, params, times, keep)
+        assert decided == [22] and given == [None]
 
     def test_one_time_keeps_the_direct_table(self, monkeypatch):
-        assert not dynamics._grid_step(np.array([17.3]), 0.5)
+        assert dynamics._grid_step(np.array([17.3])) is None
         psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
         self.assert_direct(psi0, params, [0.0])
         # the one-time last chunk of an equal grid cut into chunks of two times
@@ -888,6 +899,23 @@ class TestEqualStepTable:
         times, keep = np.linspace(0.0, 17.3, 5), ("ion1", "ion2")
         direct = direct_table(lambda: channel_run(psi0, params, times, keep))
         assert np.array_equal(channel_run(psi0, params, times, keep)[-1], direct[-1])
+
+
+@pytest.mark.parametrize("measure", ["negativity", "relative_entropy"])
+def test_gamma_series_do_not_depend_on_the_chunk_budget(measure, monkeypatch):
+    # fig3's cell at gamma 0.01, under an even rule (K = 4), and at 0.05, under an odd one (K = 5)
+    params = SimParams(fock_cutoff=coherent_amplitudes(5.0, 1e-10).cutoff, theta=math.pi / 4)
+    times = np.linspace(0.0, 30.0, 601)
+    honest, built = dynamics._hermite_rule, []
+    monkeypatch.setattr(dynamics, "_hermite_rule", lambda k: built.append(k) or honest(k))
+    runs = []
+    for entries in (2**15, 2**16, 2**17, 2**18, 2**19):
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", entries)
+        swept = run_sweep(params, [params.theta], [0.01, 0.05], measure, ION_VS_ION, times)
+        runs.append(np.stack([series.values for series in swept]))
+    for run in runs[1:]:
+        assert np.array_equal(run, runs[0])  # bit identical
+    assert built == [4, 5] * 5
 
 
 # Every bipartition covering ion1, ion2 and field, each in both orders.

@@ -1,10 +1,10 @@
 """The preset outputs against the committed SHA-256 manifest of this version.
 
 A change that moves any digest bumps ``__version__`` (and the
-``pyproject.toml`` version), records the new digests under it and lists the
-flipped rows in CHANGES.md.  Each preset is written with the relative
-``--out`` of its own name, as the sidecar records the prefix; fig4 runs at
-``--tau 5``.  fig3's CSV prints 12 digits, which hide the last bits of its
+``pyproject.toml`` version, which the last test holds equal to it), records
+the new digests under it and lists the flipped rows in CHANGES.md.  Each
+preset is written with the relative ``--out`` of its own name, as the
+sidecar records the prefix; fig4 runs at ``--tau 5``.  fig3's CSV prints 12 digits, which hide the last bits of its
 gamma > 0 cells, so the manifest also holds the digest of the float64 bytes
 of its four ``run_sweep`` series, taken at one BLAS thread; full bits may
 differ on a CPU whose vector paths round differently, so the manifest
@@ -16,6 +16,7 @@ digest failure names this CPU's targets when they differ from those.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +123,14 @@ def test_fig3_series_bits_match_the_manifest():
     proc = subprocess.run([sys.executable, "-c", SERIES], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == manifest()["fig3.series"], "fig3 series bits moved" + host_note()
+
+
+def test_pyproject_version_is_the_package_version():
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the one version line, that of [project]
+        (version,) = re.findall(r'^version = "(.+)"$', text, re.MULTILINE)
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    assert version == __version__
