@@ -415,8 +415,9 @@ def write_dataset(
 
     Rows are sorted by (theta, gamma, scaled_time); all floating-point
     fields carry 12 significant digits so output is byte-stable.  The time
-    grid's rows are rendered once as a template, which grows with the time
-    count; each series fills it in slices of _SLICE_ROWS rows at a time.
+    grid's rows are rendered once as a bytes template, which grows with the
+    time count; each series fills it in slices of _SLICE_ROWS rows at a
+    time, written as bytes with no text encoding.
     The sidecar is the sorted, indented JSON dump, in which an evenly spaced
     grid stands as its ``linspace:`` spec (_sidecar_value).
     """
@@ -471,17 +472,17 @@ def write_dataset(
     paths = (csv_path, json_path)
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     starts = range(0, len(config.time_grid), _SLICE_ROWS)
-    row = f"\0,%.12g,{config.measure},%%.12g\n"  # \0 stands for the cell of a series
+    row = b"\0,%.12g," + config.measure.encode() + b",%%.12g\n"  # \0 stands for the cell
     slices = (config.time_grid[start : start + _SLICE_ROWS] for start in starts)
     template = [(row * len(times)) % times for times in slices]  # "%.12g" renders as _fmt
     try:
-        with open(temps[0], "w", encoding="utf-8", newline="\n") as out:
-            out.write("theta,gamma,nbar,scaled_time,measure,value\n")
+        with open(temps[0], "wb") as out:
+            out.write(b"theta,gamma,nbar,scaled_time,measure,value\n")
             for series in series_list:
                 cell = ",".join(_fmt(getattr(series.params, k)) for k in ("theta", "gamma", "nbar"))
                 for start, rows in zip(starts, template):
                     values = tuple(series.values[start : start + _SLICE_ROWS].tolist())
-                    out.write((rows % values).replace("\0", cell))
+                    out.write((rows % values).replace(b"\0", cell.encode()))
         sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
         for temp, path in zip(temps, paths):

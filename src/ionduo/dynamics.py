@@ -25,6 +25,11 @@ a real step table of w j dt made once per pass.  Every other chunk (sech,
 unequal grids, one value, every node at gamma > 0) takes np.cos and np.sin.
 ``evolve_pure``, which returns the whole (T, dim) evolution, is an oracle;
 production reads the pure states through the channel below, in time chunks.
+While lambda2 = 0 the level c is dark: an ion with no c amplitude at the
+start never reaches it, so the channel evolves only the template states of
+the levels each ion reaches (``_reached_levels``), on a layout of two or
+three levels per ion, and pads each yield back to the kept factors' full
+size.  The I-concurrence run, in the ions' bright basis, evolves six.
 
 The intrinsic-decoherence master equation
 
@@ -56,8 +61,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import NORM_TOL, PureState
-from .ionmodel import FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
+from .core import NORM_TOL, HilbertLayout, PureState
+from .ionmodel import FACTORS, FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
 from .params import Constant, Modulation, Sech, SimParams
 
 KRAUS_MAX_TERMS = 512
@@ -164,18 +169,22 @@ def _grid_step(theta: np.ndarray) -> float | None:
     return dt if fits else None
 
 
-def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, dt: float | None):
+def _evolved_rows(
+    frequencies: np.ndarray, parts: np.ndarray, skips: tuple[int, ...], size: int, dt: float | None
+):
     """The function from up to ``size`` profile values theta to the unchecked
-    (len(theta), 9 F) rows of the states sum_j exp(-i w_j theta) U_j, from
-    the blocks' (Omega, omega) ``frequencies`` and their ``_projected`` parts
-    U, in a pass whose profile has the equal step ``dt`` (``_grid_step``)
-    or, if not, None.
+    (len(theta), S F) rows of the states sum_j exp(-i w_j theta) U_j, from
+    the blocks' (Omega, omega) ``frequencies`` and the (F, S, 5)
+    ``_projected`` parts U of the S template states it evolves, each with
+    its FLOOR_SKIP in ``skips``, in a pass whose profile has the equal step
+    ``dt`` (``_grid_step``) or, if not, None.  A row holds state s of block
+    n at s (N_max + 1) + n + 2 - skips[s], as the full layout holds all nine.
 
     That sum is V_0 + cos(Omega theta) V_1 + cos(omega theta) V_2 +
     sin(Omega theta) V_3 + sin(omega theta) V_4 with V = (U_0, U_+ + U_-,
     -i (U_+ - U_-)), U_+ and U_- the parts at +-(Omega, omega), held as one
-    real (F, 5, 18) array whose column 2 k + c is the real (c = 0) or
-    imaginary (c = 1) part of template state k.  One batched matmul of each
+    real (F, 5, 2 S) array whose column 2 s + c is the real (c = 0) or
+    imaginary (c = 1) part of state s.  One batched matmul of each
     block's (len(theta), 5) phases by V gives a call's states, as float64.
 
     Given dt, a real step table of the cos and sin of w j dt is made here
@@ -184,7 +193,7 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, dt: flo
     to V, meets the step table.  Any other call takes np.cos and np.sin of
     w theta.  Both tables hold (1, cos, cos, sin, sin) as (F, 5, size) rows,
     which the matmul reads transposed.  Each call overwrites the rows the
-    call before returned.  Also returns the complex buffer of size x 9 F
+    call before returned.  Also returns the complex buffer of size x S F
     entries that holds the blocks' states in a call, free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
@@ -197,8 +206,8 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, dt: flo
         np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
         np.cos(steps[:, 3:], out=steps[:, 1:3])
         np.sin(steps[:, 3:], out=steps[:, 3:])
-    states = np.empty((blocks, size, 9), dtype=np.complex128)
-    out = np.zeros((size, 9 * blocks), dtype=np.complex128)  # entries floor blocks lack stay 0
+    states = np.empty((blocks, size, len(skips)), dtype=np.complex128)
+    out = np.zeros((size, len(skips) * blocks), dtype=np.complex128)  # floor blocks' gaps stay 0
 
     def evolved(theta: np.ndarray) -> np.ndarray:
         block_states = states[:, : theta.size]
@@ -216,8 +225,8 @@ def _evolved_rows(frequencies: np.ndarray, parts: np.ndarray, size: int, dt: flo
             np.sin(sin, out=sin)
         np.matmul(phases.swapaxes(1, 2), vectors, out=block_states.view(np.float64))
         rows = out[: theta.size]
-        grid = rows.reshape(theta.size, 9, blocks)
-        for k, skip in enumerate(FLOOR_SKIP):
+        grid = rows.reshape(theta.size, len(skips), blocks)
+        for k, skip in enumerate(skips):
             grid[:, k, : blocks - skip] = block_states[skip:, :, k].T
         return rows
 
@@ -237,22 +246,25 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
     system, parts = _projected(psi0, params)
-    evolved, _ = _evolved_rows(system.frequencies, parts, theta.size, _grid_step(theta))
+    evolved, _ = _evolved_rows(system.frequencies, parts, FLOOR_SKIP, theta.size, _grid_step(theta))
     return _checked_states(evolved(theta))
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
-    """Complex entries counted per time row of a kernel chunk: three states
-    (the kernel's rows, the copy a split into the kept factors may make and
-    a third), three real reduced states (the chunk's, a node's product and
-    the yield before, which its reader may still hold) and per block the
-    kernel's 9 template states, which hold its matmul's result in a call and
-    the turned copy (1 - i) kept between calls, and, at half an entry each,
-    its 10 real phases but the step table's row of ones.  A one-node rule
-    makes no product, and its third state, with the split's copy where the
-    split makes none, holds more chunks' reduced states in one yield, counted
-    at 3 d^2 a row.  The count stays, so no gamma = 0 chunk edge moves."""
-    return 3 * dim + 3 * dim_keep * dim_keep + 27 * (dim // 9) // 2
+    """Complex entries counted per time row of a kernel chunk whose evolved
+    rows have ``dim`` entries and whose yields ``dim_keep`` kept states:
+    three rows (the kernel's, the copy a split into the kept factors may
+    make and a third), three real kept states at the yield's full size (the
+    chunk's, a node's product and the yield before, which its reader may
+    still hold) and one and a half entries per evolved entry: the kernel's
+    block states, which hold the matmul's result in a call and the turned
+    copy (1 - i) between calls, and the blocks' real phases, a nine-state
+    block's 10 but the step table's row of ones at half an entry each (a
+    block of fewer states counts a little less).  A one-node rule makes no
+    product, and its third row, with the split's copy where the split makes
+    none, holds more chunks' kept states in one yield, counted at 3 d^2 a
+    row.  The count stays, so no nine-state gamma = 0 chunk edge moves."""
+    return 3 * dim + 3 * dim_keep * dim_keep + 3 * dim // 2
 
 
 def quadrature_bound(terms: int, spread: float) -> float:
@@ -305,6 +317,27 @@ def density_from_coordinates(coordinates: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _reached_levels(psi0: PureState, params: SimParams) -> tuple[int, int]:
+    """How many levels, a and b first, each ion can reach from ``psi0``: a,
+    b and c, or only a and b for an ion with no c amplitude while lambda2 = 0
+    leaves c dark, since then H moves no ion into or out of c."""
+    if params.lambda2 != 0:
+        return 3, 3
+    grid = psi0.amplitudes.reshape(3, 3, -1)
+    return 2 + bool(grid[2].any()), 2 + bool(grid[:, 2].any())
+
+
+def _padded(coordinates: np.ndarray, dims: tuple[int, ...], full_dims: tuple[int, ...]):
+    """The (Tc, d, d) ``coordinates`` on kept factors of ``dims`` levels,
+    each the leading levels of its factor in ``full_dims``, as (Tc, D, D)
+    coordinates on the full factors: zero beyond them, by basic slicing."""
+    rows = len(coordinates)
+    padded = np.zeros((rows, math.prod(full_dims), math.prod(full_dims)))
+    corner = (slice(None),) + tuple(slice(d) for d in dims) * 2
+    padded.reshape(rows, *full_dims, *full_dims)[corner] = coordinates.reshape(rows, *dims, *dims)
+    return padded
+
+
 def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Iterator[np.ndarray]:
     """Intrinsic-decoherence evolution of a pure initial state, reduced to the
     factors in ``keep`` (all of them gives the full state).
@@ -321,6 +354,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     again.  At gamma = 0 it is the one node x = 0 under either profile; then
     a yield may hold several kernel chunks, whose traces are checked at
     once, and an equal-step profile takes the step table (``_evolved_rows``).
+    Only the template states of the levels each ion reaches are evolved
+    (``_reached_levels``); where that leaves out a kept level, each yield is
+    padded back to the kept factors' full size (``_padded``).
     Before anything is evolved, raises UnsupportedRegimeError for gamma > 0
     under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
     """
@@ -342,24 +378,28 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
         )
     nodes, weights = _hermite_rule(most)
     theta = modulation_integral(params.modulation, times)
-    dim, kept = psi0.layout.total_dim, psi0.layout.keep(keep)
-    dim_keep = kept.total_dim
-    step = max(1, _CHUNK_ENTRIES // _row_entries(dim, dim_keep))
+    levels = _reached_levels(psi0, params)
+    evolving = [3 * upper + lower for upper in range(levels[0]) for lower in range(levels[1])]
+    layout = HilbertLayout(tuple(zip(FACTORS, levels + (len(parts),))))
+    kept, full = layout.keep(keep), psi0.layout.keep(keep)
+    dim, dim_keep = layout.total_dim, kept.total_dim
+    step = max(1, _CHUNK_ENTRIES // _row_entries(dim, full.total_dim))
     size = min(step, times.size)
     dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
-    evolved, states = _evolved_rows(system.frequencies, parts, size, dt)
+    skips = tuple(FLOOR_SKIP[k] for k in evolving)
+    evolved, states = _evolved_rows(system.frequencies, parts[:, evolving], skips, size, dt)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
-    leading = psi0.layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
+    leading = layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield
     if most == 1:
-        group *= 1 + (1 + leading) * dim // (3 * dim_keep * dim_keep)  # see _row_entries
+        group *= 1 + (1 + leading) * dim // (3 * full.total_dim**2)  # see _row_entries
     products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
     for first in range(0, times.size, group):
         summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
         for start in range(first, first + len(summed), step):
             chunk, into = slice(start, start + step), summed[start - first : start - first + step]
             for k, (node, weight) in enumerate(zip(nodes, weights)):
-                split = psi0.layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
+                split = layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
                 product = _coordinates(split, turned, products[: len(into)] if k else into)
                 if most > 1:  # each node's rows' squared norms; the one node's weight is 1.0
                     _check_norms(np.einsum("tii->t", product))
@@ -368,4 +408,4 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
                     into += product
         if most == 1:  # those of every chunk of the yield at once
             _check_norms(np.einsum("tii->t", summed))
-        yield summed
+        yield summed if kept == full else _padded(summed, kept.dims, full.dims)

@@ -190,12 +190,29 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: byte
     trace of G (_MARGINALS).  Returns (T, 3) and (T, 5) arrays with tr rho =
     sum_j trace[:, j] c^(2-j) s^j and tr rho^2 = sum_k purity[:, k] c^(4-k) s^k.
 
+    psi(t) runs in each ion's bright basis: level b holds the bright state
+    B = (lambda1 b + lambda2 c) / Lambda, Lambda = hypot(|lambda1|,
+    |lambda2|), and level c the dark state, which the laser never couples
+    (Morris & Shore), so the run has lambda1 = Lambda, lambda2 = 0 and
+    starts from |a> x (conj(lambda1) b - lambda2 c) / Lambda x field, which
+    is |a b> x field; with no coupling b serves as B.  Ion 1 then reaches
+    only a and b (``milburn_quadrature``).  The change of basis acts alike
+    on both ions and commutes with SWAP, so it conjugates each part and
+    leaves their traces and the traces of their products as they are.
+
     ``times`` is the float64 grid's ``tobytes()``: as the cache key, one
     bytes hash and one comparison find the entry of a sweep's grid.
     """
     times = np.frombuffer(times)
+    bright = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    ion2 = [0, 1, 0]  # b, with no coupling
+    if bright:
+        ion2 = [0, params.lambda1.conjugate() / bright, -params.lambda2 / bright]
     field = truncated_coherent(params.nbar, params.fock_cutoff)
-    chunks = milburn_quadrature(prepare_initial(0.0, 0.0, field), params, times, ("ion1", "ion2"))
+    amplitudes = np.kron([1, 0, 0], np.kron(ion2, field.amplitudes))  # |a> x ion2 x field
+    psi0 = PureState(full_layout(params.fock_cutoff), amplitudes)
+    run = replace(params, lambda1=bright, lambda2=0.0)
+    chunks = milburn_quadrature(psi0, run, times, ("ion1", "ion2"))
     parts = _part_map(keep, params.phi)
     trace, purity = np.empty((len(times), 3)), np.empty((len(times), 5))
     start = 0

@@ -1,14 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, reject, settings
+from hypothesis import Phase, assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from ionduo import (
     ION_VS_ION,
+    ION_VS_REST,
     Bipartition,
     Constant,
     HilbertLayout,
@@ -31,8 +33,10 @@ from ionduo.dynamics import (
     milburn_quadrature,
     quadrature_terms,
 )
-from ionduo.entanglement import concurrence_from_purity, i_concurrence_values
+from ionduo.entanglement import concurrence_from_purity, i_concurrence_values, negativity_values
 from ionduo.ionmodel import (
+    FLOOR_SKIP,
+    LEVEL_INDEX,
     CutoffError,
     build_full_hamiltonian,
     evolvable_blocks,
@@ -510,7 +514,7 @@ def complex_node_sum(psi0, params, times, keep):
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
     theta = modulation_integral(params.modulation, times)
     dt = dynamics._grid_step(theta) if len(nodes) == 1 else None  # the channel's own table
-    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, times.size, dt)
+    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, FLOOR_SKIP, times.size, dt)
     rho = 0.0
     for node, weight in zip(nodes, weights):
         kept = psi0.layout.split(evolved(theta + node * spread), keep)
@@ -620,7 +624,7 @@ class TestMilburnReduced:
         # Oracle: one kernel chunk at a time, under the pass's one step decision.
         system, parts = dynamics._projected(psi0, params)
         dt = dynamics._grid_step(times)
-        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, 3, dt)
+        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, FLOOR_SKIP, 3, dt)
         alone = []
         for start in range(0, times.size, 3):
             kept = psi0.layout.split(evolved(times[start : start + 3]), keep)
@@ -767,9 +771,9 @@ def spy_on_the_step(monkeypatch):
         decided.append(theta.size)
         return grid_step(theta)
 
-    def taking(frequencies, parts, size, dt):
+    def taking(frequencies, parts, skips, size, dt):
         given.append(dt)
-        return evolved_rows(frequencies, parts, size, dt)
+        return evolved_rows(frequencies, parts, skips, size, dt)
 
     monkeypatch.setattr(dynamics, "_grid_step", deciding)
     monkeypatch.setattr(dynamics, "_evolved_rows", taking)
@@ -1142,3 +1146,104 @@ class TestExchangeSymmetry:
         params = SimParams(fock_cutoff=10, nbar=2.0)
         with pytest.raises(ValueError, match="not normalized"):
             next(milburn_quadrature(ion_state(theta=0.0), params, [0.0], ("ion1", "ion2")))
+
+
+def level_start(pairs, fock_cutoff=8, nbar=1.5):
+    """The equal superposition of the ion levels |ion1 ion2> named in
+    ``pairs`` (such as ["ab", "ca"]) tensored with a coherent field."""
+    levels = np.eye(3)
+    ions = sum(np.kron(levels[LEVEL_INDEX[i]], levels[LEVEL_INDEX[j]]) for i, j in pairs)
+    field = truncated_coherent(nbar, fock_cutoff).amplitudes
+    return PureState(full_layout(fock_cutoff), np.kron(ions, field) / math.sqrt(len(pairs)))
+
+
+def evolved_states(monkeypatch):
+    """The list of how many template states each kernel evolves, filled as passes run."""
+    evolved_rows, counts = dynamics._evolved_rows, []
+
+    def counted(frequencies, parts, skips, size, dt):
+        counts.append(len(skips))
+        return evolved_rows(frequencies, parts, skips, size, dt)
+
+    monkeypatch.setattr(dynamics, "_evolved_rows", counted)
+    return counts
+
+
+class TestBrightBasis:
+    """The I-concurrence pass in each ion's bright basis, and the channel's
+    rule that an ion with no c amplitude never reaches c while lambda2 = 0."""
+
+    @settings(max_examples=30, **FAIL_FAST)
+    @given(
+        fock_cutoff=st.integers(3, 8),
+        nbar=st.floats(0.0, 2.0),
+        lambda1=st.one_of(st.just(0j), couplings),
+        lambda2=st.one_of(st.just(0j), couplings),
+        phi=st.floats(0.0, math.pi),
+        modulation=modulations,
+        later=st.lists(st.floats(0.01, 3000.0), min_size=1, max_size=4, unique=True),
+        keep=st.sampled_from(list(experiments._MARGINALS)),
+    )
+    @example(3, 1.0, 0j, 0j, 0.4, Constant(), [5.0], ("ion1",))
+    @example(5, 1.0, 0j, 0.3 - 0.8j, 0.4, Sech(1.5), [5.0, 40.0], ("ion2",))
+    @example(5, 1.0, 0.6 + 0.2j, 0j, 2.0, Constant(), [5.0, 40.0], ("ion1", "ion2"))
+    def test_matches_the_product_basis_pass(
+        self, fock_cutoff, nbar, lambda1, lambda2, phi, modulation, later, keep
+    ):
+        params = SimParams(
+            fock_cutoff=fock_cutoff,
+            nbar=nbar,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            phi=phi,
+            modulation=modulation,
+        )
+        times = np.array([0.0] + sorted(later))
+        bright = experiments._exchange_coefficients.__wrapped__(params, keep, times.tobytes())
+        # Oracle: the run from |a b> x field under the original couplings
+        psi0 = prepare_initial(0.0, 0.0, truncated_coherent(nbar, fock_cutoff))
+        (coordinates,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
+        product = experiments._chunk_coefficients(experiments._part_map(keep, phi), coordinates)
+        for one, other in zip(bright, product):
+            assert np.abs(one - other).max() <= 1e-12
+
+    def test_no_coupling_keeps_the_start(self):
+        # lambda1 = lambda2 = 0 leaves no bright state to name; b serves as it
+        params = SimParams(fock_cutoff=6, nbar=1.0, lambda1=0, lambda2=0, theta=0.7)
+        values = run_series(params, "i_concurrence", ION_VS_REST, np.linspace(0.0, 30.0, 7)).values
+        purity = math.cos(0.7) ** 4 + math.sin(0.7) ** 4  # of ion 1's diag(c^2, s^2)
+        assert np.abs(values - math.sqrt(2.0 * (1.0 - purity))).max() <= 1e-14
+
+    def test_each_pass_evolves_the_levels_its_start_reaches(self, monkeypatch):
+        counts = evolved_states(monkeypatch)
+        params, times = SimParams(fock_cutoff=12, nbar=2.0), np.linspace(0.0, 30.0, 61)
+        experiments._exchange_coefficients.cache_clear()
+        run_series(params, "i_concurrence", ION_VS_REST, times)
+        assert counts == [6]  # ion 1 starts in a, so it reaches a and the bright b
+        counts.clear()
+        # fig3's cells: lambda2 = 0.01 couples c
+        run_sweep(params, [math.pi / 4], [0.0, 0.01, 0.05, 0.1], "negativity", ION_VS_ION, times)
+        assert counts == [9] * 4
+        counts.clear()
+        dark = replace(params, lambda2=0.0)
+        for pairs, count in ((["ab"], 4), (["ac"], 6), (["ca"], 6), (["ca", "ac"], 9)):
+            list(milburn_quadrature(level_start(pairs, 12, 2.0), dark, times, ("ion1", "ion2")))
+            assert counts.pop() == count
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("pairs", [("ab", "ba"), ("ab", "ca"), ("ba", "ac")], ids="+".join)
+    def test_a_dark_level_pass_matches_the_nine_state_pass(self, pairs, gamma, monkeypatch):
+        params = SimParams(fock_cutoff=8, nbar=1.5, lambda2=0.0, gamma=gamma, epsilon=0.8)
+        psi0, times = level_start(pairs), np.linspace(0.0, 30.0, 31)
+        kept = psi0.layout.keep(ION_VS_ION.labels)
+        counts = evolved_states(monkeypatch)
+        reduced = channel_run(psi0, params, times, ("ion1", "ion2"))
+        monkeypatch.setattr(dynamics, "_reached_levels", lambda psi0, params: (3, 3))
+        nine = channel_run(psi0, params, times, ("ion1", "ion2"))
+        assert counts == [4 if pairs == ("ab", "ba") else 6, 9]
+        assert np.abs(reduced - nine).max() <= 1e-14
+        values = [
+            negativity_values(density_from_coordinates(run), kept, ION_VS_ION)
+            for run in (reduced, nine)
+        ]
+        assert np.abs(values[0] - values[1]).max() <= 1e-14
