@@ -25,11 +25,10 @@ a real step table of w j dt made once per pass.  Every other chunk (sech,
 unequal grids, one value, every node at gamma > 0) takes np.cos and np.sin.
 ``evolve_pure``, which returns the whole (T, dim) evolution, is an oracle;
 production reads the pure states through the channel below, in time chunks.
-While lambda2 = 0 the level c is dark: an ion with no c amplitude at the
-start never reaches it, so the channel evolves only the template states of
-the levels each ion reaches (``_reached_levels``), on a layout of two or
-three levels per ion, and pads each yield back to the kept factors' full
-size.  The I-concurrence run, in the ions' bright basis, evolves six.
+The start's layout names the levels a pass evolves: each ion holds a, b
+and c, or only a and b, which is exact while lambda2 = 0 leaves c dark, as
+H then moves no ion into or out of c.  The I-concurrence run, in the ions'
+bright basis, starts on two levels of ion 1 and evolves six template states.
 
 The intrinsic-decoherence master equation
 
@@ -61,7 +60,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import NORM_TOL, HilbertLayout, PureState
+from .core import NORM_TOL, PureState
 from .ionmodel import FACTORS, FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
 from .params import Constant, Modulation, Sech, SimParams
 
@@ -106,36 +105,47 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-def _template_amplitudes(psi0: PureState, params: SimParams) -> np.ndarray:
+def _template_amplitudes(psi0: PureState, params: SimParams) -> tuple[np.ndarray, list[int]]:
     """The (F, 9) initial amplitudes of the F evolvable blocks on the
-    template, block n in row n + 2.  ValueError off the full layout of the
-    cutoff; CutoffError for weight above 1e-12 on the states the gather
-    leaves out, grid[k, F - FLOOR_SKIP[k]:], which are those of the blocks
-    n > N_max - 2 truncated by the ceiling and cannot be evolved faithfully."""
-    if psi0.layout != full_layout(params.fock_cutoff):
+    template, block n in row n + 2, zero off the template states of the
+    levels the layout of ``psi0`` holds, and those states in its order.  The
+    layout is ion1 x ion2 x field (N_max + 1 states), each ion of a, b, c
+    or, while lambda2 = 0 keeps c dark, of a, b: ValueError otherwise.
+    CutoffError for weight above 1e-12 on the states the gather leaves out,
+    grid[k, F - FLOOR_SKIP[k]:], those of the blocks n > N_max - 2
+    truncated by the ceiling, which cannot be evolved faithfully."""
+    layout = psi0.layout
+    if layout.labels != FACTORS or layout.dims[2] != params.fock_cutoff + 1:
         raise ValueError("initial state layout does not match params.fock_cutoff")
-    grid = psi0.amplitudes.reshape(9, -1)  # ion levels by Fock number
+    levels = layout.dims[:2]
+    if not {2, 3} >= set(levels) or (2 in levels and params.lambda2 != 0):
+        raise ValueError(f"ion levels {levels}: each ion needs a, b, c, or a, b while lambda2 = 0")
+    states = [3 * upper + lower for upper in range(levels[0]) for lower in range(levels[1])]
+    grid = psi0.amplitudes.reshape(len(states), -1)  # ion levels by Fock number
     blocks = grid.shape[1]
     a0 = np.zeros((blocks, 9), dtype=np.complex128)
     leak = 0.0
-    for k, skip in enumerate(FLOOR_SKIP):
-        a0[skip:, k] = grid[k, : blocks - skip]
-        leak += np.vdot(grid[k, blocks - skip :], grid[k, blocks - skip :]).real
+    for row, k in zip(grid, states):
+        skip = FLOOR_SKIP[k]
+        a0[skip:, k] = row[: blocks - skip]
+        leak += np.vdot(row[blocks - skip :], row[blocks - skip :]).real
     if leak > 1e-12:
         raise CutoffError(
             f"initial state has weight {leak:.3e} on blocks truncated by the cutoff; "
             f"raise fock_cutoff"
         )
-    return a0
+    return a0, states
 
 
-def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndarray]:
-    """The block system of ``params`` and the (F, 9, 5) parts U[i, :, j] =
+def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndarray, tuple]:
+    """The block system of ``params``, the (F, S, 5) parts U[i, s, j] =
     P_j a0 of the ``_template_amplitudes`` a0 of each of its F evolvable
-    blocks."""
-    a0 = _template_amplitudes(psi0, params)
+    blocks on the S template states of the layout of ``psi0``, and their
+    FLOOR_SKIPs."""
+    a0, states = _template_amplitudes(psi0, params)
     system = get_block_system(params)
-    return system, np.einsum("ijkl,il->ikj", system.projectors, a0)
+    parts = np.einsum("ijkl,il->ikj", system.projectors, a0)[:, states]
+    return system, parts, tuple(FLOOR_SKIP[k] for k in states)
 
 
 def _check_norms(norm_sq: np.ndarray) -> None:
@@ -240,30 +250,31 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     Returns a read-only (T, dim) complex array on the layout of ``psi0``
     whose row i is the state at ``times[i]``; a row whose squared norm
     drifts from 1 by more than NORM_TOL raises ValueError.  ``psi0`` must be
-    on the full layout of ``params.fock_cutoff`` and must not populate the
+    on a layout ``_template_amplitudes`` accepts and must not populate the
     blocks truncated by the cutoff ceiling, which cannot be evolved faithfully.
     """
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
-    system, parts = _projected(psi0, params)
-    evolved, _ = _evolved_rows(system.frequencies, parts, FLOOR_SKIP, theta.size, _grid_step(theta))
+    system, parts, skips = _projected(psi0, params)
+    evolved, _ = _evolved_rows(system.frequencies, parts, skips, theta.size, _grid_step(theta))
     return _checked_states(evolved(theta))
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
     """Complex entries counted per time row of a kernel chunk whose evolved
-    rows have ``dim`` entries and whose yields ``dim_keep`` kept states:
-    three rows (the kernel's, the copy a split into the kept factors may
-    make and a third), three real kept states at the yield's full size (the
-    chunk's, a node's product and the yield before, which its reader may
-    still hold) and one and a half entries per evolved entry: the kernel's
-    block states, which hold the matmul's result in a call and the turned
-    copy (1 - i) between calls, and the blocks' real phases, a nine-state
-    block's 10 but the step table's row of ones at half an entry each (a
-    block of fewer states counts a little less).  A one-node rule makes no
-    product, and its third row, with the split's copy where the split makes
-    none, holds more chunks' kept states in one yield, counted at 3 d^2 a
-    row.  The count stays, so no nine-state gamma = 0 chunk edge moves."""
+    rows have ``dim`` entries, ``dim_keep`` being the start's full kept size,
+    the states of its kept factors at three levels an ion: three rows (the
+    kernel's, the copy a split into the kept factors may make and a third),
+    three real kept states at that size (the chunk's, a node's product and
+    the yield before, which its reader may still hold) and one and a half
+    entries per evolved entry: the kernel's block states, which hold the
+    matmul's result in a call and the turned copy (1 - i) between calls,
+    and the blocks' real phases, a nine-state block's 10 but the step
+    table's row of ones at half an entry each (a block of fewer states
+    counts a little less).  A one-node rule makes no product, and its third
+    row, with the split's copy where the split makes none, holds more
+    chunks' kept states in one yield, counted at 3 d^2 a row.  The count
+    stays, so no nine-state gamma = 0 chunk edge moves."""
     return 3 * dim + 3 * dim_keep * dim_keep + 3 * dim // 2
 
 
@@ -317,27 +328,6 @@ def density_from_coordinates(coordinates: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _reached_levels(psi0: PureState, params: SimParams) -> tuple[int, int]:
-    """How many levels, a and b first, each ion can reach from ``psi0``: a,
-    b and c, or only a and b for an ion with no c amplitude while lambda2 = 0
-    leaves c dark, since then H moves no ion into or out of c."""
-    if params.lambda2 != 0:
-        return 3, 3
-    grid = psi0.amplitudes.reshape(3, 3, -1)
-    return 2 + bool(grid[2].any()), 2 + bool(grid[:, 2].any())
-
-
-def _padded(coordinates: np.ndarray, dims: tuple[int, ...], full_dims: tuple[int, ...]):
-    """The (Tc, d, d) ``coordinates`` on kept factors of ``dims`` levels,
-    each the leading levels of its factor in ``full_dims``, as (Tc, D, D)
-    coordinates on the full factors: zero beyond them, by basic slicing."""
-    rows = len(coordinates)
-    padded = np.zeros((rows, math.prod(full_dims), math.prod(full_dims)))
-    corner = (slice(None),) + tuple(slice(d) for d in dims) * 2
-    padded.reshape(rows, *full_dims, *full_dims)[corner] = coordinates.reshape(rows, *dims, *dims)
-    return padded
-
-
 def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Iterator[np.ndarray]:
     """Intrinsic-decoherence evolution of a pure initial state, reduced to the
     factors in ``keep`` (all of them gives the full state).
@@ -354,9 +344,8 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     again.  At gamma = 0 it is the one node x = 0 under either profile; then
     a yield may hold several kernel chunks, whose traces are checked at
     once, and an equal-step profile takes the step table (``_evolved_rows``).
-    Only the template states of the levels each ion reaches are evolved
-    (``_reached_levels``); where that leaves out a kept level, each yield is
-    padded back to the kept factors' full size (``_padded``).
+    Only the template states of the levels the layout of ``psi0`` holds are
+    evolved (``_template_amplitudes``), and each yield is on its kept factors.
     Before anything is evolved, raises UnsupportedRegimeError for gamma > 0
     under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
     """
@@ -366,7 +355,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             "intrinsic decoherence (gamma > 0) is solvable only for a "
             "time-independent coupling profile; rerun with constant modulation"
         )
-    system, parts = _projected(psi0, params)
+    system, parts, skips = _projected(psi0, params)
     width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     most = quadrature_terms(spread[-1] * width)
@@ -378,16 +367,13 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
         )
     nodes, weights = _hermite_rule(most)
     theta = modulation_integral(params.modulation, times)
-    levels = _reached_levels(psi0, params)
-    evolving = [3 * upper + lower for upper in range(levels[0]) for lower in range(levels[1])]
-    layout = HilbertLayout(tuple(zip(FACTORS, levels + (len(parts),))))
-    kept, full = layout.keep(keep), psi0.layout.keep(keep)
+    layout = psi0.layout
+    kept, full = layout.keep(keep), full_layout(params.fock_cutoff).keep(keep)
     dim, dim_keep = layout.total_dim, kept.total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, full.total_dim))
     size = min(step, times.size)
     dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
-    skips = tuple(FLOOR_SKIP[k] for k in evolving)
-    evolved, states = _evolved_rows(system.frequencies, parts[:, evolving], skips, size, dt)
+    evolved, states = _evolved_rows(system.frequencies, parts, skips, size, dt)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
     leading = layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield
@@ -408,4 +394,4 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
                     into += product
         if most == 1:  # those of every chunk of the yield at once
             _check_norms(np.einsum("tii->t", summed))
-        yield summed if kept == full else _padded(summed, kept.dims, full.dims)
+        yield summed

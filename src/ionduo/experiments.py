@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import PureState
+from .core import HilbertLayout, PureState
 from .dynamics import check_times, density_from_coordinates, milburn_quadrature
 from .entanglement import (
     Bipartition,
@@ -195,10 +195,11 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: byte
     |lambda2|), and level c the dark state, which the laser never couples
     (Morris & Shore), so the run has lambda1 = Lambda, lambda2 = 0 and
     starts from |a> x (conj(lambda1) b - lambda2 c) / Lambda x field, which
-    is |a b> x field; with no coupling b serves as B.  Ion 1 then reaches
-    only a and b (``milburn_quadrature``).  The change of basis acts alike
-    on both ions and commutes with SWAP, so it conjugates each part and
-    leaves their traces and the traces of their products as they are.
+    is |a b> x field; with no coupling b serves as B.  Its layout holds ion
+    1's a and b only, so the channel evolves six template states.  The
+    change of basis acts alike on both ions and commutes with SWAP, so it
+    conjugates each part and leaves their traces and the traces of their
+    products as they are.
 
     ``times`` is the float64 grid's ``tobytes()``: as the cache key, one
     bytes hash and one comparison find the entry of a sweep's grid.
@@ -209,8 +210,10 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: byte
     if bright:
         ion2 = [0, params.lambda1.conjugate() / bright, -params.lambda2 / bright]
     field = truncated_coherent(params.nbar, params.fock_cutoff)
-    amplitudes = np.kron([1, 0, 0], np.kron(ion2, field.amplitudes))  # |a> x ion2 x field
-    psi0 = PureState(full_layout(params.fock_cutoff), amplitudes)
+    amplitudes = np.kron([1, 0], np.kron(ion2, field.amplitudes))  # |a> x ion2 x field
+    # Ion 1 starts in a and the run has lambda2 = 0, so it never reaches the dark c.
+    layout = HilbertLayout(tuple(zip(FACTORS, (2, 3, params.fock_cutoff + 1))))
+    psi0 = PureState(layout, amplitudes)
     run = replace(params, lambda1=bright, lambda2=0.0)
     chunks = milburn_quadrature(psi0, run, times, ("ion1", "ion2"))
     parts = _part_map(keep, params.phi)
@@ -225,26 +228,30 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: byte
 
 
 def _part_map(keep: tuple[str, ...], phi: float) -> np.ndarray:
-    """The real (81, 3 d^2) matrix, d = 3^len(keep), taking the coordinates
-    of a two-ion marginal G to those of its three parts on ``keep``: the
-    partial traces of _MARGINALS, the middle one made X by the phase
-    e^{-i phi} and its Hermitian part.  The coordinates of a Hermitian H are
-    Re H + Im H, entry by entry (``density_from_coordinates``), in which
-    tr(H K) is the dot product.  The map is real linear in G, so row j is
-    the image of the G whose coordinates are the j-th unit vector."""
-    basis = density_from_coordinates(np.eye(81).reshape(81, 9, 9)).reshape(81, 3, 3, 3, 3)
+    """The real (36, 3 d^2) matrix, d = 3^len(keep), taking the coordinates
+    of a two-ion marginal G of the bright pass (``_exchange_coefficients``),
+    on ion 1's levels a, b and ion 2's a, b, c, to those of its three parts
+    on ``keep``: the partial traces of _MARGINALS of G with ion 1's c empty,
+    the middle one made X by the phase e^{-i phi} and its Hermitian part.
+    The coordinates of a Hermitian H are Re H + Im H, entry by entry
+    (``density_from_coordinates``), in which tr(H K) is the dot product.
+    The map is real linear in G, so row j is the image of the G whose
+    coordinates are the j-th unit vector."""
+    basis = np.zeros((36, 3, 3, 3, 3), dtype=np.complex128)
+    corner = density_from_coordinates(np.eye(36).reshape(36, 6, 6))
+    basis[:, :2, :, :2] = corner.reshape(36, 2, 3, 2, 3)
     d = 3 ** len(keep)
-    own, cross, other = (np.einsum(spec, basis).reshape(81, d, d) for spec in _MARGINALS[keep])
+    own, cross, other = (np.einsum(spec, basis).reshape(36, d, d) for spec in _MARGINALS[keep])
     cross = cross * np.exp(-1j * phi)
     cross += cross.conj().swapaxes(1, 2)
     images = np.stack([own, cross, other], axis=1)
-    return (images.real + images.imag).reshape(81, -1)
+    return (images.real + images.imag).reshape(36, -1)
 
 
 def _chunk_coefficients(parts: np.ndarray, g: np.ndarray):
-    """Trace and purity coefficients of one chunk of the (Tc, 9, 9)
-    coordinates Re G + Im G of two-ion marginals G, as the channel yields
-    them, from the ``_part_map`` ``parts`` of their ion side."""
+    """Trace and purity coefficients of one chunk of the (Tc, 6, 6)
+    coordinates Re G + Im G of the bright pass's two-ion marginals G, as the
+    channel yields them, from the ``_part_map`` ``parts`` of their ion side."""
     flat = (g.reshape(len(g), -1) @ parts).reshape(len(g), 3, -1)
     gram = flat @ flat.swapaxes(1, 2)  # tr(part_p part_q), the parts Hermitian
     d = math.isqrt(flat.shape[2])

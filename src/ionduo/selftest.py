@@ -68,9 +68,12 @@ def block_index(fock_cutoff: int) -> np.ndarray:
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
     single eigendecomposition of the assembled Hamiltonian.  Same contract
-    as ``dynamics.evolve_pure``."""
+    as ``dynamics.evolve_pure``, but on the full layout only: a start on two
+    levels of an ion raises ValueError."""
     times = dynamics.check_times(times)
-    dynamics._template_amplitudes(psi0, params)  # the same layout and ceiling checks
+    if psi0.layout != ionmodel.full_layout(params.fock_cutoff):
+        raise ValueError("the dense oracle evolves only the full layout of params.fock_cutoff")
+    dynamics._template_amplitudes(psi0, params)  # the same ceiling check
     spectrum = hermitian_spectrum(ionmodel.build_full_hamiltonian(params))
     theta = dynamics.modulation_integral(params.modulation, times)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes

@@ -35,7 +35,6 @@ from ionduo.dynamics import (
 )
 from ionduo.entanglement import concurrence_from_purity, i_concurrence_values, negativity_values
 from ionduo.ionmodel import (
-    FLOOR_SKIP,
     LEVEL_INDEX,
     CutoffError,
     build_full_hamiltonian,
@@ -477,7 +476,8 @@ class TestCeilingCheck:
             with pytest.raises(CutoffError, match="cutoff"):
                 dynamics._template_amplitudes(psi0, SimParams(fock_cutoff=cutoff))
             return
-        gathered = dynamics._template_amplitudes(psi0, SimParams(fock_cutoff=cutoff))
+        gathered, states = dynamics._template_amplitudes(psi0, SimParams(fock_cutoff=cutoff))
+        assert states == list(range(9))  # the full layout holds every template state
         rows, focks = np.nonzero(blocks <= cutoff - 2)  # block n's state k sits in row n + 2
         evolvable = amps.reshape(9, -1)[rows, focks]
         assert np.array_equal(gathered[blocks[rows, focks] + 2, rows], evolvable)
@@ -508,13 +508,13 @@ def occupied_spread(psi0, params):
 def complex_node_sum(psi0, params, times, keep):
     """Oracle for one channel chunk: sum_k w_k kept_k kept_k^dag in complex
     arithmetic, over the channel's own kernel rows and Gauss-Hermite rule."""
-    system, parts = dynamics._projected(psi0, params)
+    system, parts, skips = dynamics._projected(psi0, params)
     width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
     theta = modulation_integral(params.modulation, times)
     dt = dynamics._grid_step(theta) if len(nodes) == 1 else None  # the channel's own table
-    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, FLOOR_SKIP, times.size, dt)
+    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, times.size, dt)
     rho = 0.0
     for node, weight in zip(nodes, weights):
         kept = psi0.layout.split(evolved(theta + node * spread), keep)
@@ -622,9 +622,9 @@ class TestMilburnReduced:
         lengths = [6, 6, 6, 4] if dim_keep == 9 else [3] * 7 + [1]
         assert [len(chunk) for chunk in chunks] == lengths
         # Oracle: one kernel chunk at a time, under the pass's one step decision.
-        system, parts = dynamics._projected(psi0, params)
+        system, parts, skips = dynamics._projected(psi0, params)
         dt = dynamics._grid_step(times)
-        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, FLOOR_SKIP, 3, dt)
+        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, 3, dt)
         alone = []
         for start in range(0, times.size, 3):
             kept = psi0.layout.split(evolved(times[start : start + 3]), keep)
@@ -963,6 +963,30 @@ def einsum_chunk_coefficients(keep, phi, g):
     return flat[:, :, :: d + 1].sum(axis=2).real, gram.reshape(-1, 9) @ experiments._ANTIDIAGONALS
 
 
+def bright_run(params, keep, times):
+    """The coefficients of the uncached experiments._exchange_coefficients
+    and the coordinates of the bright pass they are read from."""
+    seen = []
+
+    def recorded(*args):
+        for chunk in milburn_quadrature(*args):
+            seen.append(chunk)
+            yield chunk
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "milburn_quadrature", recorded)
+        coefficients = experiments._exchange_coefficients.__wrapped__(params, keep, times.tobytes())
+    return coefficients, np.concatenate(seen)
+
+
+def two_ion_marginals(coordinates):
+    """The (T, 9, 9) two-ion marginals of the bright pass's (T, 6, 6)
+    coordinates, on ion 1's a and b and ion 2's three levels: ion 1's c empty."""
+    g = np.zeros((len(coordinates), 3, 3, 3, 3), dtype=complex)
+    g[:, :2, :, :2] = density_from_coordinates(coordinates).reshape(-1, 2, 3, 2, 3)
+    return g.reshape(-1, 9, 9)
+
+
 class TestExchangeSymmetry:
     @settings(max_examples=40, **FAIL_FAST)
     @given(
@@ -1068,17 +1092,14 @@ class TestExchangeSymmetry:
             phi=phi,
             modulation=modulation,
         )
-        psi0 = prepare_initial(0.0, 0.0, truncated_coherent(nbar, fock_cutoff))
-        times = [0.0] + sorted(later)
-        (coordinates,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
-        g = density_from_coordinates(coordinates)
+        times = np.array([0.0] + sorted(later))
         for keep in experiments._MARGINALS:
-            parts = experiments._part_map(keep, phi)
-            fast = experiments._chunk_coefficients(parts, coordinates)
+            fast, coordinates = bright_run(params, keep, times)
+            g = two_ion_marginals(coordinates)
             for one, other in zip(fast, einsum_chunk_coefficients(keep, phi, g)):
                 assert np.abs(one - other).max() <= 1e-14
             # The coefficients are even in phi; the parts pin the phase's sign.
-            mapped = coordinates.reshape(len(g), -1) @ parts  # coordinates Re + Im
+            mapped = coordinates.reshape(len(g), -1) @ experiments._part_map(keep, phi)
             reference = einsum_parts(keep, phi, g).reshape(len(g), -1)
             assert np.abs(mapped - (reference.real + reference.imag)).max() <= 1e-14
 
@@ -1148,13 +1169,16 @@ class TestExchangeSymmetry:
             next(milburn_quadrature(ion_state(theta=0.0), params, [0.0], ("ion1", "ion2")))
 
 
-def level_start(pairs, fock_cutoff=8, nbar=1.5):
+def level_start(pairs, levels=(3, 3), fock_cutoff=8, nbar=1.5):
     """The equal superposition of the ion levels |ion1 ion2> named in
-    ``pairs`` (such as ["ab", "ca"]) tensored with a coherent field."""
-    levels = np.eye(3)
-    ions = sum(np.kron(levels[LEVEL_INDEX[i]], levels[LEVEL_INDEX[j]]) for i, j in pairs)
+    ``pairs`` (such as ["ab", "ca"]) tensored with a coherent field, on the
+    layout of ``levels`` levels of ion 1 and of ion 2, a and b first."""
+    ions = np.zeros(levels)
+    for i, j in pairs:
+        ions[LEVEL_INDEX[i], LEVEL_INDEX[j]] = 1.0
     field = truncated_coherent(nbar, fock_cutoff).amplitudes
-    return PureState(full_layout(fock_cutoff), np.kron(ions, field) / math.sqrt(len(pairs)))
+    layout = HilbertLayout(tuple(zip(ionmodel.FACTORS, levels + (fock_cutoff + 1,))))
+    return PureState(layout, np.kron(ions.ravel(), field) / math.sqrt(len(pairs)))
 
 
 def evolved_states(monkeypatch):
@@ -1203,7 +1227,7 @@ class TestBrightBasis:
         # Oracle: the run from |a b> x field under the original couplings
         psi0 = prepare_initial(0.0, 0.0, truncated_coherent(nbar, fock_cutoff))
         (coordinates,) = milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
-        product = experiments._chunk_coefficients(experiments._part_map(keep, phi), coordinates)
+        product = einsum_chunk_coefficients(keep, phi, density_from_coordinates(coordinates))
         for one, other in zip(bright, product):
             assert np.abs(one - other).max() <= 1e-12
 
@@ -1214,36 +1238,74 @@ class TestBrightBasis:
         purity = math.cos(0.7) ** 4 + math.sin(0.7) ** 4  # of ion 1's diag(c^2, s^2)
         assert np.abs(values - math.sqrt(2.0 * (1.0 - purity))).max() <= 1e-14
 
-    def test_each_pass_evolves_the_levels_its_start_reaches(self, monkeypatch):
+    def test_each_pass_evolves_the_levels_its_layout_holds(self, monkeypatch):
         counts = evolved_states(monkeypatch)
         params, times = SimParams(fock_cutoff=12, nbar=2.0), np.linspace(0.0, 30.0, 61)
         experiments._exchange_coefficients.cache_clear()
         run_series(params, "i_concurrence", ION_VS_REST, times)
-        assert counts == [6]  # ion 1 starts in a, so it reaches a and the bright b
+        assert counts == [6]  # ion 1 starts in a, so its layout holds a and the bright b
         counts.clear()
         # fig3's cells: lambda2 = 0.01 couples c
         run_sweep(params, [math.pi / 4], [0.0, 0.01, 0.05, 0.1], "negativity", ION_VS_ION, times)
         assert counts == [9] * 4
         counts.clear()
-        dark = replace(params, lambda2=0.0)
-        for pairs, count in ((["ab"], 4), (["ac"], 6), (["ca"], 6), (["ca", "ac"], 9)):
-            list(milburn_quadrature(level_start(pairs, 12, 2.0), dark, times, ("ion1", "ion2")))
-            assert counts.pop() == count
+        dark = replace(params, lambda2=0.0)  # the full layout evolves nine even so
+        for levels, count in (((2, 2), 4), ((2, 3), 6), ((3, 2), 6), ((3, 3), 9)):
+            start = level_start(["ab"], levels, 12, 2.0)
+            list(milburn_quadrature(start, dark, times, ("ion1", "ion2")))
+            evolve_pure(start, dark, times)
+            assert counts == [count] * 2
+            counts.clear()
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
-    @pytest.mark.parametrize("pairs", [("ab", "ba"), ("ab", "ca"), ("ba", "ac")], ids="+".join)
-    def test_a_dark_level_pass_matches_the_nine_state_pass(self, pairs, gamma, monkeypatch):
+    @pytest.mark.parametrize(
+        ("levels", "pairs"),
+        [((2, 2), ("ab", "ba")), ((2, 3), ("ba", "ac")), ((3, 2), ("ab", "ca"))],
+        ids=["2x2", "2x3", "3x2"],
+    )
+    def test_a_two_level_pass_matches_the_full_layout_pass(self, levels, pairs, gamma):
         params = SimParams(fock_cutoff=8, nbar=1.5, lambda2=0.0, gamma=gamma, epsilon=0.8)
-        psi0, times = level_start(pairs), np.linspace(0.0, 30.0, 31)
-        kept = psi0.layout.keep(ION_VS_ION.labels)
-        counts = evolved_states(monkeypatch)
-        reduced = channel_run(psi0, params, times, ("ion1", "ion2"))
-        monkeypatch.setattr(dynamics, "_reached_levels", lambda psi0, params: (3, 3))
-        nine = channel_run(psi0, params, times, ("ion1", "ion2"))
-        assert counts == [4 if pairs == ("ab", "ba") else 6, 9]
-        assert np.abs(reduced - nine).max() <= 1e-14
+        starts, times = (level_start(pairs, levels), level_start(pairs)), np.linspace(0.0, 30.0, 31)
+        keep = ("ion1", "ion2")
+        reduced, full = (channel_run(psi0, params, times, keep) for psi0 in starts)
+        corner = (slice(None),) + tuple(slice(n) for n in levels) * 2
+        nine = full.reshape(-1, 3, 3, 3, 3).copy()
+        assert np.abs(nine[corner] - reduced.reshape(-1, *levels, *levels)).max() <= 1e-14
+        nine[corner] = 0.0
+        assert np.abs(nine).max() <= 1e-14  # the levels the start's layout leaves out
         values = [
-            negativity_values(density_from_coordinates(run), kept, ION_VS_ION)
-            for run in (reduced, nine)
+            negativity_values(density_from_coordinates(run), psi0.layout.keep(keep), ION_VS_ION)
+            for run, psi0 in zip((reduced, full), starts)
         ]
         assert np.abs(values[0] - values[1]).max() <= 1e-14
+        if gamma == 0:
+            pure, whole = (evolve_pure(psi0, params, times) for psi0 in starts)
+            rows = whole.reshape(len(times), 3, 3, -1)[:, : levels[0], : levels[1]]
+            assert np.abs(rows - pure.reshape(rows.shape)).max() <= 1e-14
+
+    @pytest.mark.parametrize("evolve", [evolve_pure, quadrature_chunk])
+    @pytest.mark.parametrize(
+        ("factors", "lambda2"),
+        [
+            ((2, 3, 9), 0.01),  # a two-level ion while lambda2 couples c
+            ((3, 2, 9), 0.3j),
+            ((2, 2, 9), 0.01),
+            ((3, 3, 8), 0.0),  # a field of the wrong size
+            ((2, 3, 10), 0.0),
+            ((1, 3, 9), 0.0),  # an ion of neither 2 nor 3 levels
+            ((3, 4, 9), 0.0),
+        ],
+    )
+    def test_a_layout_off_the_rule_is_refused_before_evolving(
+        self, evolve, factors, lambda2, monkeypatch
+    ):
+        monkeypatch.setattr(dynamics, "_evolved_rows", None)  # any evolution would fail
+        layout = HilbertLayout(tuple(zip(ionmodel.FACTORS, factors)))
+        psi0 = PureState(layout, np.eye(layout.total_dim)[0])  # |a a, 0>
+        with pytest.raises(ValueError, match="layout|levels"):
+            evolve(psi0, SimParams(fock_cutoff=8, lambda2=lambda2), [0.0, 1.0])
+
+    def test_the_dense_oracle_takes_the_full_layout_only(self):
+        start = level_start(["ab"], (2, 3))
+        with pytest.raises(ValueError, match="full layout"):
+            evolve_pure_dense(start, SimParams(fock_cutoff=8, nbar=1.5, lambda2=0.0), [0.0, 1.0])

@@ -194,7 +194,7 @@ class TestPrepareInitial:
         field = truncated_coherent(params.nbar, params.fock_cutoff)
         psi = prepare_initial(params.theta, params.phi, field)
         # the projected parts of each block sum back to its amplitudes
-        _, parts = dynamics._projected(psi, params)
+        _, parts, _ = dynamics._projected(psi, params)
         table = block_index(params.fock_cutoff)
         rebuilt = np.zeros_like(psi.amplitudes)
         for i, n in enumerate(evolvable_blocks(params.fock_cutoff)):
