@@ -1,7 +1,7 @@
 """Entanglement dynamics of two three-level trapped ions coupled to one
 quantized vibrational mode by a time-modulated laser."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .core import HilbertLayout, PureState
 from .dynamics import UnsupportedRegimeError, modulation_integral

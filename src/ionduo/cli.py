@@ -48,7 +48,7 @@ from .experiments import (
     run_sweep,
     truncated_coherent,
 )
-from .ionmodel import FACTORS, CutoffError
+from .ionmodel import FACTORS, CutoffError, block_frequencies
 from .params import Constant, Sech, SimParams
 
 
@@ -345,6 +345,12 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         fail("params", key if key in cell else "fock_cutoff", str(exc))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        finite = np.isfinite(block_frequencies(params)).all()
+    if not finite:  # no one key is at fault, so no line is located
+        raise ConfigError(
+            "params", "", "lambda1, lambda2, eta and epsilon give non-finite block frequencies"
+        )
 
     # A [sweep] key naming a SimParams field sweeps it.  Each value is checked
     # on the cell params built the way run_sweep builds them, so SimParams

@@ -19,10 +19,11 @@ gather leaves out exactly the blocks truncated by the cutoff ceiling, and
 weight there is refused.  A one-node pass (``evolve_pure``, or the channel
 at gamma = 0) decides once whether its whole profile lies on its mean step
 dt (``_grid_step``), as an equal grid does at constant coupling.  If so,
-each chunk of more than one value takes the table by angle addition: each
-block's 5 x 5 turn by w theta_0 is applied to those parts, which then meet
-a real step table of w j dt made once per pass.  Every other chunk (sech,
-unequal grids, one value, every node at gamma > 0) takes np.cos and np.sin.
+each chunk takes the table by angle addition: each block's 5 x 5 turn by
+w theta_0 is applied to those parts, which then meet a real step table of
+w j dt made once per pass.  Every other pass (sech, unequal grids, one
+value, every node at gamma > 0) refills that one table with np.cos and
+np.sin on each chunk.
 ``evolve_pure``, which returns the whole (T, dim) evolution, is an oracle;
 production reads the pure states through the channel below, in time chunks.
 The start's layout names the levels a pass evolves: each ion holds a, b
@@ -64,7 +65,7 @@ from .core import NORM_TOL, PureState
 from .ionmodel import FACTORS, FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
 from .params import Constant, Modulation, Sech, SimParams
 
-KRAUS_MAX_TERMS = 512
+HERMITE_MAX_NODES = 512
 QUADRATURE_TARGET = 1e-14
 
 # Complex entries (2 MB) per time chunk of every array _row_entries counts.
@@ -154,15 +155,6 @@ def _check_norms(norm_sq: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |norm^2 - 1| = {drift:.3e}")
 
 
-def _checked_states(states: np.ndarray) -> np.ndarray:
-    """Contiguous complex rows ``states``, made read-only once each row's squared
-    norm, read through their float64 view with no temporary, is checked."""
-    rows = states.view(np.float64)
-    _check_norms(np.einsum("ij,ij->i", rows, rows))
-    states.flags.writeable = False
-    return states
-
-
 # A pass's profile is equal-step when each value lies within this many units
 # of eps max|theta| of theta_0 + j dt; a chunk anchored at its first value
 # theta_s then takes phases w theta_s + w j dt within twice that bound,
@@ -197,42 +189,44 @@ def _evolved_rows(
     imaginary (c = 1) part of state s.  One batched matmul of each
     block's (len(theta), 5) phases by V gives a call's states, as float64.
 
-    Given dt, a real step table of the cos and sin of w j dt is made here
-    once, and a call of more than one value takes its cosines and sines by
-    angle addition: each block's 5 x 5 turn by its angles w theta_0, applied
-    to V, meets the step table.  Any other call takes np.cos and np.sin of
-    w theta.  Both tables hold (1, cos, cos, sin, sin) as (F, 5, size) rows,
-    which the matmul reads transposed.  Each call overwrites the rows the
-    call before returned.  Also returns the complex buffer of size x S F
-    entries that holds the blocks' states in a call, free between calls.
+    One real phase table holds (1, cos, cos, sin, sin) as (F, 5, size) rows,
+    which the matmul reads transposed.  Given dt, it is filled here once
+    with the cos and sin of w j dt, and each call takes its phases by angle
+    addition: each block's 5 x 5 turn by its angles w theta_0, applied to V,
+    meets the table's first len(theta) columns (one value reads column 0,
+    (1, 1, 1, 0, 0)); the turn and its buffer exist only then.  Without dt,
+    each call refills the table with np.cos and np.sin of w theta.  Each
+    call overwrites the rows the call before returned.  Also returns the
+    complex buffer of size x S F entries that holds the blocks' states in a
+    call, free between calls.
     """
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
     v = np.ascontiguousarray(v.swapaxes(1, 2)).view(np.float64)
     blocks = len(frequencies)
-    table, steps = np.ones((2, blocks, 5, size))  # row 0 stays 1
-    turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
+    table = np.ones((blocks, 5, size))  # row 0 stays 1
     if dt is not None:
-        np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=steps[:, 3:])
-        np.cos(steps[:, 3:], out=steps[:, 1:3])
-        np.sin(steps[:, 3:], out=steps[:, 3:])
+        np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=table[:, 3:])
+        np.cos(table[:, 3:], out=table[:, 1:3])
+        np.sin(table[:, 3:], out=table[:, 3:])
+        turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
     states = np.empty((blocks, size, len(skips)), dtype=np.complex128)
     out = np.zeros((size, len(skips) * blocks), dtype=np.complex128)  # floor blocks' gaps stay 0
 
     def evolved(theta: np.ndarray) -> np.ndarray:
-        block_states = states[:, : theta.size]
-        if dt is not None and theta.size > 1:
-            angle = frequencies * theta[0]
-            cos, sin = np.cos(angle), np.sin(angle)
-            entries = np.concatenate([cos, cos, sin, -sin], axis=1)
-            turn.reshape(-1, 25)[:, [6, 12, 18, 24, 8, 14, 16, 22]] = entries
-            phases, vectors = steps[:, :, : theta.size], np.matmul(turn, v, out=turned)
-        else:
-            phases, vectors = table[:, :, : theta.size], v
+        block_states, phases = states[:, : theta.size], table[:, :, : theta.size]
+        if dt is None:
             cos, sin = phases[:, 1:3], phases[:, 3:]
             np.multiply(frequencies[:, :, None], theta, out=sin)
             np.cos(sin, out=cos)
             np.sin(sin, out=sin)
+            vectors = v
+        else:
+            angle = frequencies * theta[0]
+            cos, sin = np.cos(angle), np.sin(angle)
+            entries = np.concatenate([cos, cos, sin, -sin], axis=1)
+            turn.reshape(-1, 25)[:, [6, 12, 18, 24, 8, 14, 16, 22]] = entries
+            vectors = np.matmul(turn, v, out=turned)
         np.matmul(phases.swapaxes(1, 2), vectors, out=block_states.view(np.float64))
         rows = out[: theta.size]
         grid = rows.reshape(theta.size, len(skips), blocks)
@@ -257,7 +251,11 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     theta = modulation_integral(params.modulation, times)
     system, parts, skips = _projected(psi0, params)
     evolved, _ = _evolved_rows(system.frequencies, parts, skips, theta.size, _grid_step(theta))
-    return _checked_states(evolved(theta))
+    states = evolved(theta)
+    rows = states.view(np.float64)  # each row's squared norm, with no temporary
+    _check_norms(np.einsum("ij,ij->i", rows, rows))
+    states.flags.writeable = False
+    return states
 
 
 def _row_entries(dim: int, dim_keep: int) -> int:
@@ -267,14 +265,15 @@ def _row_entries(dim: int, dim_keep: int) -> int:
     kernel's, the copy a split into the kept factors may make and a third),
     three real kept states at that size (the chunk's, a node's product and
     the yield before, which its reader may still hold) and one and a half
-    entries per evolved entry: the kernel's block states, which hold the
-    matmul's result in a call and the turned copy (1 - i) between calls,
-    and the blocks' real phases, a nine-state block's 10 but the step
-    table's row of ones at half an entry each (a block of fewer states
-    counts a little less).  A one-node rule makes no product, and its third
-    row, with the split's copy where the split makes none, holds more
-    chunks' kept states in one yield, counted at 3 d^2 a row.  The count
-    stays, so no nine-state gamma = 0 chunk edge moves."""
+    entries per evolved entry: the kernel's block states, one each, which
+    hold the matmul's result in a call and the turned copy (1 - i) between
+    calls, and its one real phase table, 5 floats per block, at most half
+    an entry per evolved entry for a block of five or more template states.
+    So the count bounds every pass of five or more template states; a
+    four-state pass (both ions on a, b) holds one float per block per row
+    over it.  A one-node rule makes no product, and its third row, with the
+    split's copy where the split makes none, holds more chunks' kept states
+    in one yield, counted at 3 d^2 a row."""
     return 3 * dim + 3 * dim_keep * dim_keep + 3 * dim // 2
 
 
@@ -287,9 +286,9 @@ def quadrature_bound(terms: int, spread: float) -> float:
 
 
 def quadrature_terms(spread: float) -> int | None:
-    """Smallest K <= KRAUS_MAX_TERMS whose quadrature_bound at ``spread`` is
+    """Smallest K <= HERMITE_MAX_NODES whose quadrature_bound at ``spread`` is
     at most QUADRATURE_TARGET, or None if there is none."""
-    terms = range(1, KRAUS_MAX_TERMS + 1)
+    terms = range(1, HERMITE_MAX_NODES + 1)
     return next((k for k in terms if quadrature_bound(k, spread) <= QUADRATURE_TARGET), None)
 
 
@@ -347,7 +346,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     Only the template states of the levels the layout of ``psi0`` holds are
     evolved (``_template_amplitudes``), and each yield is on its kept factors.
     Before anything is evolved, raises UnsupportedRegimeError for gamma > 0
-    under sech, or if no K <= KRAUS_MAX_TERMS certifies t_max.
+    under sech, or if no K <= HERMITE_MAX_NODES certifies t_max.
     """
     times = check_times(times)
     if params.gamma > 0 and not isinstance(params.modulation, Constant):
@@ -361,7 +360,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     most = quadrature_terms(spread[-1] * width)
     if most is None:
         raise UnsupportedRegimeError(
-            f"no Gauss-Hermite rule of at most {KRAUS_MAX_TERMS} nodes certifies the channel "
+            f"no Gauss-Hermite rule of at most {HERMITE_MAX_NODES} nodes certifies the channel "
             f"to {QUADRATURE_TARGET:.0e} at gamma * t_max = {params.gamma * times[-1]:.6g} "
             f"with occupied energy spread w = {width:.6g}; shorten the time grid or lower gamma"
         )

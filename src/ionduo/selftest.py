@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, entanglement, experiments, ionmodel
-from .core import DensityMatrix, PureState, hermitian_spectrum
+from .core import NORM_TOL, DensityMatrix, PureState, hermitian_spectrum
 from .experiments import ION_VS_ION, ION_VS_REST, detect_sudden_events, run_series
 from .params import Sech, SimParams
 
 KRAUS_DEFICIT_TARGET = 1e-10
+KRAUS_MAX_TERMS = 512
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -68,17 +69,30 @@ def block_index(fock_cutoff: int) -> np.ndarray:
 def evolve_pure_dense(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """Independent dense oracle: exp(-i H Theta(t)) on the full space via a
     single eigendecomposition of the assembled Hamiltonian.  Same contract
-    as ``dynamics.evolve_pure``, but on the full layout only: a start on two
-    levels of an ion raises ValueError."""
+    as ``dynamics.evolve_pure``, checked here on its own (a row off norm 1 by
+    more than NORM_TOL raises ValueError, more than 1e-12 weight on the
+    blocks above N_max - 2 of ``block_index`` raises CutoffError), but on
+    the full layout only: a start on two levels of an ion raises ValueError."""
     times = dynamics.check_times(times)
-    if psi0.layout != ionmodel.full_layout(params.fock_cutoff):
+    cutoff = params.fock_cutoff
+    if psi0.layout != ionmodel.full_layout(cutoff):
         raise ValueError("the dense oracle evolves only the full layout of params.fock_cutoff")
-    dynamics._template_amplitudes(psi0, params)  # the same ceiling check
+    leak = float(np.sum(np.abs(psi0.amplitudes[block_index(cutoff) > cutoff - 2]) ** 2))
+    if leak > 1e-12:
+        raise ionmodel.CutoffError(
+            f"initial state has weight {leak:.3e} on blocks truncated by the cutoff; "
+            f"raise fock_cutoff"
+        )
     spectrum = hermitian_spectrum(ionmodel.build_full_hamiltonian(params))
     theta = dynamics.modulation_integral(params.modulation, times)
     coeffs = spectrum.eigenvectors.conj().T @ psi0.amplitudes
     phases = np.exp(-1j * np.outer(theta, spectrum.eigenvalues))
-    return dynamics._checked_states((phases * coeffs) @ spectrum.eigenvectors.T)
+    states = (phases * coeffs) @ spectrum.eigenvectors.T
+    drift = float(np.abs(np.einsum("ij,ij->i", states.conj(), states).real - 1.0).max())
+    if not drift <= NORM_TOL:
+        raise ValueError(f"state is not normalized: |norm^2 - 1| = {drift:.3e}")
+    states.flags.writeable = False
+    return states
 
 
 def milburn_closed_form(
@@ -119,12 +133,12 @@ def _adaptive_kraus_terms(eigenvalues: np.ndarray, gamma: float, t: float) -> in
     rates = gamma * t * eigenvalues**2
     term = np.exp(-rates)
     covered = term.copy()
-    for k in range(1, dynamics.KRAUS_MAX_TERMS):
+    for k in range(1, KRAUS_MAX_TERMS):
         if 1.0 - covered.min() <= KRAUS_DEFICIT_TARGET:
             return k
         term = term * rates / k
         covered += term
-    return dynamics.KRAUS_MAX_TERMS
+    return KRAUS_MAX_TERMS
 
 
 def milburn_kraus(
@@ -141,7 +155,7 @@ def milburn_kraus(
     the evolved state together with the completeness deficit
     delta(K) = max |sum_k M_k M_k^dag - I|, so callers can certify the
     truncation.  With ``terms=None`` the count is chosen adaptively so that
-    delta <= 1e-10, capped at 512.
+    delta <= KRAUS_DEFICIT_TARGET, capped at KRAUS_MAX_TERMS.
     """
     if terms is not None and terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")

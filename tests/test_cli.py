@@ -448,6 +448,23 @@ class TestSimulateCommand:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "params",
+        ["eta = 1e10\nfock_cutoff = 40", "lambda1 = 1e300\nepsilon = 1e10\nfock_cutoff = 10"],
+        ids=["eta", "lambda1_epsilon"],
+    )
+    def test_non_finite_block_frequencies_are_config_error(self, tmp_path, capsys, params):
+        text = MINIMAL.format(prefix=tmp_path / "x").replace("fock_cutoff = 10", params)
+        # pytest turns any warning into an error; the [params] section ends in a blank line
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: [params]: lambda1, lambda2, eta and epsilon give non-finite "
+            "block frequencies\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nbar_beyond_the_limit_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x").replace("nbar = 2", "nbar = 1500")
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2

@@ -134,13 +134,14 @@ class TestEvolvePure:
         for state in states:
             assert abs(np.vdot(state, state).real - 1.0) <= 1e-10
 
-    def test_support_on_ceiling_blocks_rejected(self):
+    @pytest.mark.parametrize("evolve", [evolve_pure, evolve_pure_dense])
+    def test_support_on_ceiling_blocks_rejected(self, evolve):
         params = SimParams(fock_cutoff=6, nbar=0.0)
         layout = full_layout(6)
         amps = np.zeros(layout.total_dim, dtype=complex)
         amps[full_index(5, "a", "a", 6)] = 1.0  # lives in block 5 = N_max - 1
         with pytest.raises(CutoffError, match="cutoff"):
-            evolve_pure(PureState(layout, amps), params, [0.0, 1.0])
+            evolve(PureState(layout, amps), params, [0.0, 1.0])
 
     @pytest.mark.parametrize("evolve", [evolve_pure, evolve_pure_dense])
     def test_norm_drift_rejected(self, evolve, monkeypatch):
@@ -606,6 +607,28 @@ class TestMilburnReduced:
         assert [len(chunk) for chunk in chunks] == ([3 * step, 1] if grouped else [step] * 3 + [1])
         assert peak <= 16 * dynamics._CHUNK_ENTRIES + sum(chunk.nbytes for chunk in chunks)
 
+    @pytest.mark.parametrize("stepped", [False, True], ids=["direct", "step"])
+    @pytest.mark.parametrize("levels", [(3, 3), (2, 3)], ids=["full", "bright"])
+    def test_the_kernel_holds_what_its_rows_are_counted(self, levels, stepped):
+        # out, the block states and the phases: 2.5 entries per evolved entry (_row_entries)
+        params = SimParams(fock_cutoff=27, nbar=5.0, lambda2=0.0)
+        psi0 = level_start(["ab"], levels, 27, 5.0)
+        system, parts, skips = dynamics._projected(psi0, params)
+
+        def peak(size):
+            theta = np.linspace(0.0, 30.0, size)
+            dt = dynamics._grid_step(theta) if stepped else None
+            assert (dt is None) != stepped
+
+            def run():
+                evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, size, dt)
+                evolved(theta)
+
+            return traced_peak(run)[1]
+
+        rows = 200
+        assert peak(2 * rows) - peak(rows) <= 40 * psi0.layout.total_dim * rows
+
     @pytest.mark.parametrize("nudged", [False, True], ids=["equal", "nudged"])
     @pytest.mark.parametrize("cut", CUT_SHAPES)
     def test_grouped_yields_are_the_kernel_chunks_bit_for_bit(self, cut, nudged, monkeypatch):
@@ -894,15 +917,24 @@ class TestEqualStepTable:
         channel_run(psi0, params, times, keep)
         assert decided == [22] and given == [None]
 
-    def test_one_time_keeps_the_direct_table(self, monkeypatch):
+    def test_one_time_keeps_the_direct_table(self):
         assert dynamics._grid_step(np.array([17.3])) is None
         psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
         self.assert_direct(psi0, params, [0.0])
-        # the one-time last chunk of an equal grid cut into chunks of two times
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dynamics._row_entries(81, 9))
+
+    def test_a_one_time_last_chunk_reads_the_step_table(self, monkeypatch):
+        psi0, params = ion_state(8, 1.5, 0.5), SimParams(fock_cutoff=8, nbar=1.5)
         times, keep = np.linspace(0.0, 17.3, 5), ("ion1", "ion2")
+        whole = channel_run(psi0, params, times, keep)  # one chunk
+        # chunks of two times and a one-time last one, whose phases are column 0 of the step table
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * dynamics._row_entries(81, 9))
         direct = direct_table(lambda: channel_run(psi0, params, times, keep))
-        assert np.array_equal(channel_run(psi0, params, times, keep)[-1], direct[-1])
+        decided, given = spy_on_the_step(monkeypatch)
+        chunked = channel_run(psi0, params, times, keep)
+        assert decided == [5] and given == [17.3 / 4]
+        assert np.abs(chunked[-1] - whole[-1]).max() <= 1e-14
+        # the step table's rounding, not the direct table's
+        assert 0 < np.abs(chunked[-1] - direct[-1]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("measure", ["negativity", "relative_entropy"])
