@@ -17,10 +17,11 @@ Importing this module loads no command-line or INI machinery: ``main``
 imports ``argparse``, reading an INI file imports ``configparser``, and
 only ``selftest`` loads ``ionduo.selftest``.
 
-Exit codes: 0 success, 1 selftest failure, 2 configuration error,
+Exit codes: 0 success, 1 selftest failure, 2 configuration error (also a
+prefix whose directory cannot be made, found before any cell runs),
 3 infeasible run (e.g. decoherence combined with sech modulation),
-4 numerical failure during the run (e.g. a norm-drift check); no dataset
-is written then.
+4 numerical failure during the run (e.g. a norm-drift check) or a failed
+write; each failure prints one line and leaves no temporary file.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import UnsupportedRegimeError, check_times
+from .dynamics import UnsupportedRegimeError, check_times, modulation_integral
 from .entanglement import Bipartition
 from .experiments import (
+    EVENT_THRESHOLD,
     ION_VS_REST,
     MEASURES,
+    POISSON_DEFICIT,
     IncompatibleMeasureError,
     MeasureSeries,
     coherent_amplitudes,
@@ -254,8 +257,8 @@ _SCHEMA = {
     },
     "output": {
         "prefix": (_parse_prefix, "dataset", "out_prefix"),
-        "deficit": (_parse_positive, 1e-10, "deficit"),
-        "event_threshold": (_parse_positive, 1e-3, "event_threshold"),
+        "deficit": (_parse_positive, POISSON_DEFICIT, "deficit"),
+        "event_threshold": (_parse_positive, EVENT_THRESHOLD, "event_threshold"),
         "workers": (_parse_workers, 1, "workers"),
     },
 }
@@ -346,11 +349,16 @@ def build_config(sections: dict, raw_text: str | None = None) -> RunConfig:
         key = str(exc).split(" ", 1)[0]
         fail("params", key if key in cell else "fock_cutoff", str(exc))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        finite = np.isfinite(block_frequencies(params)).all()
-    if not finite:  # no one key is at fault, so no line is located
+        frequencies = block_frequencies(params)
+    if not np.isfinite(frequencies).all():  # no one key is at fault, so no line is located
         raise ConfigError(
             "params", "", "lambda1, lambda2, eta and epsilon give non-finite block frequencies"
         )
+    t_max = parsed["sweep"]["time_grid"][-1]
+    phase = float(frequencies.max()) * modulation_integral(params.modulation, t_max)
+    if not math.isfinite(phase):  # a float product overflows to inf, unwarned
+        message = f"the largest phase max Omega x Theta(t) overflows float64 at t = {t_max:g}"
+        fail("sweep", "time", message + "; shorten the time grid or lower the couplings")
 
     # A [sweep] key naming a SimParams field sweeps it.  Each value is checked
     # on the cell params built the way run_sweep builds them, so SimParams
@@ -420,16 +428,11 @@ def write_dataset(
     """Write <prefix>.csv and <prefix>.json; returns their paths.
 
     Rows are sorted by (theta, gamma, scaled_time); all floating-point
-    fields carry 12 significant digits so output is byte-stable.  The time
-    grid's rows are rendered once as a bytes template, which grows with the
-    time count; each series fills it in slices of _SLICE_ROWS rows at a
-    time, written as bytes with no text encoding.
+    fields carry 12 significant digits so output is byte-stable.
     The sidecar is the sorted, indented JSON dump, in which an evenly spaced
     grid stands as its ``linspace:`` spec (_sidecar_value).
     """
     prefix = Path(config.out_prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.parent / (prefix.name + ".csv")
     json_path = prefix.parent / (prefix.name + ".json")
 
@@ -500,6 +503,14 @@ def write_dataset(
 
 
 def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
+    """Make the prefix's directory, run the sweep and write its dataset; a
+    directory that cannot be made is a ConfigError, found before any cell runs."""
+    directory = Path(config.out_prefix).parent
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot make the directory {str(directory)!r}: {exc.strerror}"
+        raise ConfigError("output", "prefix", message) from None
     series_list = run_sweep(
         config.params,
         config.theta_grid,
@@ -590,15 +601,14 @@ def main(argv=None) -> int:
                     raise ConfigError("output", "prefix", str(exc)) from None
         else:
             config = figure_config(preset, tau=args.tau, out=args.out)
+        csv_path, json_path = execute(config, preset=preset)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        csv_path, json_path = execute(config, preset=preset)
     except (UnsupportedRegimeError, IncompatibleMeasureError, CutoffError) as exc:
         print(f"infeasible run: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a numerical check failed mid-run
+    except (ValueError, OSError) as exc:  # a numerical check failed mid-run, or a write
         print(f"run failed: {exc}", file=sys.stderr)
         return 4
     print(f"wrote {csv_path} and {json_path}")

@@ -77,8 +77,8 @@ def _split_plan(layout: HilbertLayout, labels: frozenset) -> tuple[tuple[int, ..
     return tuple(order), math.prod(dim for _, dim in kept)
 
 
-def _as_readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=np.complex128, copy=True)
+def _as_readonly(array, dtype) -> np.ndarray:
+    out = np.array(array, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
@@ -91,7 +91,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_readonly(np.asarray(self.amplitudes).ravel())
+        amps = _as_readonly(np.ravel(self.amplitudes), np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.layout.total_dim,):
             raise ValueError(
@@ -110,7 +110,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _as_readonly(np.asarray(self.matrix))
+        mat = _as_readonly(self.matrix, np.complex128)
         object.__setattr__(self, "matrix", mat)
         dim = self.layout.total_dim
         if mat.shape != (dim, dim):
@@ -135,10 +135,8 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        eigs = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        eigs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eigs)
-        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
+        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues, np.float64))
+        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors, np.complex128))
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:

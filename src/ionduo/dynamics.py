@@ -62,7 +62,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import NORM_TOL, PureState
-from .ionmodel import FACTORS, FLOOR_SKIP, BlockSystem, CutoffError, full_layout, get_block_system
+from .ionmodel import FACTORS, FLOOR_SKIP, CutoffError, full_layout, get_block_system
 from .params import Constant, Modulation, Sech, SimParams
 
 HERMITE_MAX_NODES = 512
@@ -138,15 +138,15 @@ def _template_amplitudes(psi0: PureState, params: SimParams) -> tuple[np.ndarray
     return a0, states
 
 
-def _projected(psi0: PureState, params: SimParams) -> tuple[BlockSystem, np.ndarray, tuple]:
-    """The block system of ``params``, the (F, S, 5) parts U[i, s, j] =
-    P_j a0 of the ``_template_amplitudes`` a0 of each of its F evolvable
-    blocks on the S template states of the layout of ``psi0``, and their
+def _projected(psi0: PureState, params: SimParams) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The (F, 2) frequencies of the F evolvable blocks of ``params``, the
+    (F, S, 5) parts U[i, s, j] = P_j a0 of the ``_template_amplitudes`` a0 of
+    each on the S template states of the layout of ``psi0``, and their
     FLOOR_SKIPs."""
     a0, states = _template_amplitudes(psi0, params)
     system = get_block_system(params)
     parts = np.einsum("ijkl,il->ikj", system.projectors, a0)[:, states]
-    return system, parts, tuple(FLOOR_SKIP[k] for k in states)
+    return system.frequencies, parts, tuple(FLOOR_SKIP[k] for k in states)
 
 
 def _check_norms(norm_sq: np.ndarray) -> None:
@@ -249,8 +249,8 @@ def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
     """
     times = check_times(times)
     theta = modulation_integral(params.modulation, times)
-    system, parts, skips = _projected(psi0, params)
-    evolved, _ = _evolved_rows(system.frequencies, parts, skips, theta.size, _grid_step(theta))
+    frequencies, parts, skips = _projected(psi0, params)
+    evolved, _ = _evolved_rows(frequencies, parts, skips, theta.size, _grid_step(theta))
     states = evolved(theta)
     rows = states.view(np.float64)  # each row's squared norm, with no temporary
     _check_norms(np.einsum("ij,ij->i", rows, rows))
@@ -354,8 +354,8 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             "intrinsic decoherence (gamma > 0) is solvable only for a "
             "time-independent coupling profile; rerun with constant modulation"
         )
-    system, parts, skips = _projected(psi0, params)
-    width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
+    frequencies, parts, skips = _projected(psi0, params)
+    width = 2.0 * float(frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     most = quadrature_terms(spread[-1] * width)
     if most is None:
@@ -372,7 +372,7 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, full.total_dim))
     size = min(step, times.size)
     dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
-    evolved, states = _evolved_rows(system.frequencies, parts, skips, size, dt)
+    evolved, states = _evolved_rows(frequencies, parts, skips, size, dt)
     turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
     leading = layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield

@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import HilbertLayout, PureState
+from .core import HilbertLayout, PureState, _as_readonly
 from .dynamics import check_times, density_from_coordinates, milburn_quadrature
 from .entanglement import (
     Bipartition,
@@ -26,7 +26,7 @@ from .entanglement import (
     negativity_values,
     relative_entropy_values,
 )
-from .ionmodel import FACTORS, full_index, full_layout
+from .ionmodel import FACTORS
 from .params import SimParams
 
 MEASURES = ("i_concurrence", "negativity", "relative_entropy")
@@ -35,6 +35,8 @@ MEASURES = ("i_concurrence", "negativity", "relative_entropy")
 ION_VS_REST = Bipartition(("ion1",), ("ion2", "field"))
 #: Default bipartition for mixed-state sweeps on the two-ion reduced state.
 ION_VS_ION = Bipartition(("ion1",), ("ion2",))
+EVENT_THRESHOLD = 1e-3  #: default threshold of sudden birth and death detection
+POISSON_DEFICIT = 1e-10  #: default Poisson tail mass a field truncation may drop
 # Empty Fock slots kept above the occupied field range, so the
 # phonon-raising dynamics stays clear of the cutoff ceiling.
 _HEADROOM = 2
@@ -52,9 +54,8 @@ class FieldPreparation:
     """Real coherent-state amplitudes q_n on a truncated Fock space.
 
     ``deficit`` is the Poisson tail mass dropped by the truncation, before
-    the amplitudes are renormalized to unit norm.  The top ``cutoff`` slots
-    beyond the occupied range stay empty as headroom for the phonon-raising
-    transitions.
+    the amplitudes are renormalized to unit norm.  The top _HEADROOM slots
+    stay empty as headroom for the phonon-raising transitions.
     """
 
     nbar: float
@@ -63,8 +64,7 @@ class FieldPreparation:
     deficit: float
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.float64, copy=True)
-        amps.flags.writeable = False
+        amps = _as_readonly(self.amplitudes, np.float64)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.cutoff + 1,):
             raise ValueError(f"need {self.cutoff + 1} amplitudes, got {amps.shape}")
@@ -124,18 +124,19 @@ def truncated_coherent(nbar: float, fock_cutoff: int) -> FieldPreparation:
     return FieldPreparation(nbar, fock_cutoff, amps, tail)
 
 
+def _start(ions: np.ndarray, field: FieldPreparation) -> PureState:
+    """The two-ion amplitude matrix ``ions``, ion 1's levels by ion 2's, ``a``
+    first, tensored with ``field`` on the layout of the levels its shape names."""
+    layout = HilbertLayout(tuple(zip(FACTORS, ions.shape + (field.cutoff + 1,))))
+    return PureState(layout, np.multiply.outer(ions, field.amplitudes))
+
+
 def prepare_initial(theta: float, phi: float, field: FieldPreparation) -> PureState:
     """Two-ion superposition state tensored with the prepared field."""
-    cutoff = field.cutoff
-    layout = full_layout(cutoff)
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    start_ab = full_index(0, "a", "b", cutoff)
-    start_ba = full_index(0, "b", "a", cutoff)
-    amps[start_ab : start_ab + cutoff + 1] = math.cos(theta) * field.amplitudes
-    amps[start_ba : start_ba + cutoff + 1] = (
-        math.sin(theta) * complex(math.cos(phi), math.sin(phi)) * field.amplitudes
-    )
-    return PureState(layout, amps)
+    ions = np.zeros((3, 3), dtype=np.complex128)
+    ions[0, 1] = math.cos(theta)  # |a b>
+    ions[1, 0] = math.sin(theta) * complex(math.cos(phi), math.sin(phi))  # |b a>
+    return _start(ions, field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +151,7 @@ class MeasureSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        times.flags.writeable = False
-        values.flags.writeable = False
+        times, values = _as_readonly(self.times, np.float64), _as_readonly(self.values, np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.shape != values.shape:
@@ -173,6 +171,8 @@ _MARGINALS = {
 }
 # Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
 _ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
+# Ion levels of the bright pass: ion 1 starts in a, and at lambda2 = 0 never reaches c.
+_BRIGHT_LEVELS = (2, 3)
 
 
 @lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
@@ -206,14 +206,11 @@ def _exchange_coefficients(params: SimParams, keep: tuple[str, ...], times: byte
     """
     times = np.frombuffer(times)
     bright = math.hypot(abs(params.lambda1), abs(params.lambda2))
-    ion2 = [0, 1, 0]  # b, with no coupling
+    ions = np.zeros(_BRIGHT_LEVELS, dtype=np.complex128)
+    ions[0] = [0, 1, 0]  # b, with no coupling
     if bright:
-        ion2 = [0, params.lambda1.conjugate() / bright, -params.lambda2 / bright]
-    field = truncated_coherent(params.nbar, params.fock_cutoff)
-    amplitudes = np.kron([1, 0], np.kron(ion2, field.amplitudes))  # |a> x ion2 x field
-    # Ion 1 starts in a and the run has lambda2 = 0, so it never reaches the dark c.
-    layout = HilbertLayout(tuple(zip(FACTORS, (2, 3, params.fock_cutoff + 1))))
-    psi0 = PureState(layout, amplitudes)
+        ions[0] = [0, params.lambda1.conjugate() / bright, -params.lambda2 / bright]
+    psi0 = _start(ions, truncated_coherent(params.nbar, params.fock_cutoff))
     run = replace(params, lambda1=bright, lambda2=0.0)
     chunks = milburn_quadrature(psi0, run, times, ("ion1", "ion2"))
     parts = _part_map(keep, params.phi)
@@ -238,8 +235,8 @@ def _part_map(keep: tuple[str, ...], phi: float) -> np.ndarray:
     The map is real linear in G, so row j is the image of the G whose
     coordinates are the j-th unit vector."""
     basis = np.zeros((36, 3, 3, 3, 3), dtype=np.complex128)
-    corner = density_from_coordinates(np.eye(36).reshape(36, 6, 6))
-    basis[:, :2, :, :2] = corner.reshape(36, 2, 3, 2, 3)
+    corner = basis[(slice(None),) + tuple(map(slice, _BRIGHT_LEVELS)) * 2]  # a view
+    corner[...] = density_from_coordinates(np.eye(36).reshape(36, 6, 6)).reshape(corner.shape)
     d = 3 ** len(keep)
     own, cross, other = (np.einsum(spec, basis).reshape(36, d, d) for spec in _MARGINALS[keep])
     cross = cross * np.exp(-1j * phi)
@@ -347,7 +344,7 @@ class SuddenEvents:
             raise ValueError("births and deaths must alternate")
 
 
-def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> SuddenEvents:
+def detect_sudden_events(series: MeasureSeries, threshold: float = EVENT_THRESHOLD) -> SuddenEvents:
     """Threshold crossings with two-point hysteresis.
 
     A birth is the first grid time where the value crosses from below to at
@@ -355,9 +352,6 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = 1e-3) -> Sudd
     points; a death is the symmetric downward crossing.  Crossings that
     follow a run shorter than two points are treated as grazing and ignored,
     which keeps the recorded events alternating.
-
-    A series that never crosses the threshold returns at once; otherwise
-    each step compares an array with itself shifted by one place.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")

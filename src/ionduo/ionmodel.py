@@ -42,11 +42,6 @@ def full_layout(fock_cutoff: int) -> HilbertLayout:
     return HilbertLayout(tuple(zip(FACTORS, (3, 3, fock_cutoff + 1))))
 
 
-def full_index(fock: int, ion1: str, ion2: str, fock_cutoff: int) -> int:
-    """Flat index of |ion1, ion2; fock> in the full layout."""
-    return (LEVEL_INDEX[ion1] * 3 + LEVEL_INDEX[ion2]) * (fock_cutoff + 1) + fock
-
-
 def evolvable_blocks(fock_cutoff: int) -> range:
     """Blocks n with n + 2 <= N_max, which keep all their states under the
     cutoff.  The blocks above are truncated by the cutoff ceiling and cannot

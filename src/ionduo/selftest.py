@@ -58,6 +58,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(layout.keep(keep), np.einsum("ajbj->ab", tensor))
 
 
+def full_index(fock: int, ion1: str, ion2: str, fock_cutoff: int) -> int:
+    """Flat index of |ion1, ion2; fock> in the full layout."""
+    return (ionmodel.LEVEL_INDEX[ion1] * 3 + ionmodel.LEVEL_INDEX[ion2]) * (fock_cutoff + 1) + fock
+
+
 def block_index(fock_cutoff: int) -> np.ndarray:
     """Block index n = (Fock number) - (ions not in ``a``) of every basis
     state of the full layout, in layout order."""
@@ -174,7 +179,7 @@ def milburn_kraus(
 
 
 def _default_params(nbar: float, **overrides) -> SimParams:
-    cutoff = experiments.coherent_amplitudes(nbar, 1e-10).cutoff
+    cutoff = experiments.coherent_amplitudes(nbar, experiments.POISSON_DEFICIT).cutoff
     return SimParams(fock_cutoff=cutoff, nbar=nbar, **overrides)
 
 
@@ -206,7 +211,7 @@ def report_gamma_monotonicity(
 def report_sech_birth_delay(
     tau: float,
     theta: float = 2.5e-4,
-    threshold: float = 1e-3,
+    threshold: float = experiments.EVENT_THRESHOLD,
     nbar: float = 5.0,
     t_max: float = 30.0,
     n_times: int = 601,
@@ -243,7 +248,7 @@ def report_sech_birth_delay(
 def report_nbar_smoothing(
     nbar_small: float = 5.0,
     nbar_large: float = 15.0,
-    threshold: float = 1e-3,
+    threshold: float = experiments.EVENT_THRESHOLD,
     theta: float = math.pi / 4,
     t_max: float = 30.0,
     n_times: int = 601,

@@ -465,6 +465,38 @@ class TestSimulateCommand:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    def test_overflowing_phase_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        text = MINIMAL.format(prefix=out / "x").replace("nbar = 2", "lambda1 = 1e300\nepsilon = 1")
+        text = text.replace("time = 0, 0.5, 1.0", "time = linspace:0:1e10:3")
+        # finite frequencies, but max Omega x t_max is not; pytest turns a warning into an error
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "config error: [sweep] time (line 5): the largest phase max Omega x Theta(t) "
+            "overflows float64 at t = 1e+10; shorten the time grid or lower the couplings\n",
+        )
+        assert list(out.iterdir()) == []
+
+    def test_unusable_prefix_directory_is_config_error_before_any_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "afile").write_bytes(b"")
+        cells = []
+        monkeypatch.setattr(ionduo.cli, "run_sweep", lambda *args: cells.append(args))
+        path = write_config(tmp_path, MINIMAL.format(prefix=out / "afile" / "out"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"config error: [output] prefix: cannot make the directory {str(out / 'afile')!r}: "
+            "File exists\n",
+        )
+        assert cells == []
+        assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [("afile", b"")]
+
     def test_nbar_beyond_the_limit_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x").replace("nbar = 2", "nbar = 1500")
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
@@ -696,10 +728,11 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))])
         assert self._outputs(tmp_path, "pair") == before
 
-    def test_failed_second_file_removes_first_temporary(self, tmp_path, monkeypatch):
+    def test_failed_second_file_removes_first_temporary(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "pair"))
         assert main(["simulate", "--config", str(path)]) == 0
         before = self._outputs(tmp_path, "pair")
+        capsys.readouterr()
         write_text = Path.write_text
 
         def failing_json_write(self, *args, **kwargs):
@@ -709,8 +742,9 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(Path, "write_text", failing_json_write)
         text = MINIMAL.format(prefix=tmp_path / "pair").replace("theta = 0", "theta = 0.4")
-        with pytest.raises(OSError, match="disk full"):
-            main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))])
+        # a write error is one line and exit 4, not a traceback
+        assert main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))]) == 4
+        assert capsys.readouterr() == ("", "run failed: disk full\n")
         assert self._outputs(tmp_path, "pair") == before
 
 

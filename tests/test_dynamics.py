@@ -39,12 +39,12 @@ from ionduo.ionmodel import (
     CutoffError,
     build_full_hamiltonian,
     evolvable_blocks,
-    full_index,
     full_layout,
 )
 from ionduo.selftest import (
     block_index,
     evolve_pure_dense,
+    full_index,
     milburn_closed_form,
     milburn_kraus,
     partial_trace,
@@ -509,13 +509,13 @@ def occupied_spread(psi0, params):
 def complex_node_sum(psi0, params, times, keep):
     """Oracle for one channel chunk: sum_k w_k kept_k kept_k^dag in complex
     arithmetic, over the channel's own kernel rows and Gauss-Hermite rule."""
-    system, parts, skips = dynamics._projected(psi0, params)
-    width = 2.0 * float(system.frequencies[np.any(parts, axis=(1, 2)), 0].max())
+    frequencies, parts, skips = dynamics._projected(psi0, params)
+    width = 2.0 * float(frequencies[np.any(parts, axis=(1, 2)), 0].max())
     spread = np.sqrt(params.gamma * times)
     nodes, weights = dynamics._hermite_rule(quadrature_terms(spread[-1] * width))
     theta = modulation_integral(params.modulation, times)
     dt = dynamics._grid_step(theta) if len(nodes) == 1 else None  # the channel's own table
-    evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, times.size, dt)
+    evolved, _ = dynamics._evolved_rows(frequencies, parts, skips, times.size, dt)
     rho = 0.0
     for node, weight in zip(nodes, weights):
         kept = psi0.layout.split(evolved(theta + node * spread), keep)
@@ -613,7 +613,7 @@ class TestMilburnReduced:
         # out, the block states and the phases: 2.5 entries per evolved entry (_row_entries)
         params = SimParams(fock_cutoff=27, nbar=5.0, lambda2=0.0)
         psi0 = level_start(["ab"], levels, 27, 5.0)
-        system, parts, skips = dynamics._projected(psi0, params)
+        frequencies, parts, skips = dynamics._projected(psi0, params)
 
         def peak(size):
             theta = np.linspace(0.0, 30.0, size)
@@ -621,7 +621,7 @@ class TestMilburnReduced:
             assert (dt is None) != stepped
 
             def run():
-                evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, size, dt)
+                evolved, _ = dynamics._evolved_rows(frequencies, parts, skips, size, dt)
                 evolved(theta)
 
             return traced_peak(run)[1]
@@ -645,9 +645,9 @@ class TestMilburnReduced:
         lengths = [6, 6, 6, 4] if dim_keep == 9 else [3] * 7 + [1]
         assert [len(chunk) for chunk in chunks] == lengths
         # Oracle: one kernel chunk at a time, under the pass's one step decision.
-        system, parts, skips = dynamics._projected(psi0, params)
+        frequencies, parts, skips = dynamics._projected(psi0, params)
         dt = dynamics._grid_step(times)
-        evolved, _ = dynamics._evolved_rows(system.frequencies, parts, skips, 3, dt)
+        evolved, _ = dynamics._evolved_rows(frequencies, parts, skips, 3, dt)
         alone = []
         for start in range(0, times.size, 3):
             kept = psi0.layout.split(evolved(times[start : start + 3]), keep)
@@ -1208,9 +1208,7 @@ def level_start(pairs, levels=(3, 3), fock_cutoff=8, nbar=1.5):
     ions = np.zeros(levels)
     for i, j in pairs:
         ions[LEVEL_INDEX[i], LEVEL_INDEX[j]] = 1.0
-    field = truncated_coherent(nbar, fock_cutoff).amplitudes
-    layout = HilbertLayout(tuple(zip(ionmodel.FACTORS, levels + (fock_cutoff + 1,))))
-    return PureState(layout, np.kron(ions.ravel(), field) / math.sqrt(len(pairs)))
+    return experiments._start(ions / math.sqrt(len(pairs)), truncated_coherent(nbar, fock_cutoff))
 
 
 def evolved_states(monkeypatch):

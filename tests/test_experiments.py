@@ -26,9 +26,10 @@ from ionduo.core import DensityMatrix, HilbertLayout, PureState
 from ionduo.dynamics import check_times, modulation_integral
 from ionduo.entanglement import i_concurrence_pure
 from ionduo.experiments import FieldPreparation
-from ionduo.ionmodel import FLOOR_SKIP, evolvable_blocks
+from ionduo.ionmodel import FLOOR_SKIP, evolvable_blocks, full_layout
 from ionduo.selftest import (
     block_index,
+    full_index,
     milburn_closed_form,
     report_gamma_monotonicity,
     report_nbar_smoothing,
@@ -177,7 +178,76 @@ class TestCoherentAmplitudes:
             make()
 
 
+def slice_start(theta, phi, field):
+    """The 0.11.0 prepare_initial: the field written into the |a b> and
+    |b a> slices of the full layout's amplitudes."""
+    cutoff = field.cutoff
+    amps = np.zeros(9 * (cutoff + 1), dtype=np.complex128)
+    start_ab, start_ba = full_index(0, "a", "b", cutoff), full_index(0, "b", "a", cutoff)
+    amps[start_ab : start_ab + cutoff + 1] = math.cos(theta) * field.amplitudes
+    amps[start_ba : start_ba + cutoff + 1] = (
+        math.sin(theta) * complex(math.cos(phi), math.sin(phi)) * field.amplitudes
+    )
+    return amps
+
+
+def kron_bright_start(params):
+    """The 0.11.0 start of the bright pass, |a> x (conj(lambda1) b -
+    lambda2 c) / Lambda x field, or |a b> x field with no coupling, by two
+    krons, as the complex amplitudes PureState made of it."""
+    bright = math.hypot(abs(params.lambda1), abs(params.lambda2))
+    ion2 = [0, 1, 0]
+    if bright:
+        ion2 = [0, params.lambda1.conjugate() / bright, -params.lambda2 / bright]
+    field = truncated_coherent(params.nbar, params.fock_cutoff)
+    return np.kron([1, 0], np.kron(ion2, field.amplitudes)).astype(np.complex128)
+
+
+def bright_start(params):
+    """The start the uncached experiments._exchange_coefficients hands the
+    channel, which here evolves nothing."""
+    seen = []
+
+    def recorded(psi0, *_):
+        seen.append(psi0)
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "milburn_quadrature", recorded)
+        experiments._exchange_coefficients.__wrapped__(params, ("ion1",), np.zeros(1).tobytes())
+    (psi0,) = seen
+    return psi0
+
+
+lambdas = st.one_of(
+    st.just(0j), st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+)
+
+
 class TestPrepareInitial:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        theta=st.floats(-7.0, 7.0),
+        phi=st.floats(-7.0, 7.0),
+        nbar=st.floats(0.0, 12.0),
+        cutoff=st.integers(2, 40),
+        lambda1=lambdas,
+        lambda2=lambdas,
+    )
+    def test_one_builder_makes_the_slice_and_kron_starts(
+        self, theta, phi, nbar, cutoff, lambda1, lambda2
+    ):
+        field = truncated_coherent(nbar, cutoff)
+        psi = prepare_initial(theta, phi, field)
+        assert psi.layout == full_layout(cutoff)
+        assert psi.amplitudes.tobytes() == slice_start(theta, phi, field).tobytes()
+        params = SimParams(fock_cutoff=cutoff, nbar=nbar, lambda1=lambda1, lambda2=lambda2)
+        start = bright_start(params)
+        assert start.layout.factors == (("ion1", 2), ("ion2", 3), ("field", cutoff + 1))
+        # Equal bits but for the sign of a zero, which -0 == 0 leaves out: the
+        # second kron multiplies every entry by 1 + 0j or 0 + 0j once more.
+        assert np.array_equal(start.amplitudes, kron_bright_start(params))
+
     def test_theta_zero_is_separable(self):
         field = truncated_coherent(2.0, 10)
         psi = prepare_initial(0.0, 0.0, field)

@@ -19,10 +19,9 @@ from ionduo.ionmodel import (
     build_full_hamiltonian,
     closed_form_spectrum,
     evolvable_blocks,
-    full_index,
     mode_couplings,
 )
-from ionduo.selftest import block_index
+from ionduo.selftest import block_index, full_index
 
 CANONICAL_NINE = (
     (0, "a", "a"),
