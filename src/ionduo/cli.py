@@ -21,7 +21,8 @@ Exit codes: 0 success, 1 selftest failure, 2 configuration error (also a
 prefix whose directory cannot be made, found before any cell runs),
 3 infeasible run (e.g. decoherence combined with sech modulation),
 4 numerical failure during the run (e.g. a norm-drift check) or a failed
-write; each failure prints one line and leaves no temporary file.
+write; each failure prints one line and leaves no temporary file, no
+directory the run made and any earlier pair as it was.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ from .entanglement import Bipartition
 from .experiments import (
     EVENT_THRESHOLD,
     ION_VS_REST,
-    MEASURES,
     POISSON_DEFICIT,
     IncompatibleMeasureError,
     MeasureSeries,
+    check_cut,
+    check_measure,
     coherent_amplitudes,
     detect_sudden_events,
     run_sweep,
     truncated_coherent,
 )
-from .ionmodel import FACTORS, CutoffError, block_frequencies
+from .ionmodel import CutoffError, block_frequencies
 from .params import Constant, Sech, SimParams
 
 
@@ -148,24 +150,12 @@ def _parse_prefix(value) -> str:
     return value
 
 
-def _parse_measure(value) -> str:
-    name = str(value).strip()
-    if name not in MEASURES:
-        raise ValueError(f"unknown measure {name!r}; choose from {MEASURES}")
-    return name
-
-
 def _parse_cut(value) -> Bipartition:
     sides = str(value).split("|")
     if len(sides) != 2:
         raise ValueError(f"cut must look like 'ion1 | ion2,field', got {value!r}")
-    cut = Bipartition(
-        *(tuple(label.strip() for label in side.split(",") if label.strip()) for side in sides)
-    )
-    unknown = cut.labels - set(FACTORS)
-    if unknown:
-        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {FACTORS}")
-    return cut
+    labels = (tuple(label.strip() for label in side.split(",") if label.strip()) for side in sides)
+    return check_cut(Bipartition(*labels))
 
 
 def _sidecar_value(value):
@@ -252,7 +242,7 @@ _SCHEMA = {
         "time": (_parse_times, _REQUIRED, "time_grid"),
     },
     "measure": {
-        "name": (_parse_measure, _REQUIRED, "measure"),
+        "name": (check_measure, _REQUIRED, "measure"),
         "cut": (_parse_cut, ION_VS_REST, "cut"),
     },
     "output": {
@@ -427,8 +417,9 @@ def write_dataset(
 ) -> tuple[Path, Path]:
     """Write <prefix>.csv and <prefix>.json; returns their paths.
 
-    Rows are sorted by (theta, gamma, scaled_time); all floating-point
-    fields carry 12 significant digits so output is byte-stable.
+    Rows follow the grid order: theta index, then gamma index, then time.
+    All floating-point fields carry 12 significant digits so output is
+    byte-stable.
     The sidecar is the sorted, indented JSON dump, in which an evenly spaced
     grid stands as its ``linspace:`` spec (_sidecar_value).
     """
@@ -439,17 +430,15 @@ def write_dataset(
     events = []
     separable_flags = []
     for series in series_list:
-        entry = {
-            "theta": series.params.theta,
-            "gamma": series.params.gamma,
-            "births": [],
-            "deaths": [],
-        }
-        if series.times.size >= 3:  # detector needs at least three points
-            detected = detect_sudden_events(series, config.event_threshold)
-            entry["births"] = list(detected.births)
-            entry["deaths"] = list(detected.deaths)
-        events.append(entry)
+        detected = detect_sudden_events(series, config.event_threshold)
+        events.append(
+            {
+                "theta": series.params.theta,
+                "gamma": series.params.gamma,
+                "births": list(detected.births),
+                "deaths": list(detected.deaths),
+            }
+        )
         half_turns = series.params.theta / (math.pi / 2)
         if abs(half_turns - round(half_turns)) < 1e-9:
             separable_flags.append(
@@ -478,8 +467,10 @@ def write_dataset(
         sidecar["modulation_note"] = "runs start at t = 0, the peak of the sech profile"
     # Both files go to temporary siblings first, the CSV series by series, and
     # move into place once both are written: a failure leaves an earlier pair.
-    paths = (csv_path, json_path)
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    # The sidecar moves last, so an earlier CSV is kept aside as a hard link
+    # and put back if the sidecar cannot move in.
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (csv_path, json_path)]
+    kept = csv_path.with_name(f".{csv_path.name}.{os.getpid()}.old")
     starts = range(0, len(config.time_grid), _SLICE_ROWS)
     row = b"\0,%.12g," + config.measure.encode() + b",%%.12g\n"  # \0 stands for the cell
     slices = (config.time_grid[start : start + _SLICE_ROWS] for start in starts)
@@ -494,32 +485,56 @@ def write_dataset(
                     out.write((rows % values).replace(b"\0", cell.encode()))
         sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         temps[1].write_text(sidecar_text, encoding="utf-8", newline="\n")
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
+        if csv_path.is_file():
+            os.link(csv_path, kept)
+        os.replace(temps[0], csv_path)
+        try:
+            os.replace(temps[1], json_path)
+        except BaseException:
+            if kept.exists():
+                os.replace(kept, csv_path)
+            else:
+                csv_path.unlink()
+            raise
     finally:
-        for temp in temps:
+        for temp in (*temps, kept):
             temp.unlink(missing_ok=True)
     return csv_path, json_path
 
 
 def execute(config: RunConfig, preset: str | None = None) -> tuple[Path, Path]:
     """Make the prefix's directory, run the sweep and write its dataset; a
-    directory that cannot be made is a ConfigError, found before any cell runs."""
+    directory that cannot be made is a ConfigError, found before any cell runs.
+    After any failure the directories this call made are removed again,
+    deepest first, each only if it is empty."""
     directory = Path(config.out_prefix).parent
+    made = []  # the directories missing at the start, deepest first
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        message = f"cannot make the directory {str(directory)!r}: {exc.strerror}"
-        raise ConfigError("output", "prefix", message) from None
-    series_list = run_sweep(
-        config.params,
-        config.theta_grid,
-        config.gamma_grid,
-        config.measure,
-        config.cut,
-        np.asarray(config.time_grid),
-    )
-    return write_dataset(config, series_list, preset=preset)
+        try:
+            for path in (directory, *directory.parents):
+                if path.exists():
+                    break
+                made.append(path)
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot make the directory {str(directory)!r}: {exc.strerror}"
+            raise ConfigError("output", "prefix", message) from None
+        series_list = run_sweep(
+            config.params,
+            config.theta_grid,
+            config.gamma_grid,
+            config.measure,
+            config.cut,
+            np.asarray(config.time_grid),
+        )
+        return write_dataset(config, series_list, preset=preset)
+    except BaseException:
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # not made after all, or no longer empty
+                pass
+        raise
 
 
 def figure_config(name: str, tau: float | None = None, out: str | None = None) -> RunConfig:

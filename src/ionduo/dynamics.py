@@ -26,10 +26,10 @@ value, every node at gamma > 0) refills that one table with np.cos and
 np.sin on each chunk.
 ``evolve_pure``, which returns the whole (T, dim) evolution, is an oracle;
 production reads the pure states through the channel below, in time chunks.
-The start's layout names the levels a pass evolves: each ion holds a, b
-and c, or only a and b, which is exact while lambda2 = 0 leaves c dark, as
-H then moves no ion into or out of c.  The I-concurrence run, in the ions'
-bright basis, starts on two levels of ion 1 and evolves six template states.
+The start's layout names the levels a pass evolves: both ions hold a, b and
+c, or ion 1 only a and b (_BRIGHT_LEVELS), which is exact while lambda2 = 0
+leaves c dark, as H then moves no ion into or out of c.  The I-concurrence
+run, in the ions' bright basis, takes that layout and evolves six states.
 
 The intrinsic-decoherence master equation
 
@@ -70,6 +70,8 @@ QUADRATURE_TARGET = 1e-14
 
 # Complex entries (2 MB) per time chunk of every array _row_entries counts.
 _CHUNK_ENTRIES = 2**17
+# Ion levels of the bright pass: ion 1 starts in a, and at lambda2 = 0 never reaches c.
+_BRIGHT_LEVELS = (2, 3)
 
 
 class UnsupportedRegimeError(ValueError):
@@ -110,8 +112,8 @@ def _template_amplitudes(psi0: PureState, params: SimParams) -> tuple[np.ndarray
     """The (F, 9) initial amplitudes of the F evolvable blocks on the
     template, block n in row n + 2, zero off the template states of the
     levels the layout of ``psi0`` holds, and those states in its order.  The
-    layout is ion1 x ion2 x field (N_max + 1 states), each ion of a, b, c
-    or, while lambda2 = 0 keeps c dark, of a, b: ValueError otherwise.
+    layout is ion1 x ion2 x field (N_max + 1 states), both ions of a, b, c
+    or, while lambda2 = 0 keeps c dark, _BRIGHT_LEVELS: ValueError otherwise.
     CutoffError for weight above 1e-12 on the states the gather leaves out,
     grid[k, F - FLOOR_SKIP[k]:], those of the blocks n > N_max - 2
     truncated by the ceiling, which cannot be evolved faithfully."""
@@ -119,8 +121,8 @@ def _template_amplitudes(psi0: PureState, params: SimParams) -> tuple[np.ndarray
     if layout.labels != FACTORS or layout.dims[2] != params.fock_cutoff + 1:
         raise ValueError("initial state layout does not match params.fock_cutoff")
     levels = layout.dims[:2]
-    if not {2, 3} >= set(levels) or (2 in levels and params.lambda2 != 0):
-        raise ValueError(f"ion levels {levels}: each ion needs a, b, c, or a, b while lambda2 = 0")
+    if levels != (3, 3) and (levels != _BRIGHT_LEVELS or params.lambda2 != 0):
+        raise ValueError(f"ion levels {levels}: need (3, 3), or {_BRIGHT_LEVELS} while lambda2 = 0")
     states = [3 * upper + lower for upper in range(levels[0]) for lower in range(levels[1])]
     grid = psi0.amplitudes.reshape(len(states), -1)  # ion levels by Fock number
     blocks = grid.shape[1]
@@ -268,12 +270,11 @@ def _row_entries(dim: int, dim_keep: int) -> int:
     entries per evolved entry: the kernel's block states, one each, which
     hold the matmul's result in a call and the turned copy (1 - i) between
     calls, and its one real phase table, 5 floats per block, at most half
-    an entry per evolved entry for a block of five or more template states.
-    So the count bounds every pass of five or more template states; a
-    four-state pass (both ions on a, b) holds one float per block per row
-    over it.  A one-node rule makes no product, and its third row, with the
-    split's copy where the split makes none, holds more chunks' kept states
-    in one yield, counted at 3 d^2 a row."""
+    an entry per evolved entry for a block of five or more template states,
+    so the count bounds every pass, of six or nine.  A one-node rule makes
+    no product, and its third row, with the split's copy where the split
+    makes none, holds more chunks' kept states in one yield, counted at
+    3 d^2 a row."""
     return 3 * dim + 3 * dim_keep * dim_keep + 3 * dim // 2
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import HilbertLayout, PureState, _as_readonly
-from .dynamics import check_times, density_from_coordinates, milburn_quadrature
+from .dynamics import _BRIGHT_LEVELS, check_times, density_from_coordinates, milburn_quadrature
 from .entanglement import (
     Bipartition,
     concurrence_from_purity,
@@ -47,6 +47,21 @@ MAX_NBAR = -2.0 * math.log(sys.float_info.min)
 
 class IncompatibleMeasureError(ValueError):
     """The requested measure is undefined for the state the run produces."""
+
+
+def check_measure(measure: str) -> str:
+    """The measure name, if it is one of MEASURES; ValueError otherwise."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    return measure
+
+
+def check_cut(cut: Bipartition) -> Bipartition:
+    """The cut, if each of its labels names one of FACTORS; ValueError otherwise."""
+    unknown = cut.labels - set(FACTORS)
+    if unknown:
+        raise ValueError(f"unknown factors {sorted(unknown)}; choose from {FACTORS}")
+    return cut
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +186,6 @@ _MARGINALS = {
 }
 # Column k sums the entries (p, q) of a flattened 3 x 3 matrix with p + q = k.
 _ANTIDIAGONALS = np.equal.outer(np.add.outer(range(3), range(3)).ravel(), range(5)) * 1.0
-# Ion levels of the bright pass: ion 1 starts in a, and at lambda2 = 0 never reaches c.
-_BRIGHT_LEVELS = (2, 3)
 
 
 @lru_cache(maxsize=4)  # a sweep over theta and gamma needs one entry
@@ -278,11 +291,8 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
     shared by every theta.  The mixed-state measures take the channel at every
     gamma, on the state reduced to the factors of the cut.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    unknown = cut.labels - set(FACTORS)
-    if unknown:
-        raise ValueError(f"cut names unknown factors {sorted(unknown)}")
+    check_measure(measure)
+    check_cut(cut)
     times = check_times(times)
     if measure == "i_concurrence" and params.gamma > 0:
         raise IncompatibleMeasureError(
@@ -351,12 +361,10 @@ def detect_sudden_events(series: MeasureSeries, threshold: float = EVENT_THRESHO
     least ``threshold`` after at least two consecutive below-threshold
     points; a death is the symmetric downward crossing.  Crossings that
     follow a run shorter than two points are treated as grazing and ignored,
-    which keeps the recorded events alternating.
+    which keeps the recorded events alternating; one or two points have none.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    if series.times.size < 3:
-        raise ValueError("grid too coarse for event detection (need >= 3 points)")
     above = series.values >= threshold
     changes = np.flatnonzero(above[1:] != above[:-1]) + 1
     if not changes.size:

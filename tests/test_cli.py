@@ -21,7 +21,15 @@ import ionduo.dynamics
 import ionduo.experiments
 import ionduo.ionmodel
 import ionduo.selftest
-from ionduo import ION_VS_REST, MeasureSeries, Sech, SimParams, __version__, run_series
+from ionduo import (
+    ION_VS_REST,
+    Bipartition,
+    MeasureSeries,
+    Sech,
+    SimParams,
+    __version__,
+    run_series,
+)
 from ionduo.cli import (
     ConfigError,
     _fmt,
@@ -497,6 +505,59 @@ class TestSimulateCommand:
         assert cells == []
         assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [("afile", b"")]
 
+    def test_infeasible_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        text = MINIMAL.format(prefix=tmp_path / "f1" / "new" / "deeper" / "x")
+        text = text.replace("gamma = 0", "gamma = 0.05").replace("theta = 0", "theta = 0.5")
+        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+        text = text.replace("fock_cutoff = 10", "fock_cutoff = 10\nmodulation = sech\ntau = 2")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("infeasible run: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_failed_run_removes_only_the_empty_directories_it_made(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(ionduo.dynamics, "NORM_TOL", -1.0)  # every norm check fails
+        (tmp_path / "old").mkdir()
+        text = MINIMAL.format(prefix=tmp_path / "old" / "new" / "deeper" / "x")
+        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("run failed: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "run.ini"]
+        assert list((tmp_path / "old").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            (
+                "name = i_concurrence",
+                "name = entropy",
+                "unknown measure 'entropy'; choose from "
+                "('i_concurrence', 'negativity', 'relative_entropy')",
+            ),
+            (
+                "cut = ion1 | ion2,field",
+                "cut = ion1 | ion9",
+                "unknown factors ['ion9']; choose from ('ion1', 'ion2', 'field')",
+            ),
+        ],
+        ids=["measure", "cut"],
+    )
+    def test_unknown_measure_or_factor_has_one_message(self, tmp_path, capsys, old, new, message):
+        text = MINIMAL.format(prefix=tmp_path / "x").replace(old, new)
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        key, line = new.split(" = ")[0], text.splitlines().index(new) + 1
+        assert capsys.readouterr() == ("", f"config error: [measure] {key} (line {line}): {message}\n")
+        cut = Bipartition(("ion1",), ("ion9",))
+        measure, cut = ("entropy", ION_VS_REST) if key == "name" else ("negativity", cut)
+        with pytest.raises(ValueError) as caught:
+            run_series(SimParams(fock_cutoff=8), measure, cut, [0.0, 1.0])
+        assert str(caught.value) == message
+
     def test_nbar_beyond_the_limit_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.format(prefix=tmp_path / "x").replace("nbar = 2", "nbar = 1500")
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
@@ -666,19 +727,20 @@ class TestSimulateCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_row_order_and_count_for_grid(self, tmp_path):
-        text = MINIMAL.format(prefix=tmp_path / "grid")
-        text = text.replace("theta = 0", "theta = 0, 1.0")
-        text = text.replace("gamma = 0", "gamma = 0, 0.05")
-        text = text.replace("name = i_concurrence", "name = relative_entropy")
-        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
-        main(["simulate", "--config", str(write_config(tmp_path, text))])
-        rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2 * 2 * 3  # theta x gamma x time
-        keys = [tuple(map(float, row.split(",")[:2])) + (float(row.split(",")[3]),) for row in rows]
-        assert keys == sorted(keys)
+        # the grid order: theta index, then gamma index, then time, sorted or not
+        for thetas, gammas in (((0.0, 1.0), (0.0, 0.05)), ((1.0, 0.5), (0.05, 0.0))):
+            text = MINIMAL.format(prefix=tmp_path / "grid")
+            text = text.replace("theta = 0", "theta = " + ", ".join(map(str, thetas)))
+            text = text.replace("gamma = 0", "gamma = " + ", ".join(map(str, gammas)))
+            text = text.replace("name = i_concurrence", "name = relative_entropy")
+            text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+            assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+            rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+            keys = [(*map(float, row.split(",")[:2]), float(row.split(",")[3])) for row in rows]
+            assert keys == [(t, g, s) for t in thetas for g in gammas for s in (0.0, 0.5, 1.0)]
 
     def test_short_time_grid_still_writes(self, tmp_path):
-        # event detection needs three points; shorter grids skip it cleanly
+        # a crossing counts only after two points on the other side, so no event
         text = MINIMAL.format(prefix=tmp_path / "short").replace(
             "time = 0, 0.5, 1.0", "time = 0, 1.0"
         )
@@ -727,6 +789,45 @@ class TestSimulateCommand:
         with pytest.raises(RuntimeError, match="sidecar failed"):
             main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))])
         assert self._outputs(tmp_path, "pair") == before
+
+    def test_sidecar_that_cannot_move_in_leaves_the_earlier_csv(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "f2" / "x"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        csv = (tmp_path / "f2" / "x.csv").read_bytes()
+        (tmp_path / "f2" / "x.json").unlink()
+        (tmp_path / "f2" / "x.json").mkdir()
+        capsys.readouterr()
+        text = MINIMAL.format(prefix=tmp_path / "f2" / "x").replace("theta = 0", "theta = 0.4")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("run failed: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+        assert sorted(p.name for p in (tmp_path / "f2").iterdir()) == ["x.csv", "x.json"]
+        assert (tmp_path / "f2" / "x.csv").read_bytes() == csv
+        assert list((tmp_path / "f2" / "x.json").iterdir()) == []
+
+    def test_failed_second_move_puts_the_earlier_pair_back(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "pair"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        before = self._outputs(tmp_path, "pair")
+        capsys.readouterr()
+        replace_file, calls = os.replace, []
+
+        def failing_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return replace_file(*args)
+
+        monkeypatch.setattr(ionduo.cli.os, "replace", failing_second_call)
+        text = MINIMAL.format(prefix=tmp_path / "pair").replace("theta = 0", "theta = 0.4")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text, "other.ini"))]) == 4
+        assert capsys.readouterr() == ("", "run failed: disk full\n")
+        # both files' bytes, and no temporary or kept file beside them
+        assert self._outputs(tmp_path, "pair") == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "other.ini", "pair.csv", "pair.json", "run.ini"
+        ]
 
     def test_failed_second_file_removes_first_temporary(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, MINIMAL.format(prefix=tmp_path / "pair"))

@@ -468,9 +468,12 @@ class TestSuddenEvents:
         assert len(events.deaths) == 1 and len(events.births) == 1
         assert events.deaths[0] < events.births[0]
 
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(ValueError, match="coarse"):
-            detect_sudden_events(synthetic_series([0.0, 1.0]))
+    @pytest.mark.parametrize(
+        "values", [[0.0], [1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], ids=["0", "1", "01", "10", "11"]
+    )
+    def test_one_or_two_points_have_no_events(self, values):
+        # a crossing counts only after two points on the other side
+        assert detect_sudden_events(synthetic_series(values)) == SuddenEvents(1e-3, (), ())
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
