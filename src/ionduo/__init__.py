@@ -1,7 +1,7 @@
 """Entanglement dynamics of two three-level trapped ions coupled to one
 quantized vibrational mode by a time-modulated laser."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .core import HilbertLayout, PureState
 from .dynamics import UnsupportedRegimeError, modulation_integral

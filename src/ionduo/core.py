@@ -128,8 +128,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix: ascending eigenvalues and
-    a unitary matrix whose columns are the eigenvectors."""
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack:
+    ascending eigenvalues and a unitary matrix whose columns are the eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -140,15 +140,15 @@ class Spectrum:
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a (..., n, n) stack.
 
     Raises ValueError if the input deviates from Hermiticity by more than
-    HERMITIAN_INPUT_TOL in max norm.
+    HERMITIAN_INPUT_TOL in max norm over the whole stack.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    dev = float(np.abs(matrix - matrix.conj().T).max())
+    dev = float(np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
     if not dev <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)

@@ -191,13 +191,16 @@ def _evolved_rows(
     imaginary (c = 1) part of state s.  One batched matmul of each
     block's (len(theta), 5) phases by V gives a call's states, as float64.
 
-    One real phase table holds (1, cos, cos, sin, sin) as (F, 5, size) rows,
-    which the matmul reads transposed.  Given dt, it is filled here once
-    with the cos and sin of w j dt, and each call takes its phases by angle
-    addition: each block's 5 x 5 turn by its angles w theta_0, applied to V,
-    meets the table's first len(theta) columns (one value reads column 0,
-    (1, 1, 1, 0, 0)); the turn and its buffer exist only then.  Without dt,
-    each call refills the table with np.cos and np.sin of w theta.  Each
+    One real phase table holds (1, cos, cos, sin, sin) as (F, 5, size)
+    rows, two if size is one, which the matmul reads transposed.  Given dt,
+    it is filled here once with the cos and sin of w j dt, and each call
+    takes its phases by angle addition: each block's 5 x 5 turn by its
+    angles w theta_0, applied to V, meets the table's first len(theta)
+    columns (one value reads column 0, (1, 1, 1, 0, 0)); the turn and its
+    buffer exist only then.  Without dt, each call refills the table with
+    np.cos and np.sin of w theta.  A call of one value also takes the
+    table's next column and drops its row, as a one-row matmul sums in
+    another order: a row's bits do not depend on its call's length.  Each
     call overwrites the rows the call before returned.  Also returns the
     complex buffer of size x S F entries that holds the blocks' states in a
     call, free between calls.
@@ -205,18 +208,19 @@ def _evolved_rows(
     turning, back = parts[:, :, 1:3], parts[:, :, 3:]
     v = np.concatenate([parts[:, :, :1], turning + back, -1j * (turning - back)], axis=2)
     v = np.ascontiguousarray(v.swapaxes(1, 2)).view(np.float64)
-    blocks = len(frequencies)
-    table = np.ones((blocks, 5, size))  # row 0 stays 1
+    blocks, columns = len(frequencies), max(size, 2)
+    table = np.ones((blocks, 5, columns))  # row 0 stays 1
     if dt is not None:
-        np.multiply(frequencies[:, :, None], np.arange(size) * dt, out=table[:, 3:])
+        np.multiply(frequencies[:, :, None], np.arange(columns) * dt, out=table[:, 3:])
         np.cos(table[:, 3:], out=table[:, 1:3])
         np.sin(table[:, 3:], out=table[:, 3:])
         turn, turned = np.tile(np.eye(5), (blocks, 1, 1)), np.empty_like(v)  # row 0 keeps V_0
-    states = np.empty((blocks, size, len(skips)), dtype=np.complex128)
+    states = np.empty((blocks, columns, len(skips)), dtype=np.complex128)
     out = np.zeros((size, len(skips) * blocks), dtype=np.complex128)  # floor blocks' gaps stay 0
 
     def evolved(theta: np.ndarray) -> np.ndarray:
-        block_states, phases = states[:, : theta.size], table[:, :, : theta.size]
+        computed = max(theta.size, 2)  # a one-value call's second row is dropped
+        block_states, phases = states[:, :computed], table[:, :, : theta.size]
         if dt is None:
             cos, sin = phases[:, 1:3], phases[:, 3:]
             np.multiply(frequencies[:, :, None], theta, out=sin)
@@ -229,14 +233,14 @@ def _evolved_rows(
             entries = np.concatenate([cos, cos, sin, -sin], axis=1)
             turn.reshape(-1, 25)[:, [6, 12, 18, 24, 8, 14, 16, 22]] = entries
             vectors = np.matmul(turn, v, out=turned)
-        np.matmul(phases.swapaxes(1, 2), vectors, out=block_states.view(np.float64))
+        np.matmul(table[:, :, :computed].swapaxes(1, 2), vectors, out=block_states.view(np.float64))
         rows = out[: theta.size]
         grid = rows.reshape(theta.size, len(skips), blocks)
         for k, skip in enumerate(skips):
-            grid[:, k, : blocks - skip] = block_states[skip:, :, k].T
+            grid[:, k, : blocks - skip] = block_states[skip:, : theta.size, k].T
         return rows
 
-    return evolved, states
+    return evolved, states.ravel()[: out.size]
 
 
 def evolve_pure(psi0: PureState, params: SimParams, times) -> np.ndarray:
@@ -274,7 +278,9 @@ def _row_entries(dim: int, dim_keep: int) -> int:
     so the count bounds every pass, of six or nine.  A one-node rule makes
     no product, and its third row, with the split's copy where the split
     makes none, holds more chunks' kept states in one yield, counted at
-    3 d^2 a row."""
+    3 d^2 a row.  A one-row chunk's kernel call computes a second row
+    (``_evolved_rows``), whose block states and phases, 1.5 entries per
+    evolved entry, add at most a third to the one row's count."""
     return 3 * dim + 3 * dim_keep * dim_keep + 3 * dim // 2
 
 
@@ -346,8 +352,9 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
     once, and an equal-step profile takes the step table (``_evolved_rows``).
     Only the template states of the levels the layout of ``psi0`` holds are
     evolved (``_template_amplitudes``), and each yield is on its kept factors.
-    Before anything is evolved, raises UnsupportedRegimeError for gamma > 0
-    under sech, or if no K <= HERMITE_MAX_NODES certifies t_max.
+    When called, before any chunk, raises UnsupportedRegimeError for
+    gamma > 0 under sech, or if no K <= HERMITE_MAX_NODES certifies t_max,
+    and what ``_template_amplitudes`` raises.
     """
     times = check_times(times)
     if params.gamma > 0 and not isinstance(params.modulation, Constant):
@@ -365,33 +372,38 @@ def milburn_quadrature(psi0: PureState, params: SimParams, times, keep) -> Itera
             f"to {QUADRATURE_TARGET:.0e} at gamma * t_max = {params.gamma * times[-1]:.6g} "
             f"with occupied energy spread w = {width:.6g}; shorten the time grid or lower gamma"
         )
-    nodes, weights = _hermite_rule(most)
-    theta = modulation_integral(params.modulation, times)
     layout = psi0.layout
     kept, full = layout.keep(keep), full_layout(params.fock_cutoff).keep(keep)
     dim, dim_keep = layout.total_dim, kept.total_dim
     step = max(1, _CHUNK_ENTRIES // _row_entries(dim, full.total_dim))
     size = min(step, times.size)
-    dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
-    evolved, states = _evolved_rows(frequencies, parts, skips, size, dt)
-    turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
     leading = layout.labels[: len(kept.factors)] == kept.labels  # the split makes no copy
     group = step  # the rows of a yield
     if most == 1:
         group *= 1 + (1 + leading) * dim // (3 * full.total_dim**2)  # see _row_entries
-    products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # nodes after the first
-    for first in range(0, times.size, group):
-        summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
-        for start in range(first, first + len(summed), step):
-            chunk, into = slice(start, start + step), summed[start - first : start - first + step]
-            for k, (node, weight) in enumerate(zip(nodes, weights)):
-                split = layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
-                product = _coordinates(split, turned, products[: len(into)] if k else into)
-                if most > 1:  # each node's rows' squared norms; the one node's weight is 1.0
-                    _check_norms(np.einsum("tii->t", product))
-                    product *= weight
-                if k:
-                    into += product
-        if most == 1:  # those of every chunk of the yield at once
-            _check_norms(np.einsum("tii->t", summed))
-        yield summed
+
+    def chunks():  # the rule, the buffers and the evolution wait for the first chunk
+        nodes, weights = _hermite_rule(most)
+        theta = modulation_integral(params.modulation, times)
+        dt = _grid_step(theta) if most == 1 else None  # every node at gamma > 0 takes np.cos
+        evolved, states = _evolved_rows(frequencies, parts, skips, size, dt)
+        turned = states.reshape(size, dim_keep, -1)  # the turned copy is made once states are rows
+        products = np.empty((size, dim_keep, dim_keep)) if most > 1 else None  # the later nodes
+        for first in range(0, times.size, group):
+            summed = np.empty((min(group, times.size - first), dim_keep, dim_keep))
+            for start in range(first, first + len(summed), step):
+                chunk = slice(start, start + step)
+                into = summed[start - first : start - first + step]
+                for k, (node, weight) in enumerate(zip(nodes, weights)):
+                    split = layout.split(evolved(theta[chunk] + node * spread[chunk]), keep)
+                    product = _coordinates(split, turned, products[: len(into)] if k else into)
+                    if most > 1:  # each node's rows' squared norms; the one node's weight is 1.0
+                        _check_norms(np.einsum("tii->t", product))
+                        product *= weight
+                    if k:
+                        into += product
+            if most == 1:  # those of every chunk of the yield at once
+                _check_norms(np.einsum("tii->t", summed))
+            yield summed
+
+    return chunks()

@@ -13,6 +13,9 @@ relative-entropy distance to the product of the marginals,
 
 computed here from the three entropies; the trace formula serves as an
 independent cross-check in the test suite.  All logarithms are natural.
+Each measure is one function over a stack of rows: ``i_concurrence_pure``
+of marginal purities, ``negativity`` and ``relative_entropy_measure`` of
+(T, d, d) density matrices on a layout.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertLayout, PureState, spectral_entropy
+from .core import HilbertLayout, spectral_entropy
 
 
 @dataclass(frozen=True)
@@ -53,32 +56,9 @@ def _check_cut(layout: HilbertLayout, cut: Bipartition) -> None:
         )
 
 
-def i_concurrence_pure(psi: PureState, cut: Bipartition) -> float:
-    """I-concurrence of a pure state across a bipartition."""
-    return float(i_concurrence_values(psi.amplitudes[None, :], psi.layout, cut)[0])
-
-
-def i_concurrence_values(states: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
-    """I-concurrence of each row of a (T, dim) array of normalized states on
-    ``layout``.
-
-    Raises ValueError as concurrence_from_purity does.
-    """
-    _check_cut(layout, cut)
-    dim_a = layout.keep(cut.side_a).total_dim
-    dim_b = layout.total_dim // dim_a
-    d = min(dim_a, dim_b)
-    tensor = layout.split(states, cut.side_a)
-    if dim_a > dim_b:
-        tensor = tensor.swapaxes(1, 2)  # both marginals have the same purity
-    marginal = (tensor @ tensor.conj().swapaxes(1, 2)).reshape(len(states), 1, d * d)
-    purity = (marginal.conj() @ marginal.swapaxes(1, 2)).real.ravel()
-    return concurrence_from_purity(purity, d)
-
-
-def concurrence_from_purity(purity: np.ndarray, d: int) -> np.ndarray:
-    """I-concurrence sqrt(2 (1 - P)) of marginal purities P, the smaller side
-    of the cut having dimension ``d``.
+def i_concurrence_pure(purity: np.ndarray, d: int) -> np.ndarray:
+    """I-concurrence sqrt(2 (1 - P)) of pure states of marginal purities P,
+    the smaller side of the cut having dimension ``d``.
 
     Raises ValueError if a value exceeds the dimension ceiling, which only
     an unnormalized state can reach.
@@ -98,7 +78,7 @@ def _cut_tensor(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -
     return layout.split(rows.transpose(0, 2, 3, 1), cut.side_a)
 
 
-def negativity_values(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
+def negativity(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition) -> np.ndarray:
     """Negativity, the sum of |negative eigenvalues| of the partial transpose
     over side_b, of each density matrix of a (T, d, d) stack on ``layout``,
     unchecked: milburn_quadrature certifies its chunks, which
@@ -109,12 +89,7 @@ def negativity_values(matrices: np.ndarray, layout: HilbertLayout, cut: Bipartit
     return -np.minimum(eigenvalues, 0.0).sum(axis=1)
 
 
-def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
-    """Negativity of one density matrix: negativity_values of one row."""
-    return float(negativity_values(rho.matrix[None], rho.layout, cut)[0])
-
-
-def relative_entropy_values(
+def relative_entropy_measure(
     matrices: np.ndarray, layout: HilbertLayout, cut: Bipartition
 ) -> np.ndarray:
     """S_A + S_B - S_AB of each density matrix of a (T, d, d) stack on
@@ -126,8 +101,3 @@ def relative_entropy_values(
         + spectral_entropy(np.linalg.eigvalsh(np.einsum("tiaib->tab", tensor)))  # side_b marginal
         - spectral_entropy(np.linalg.eigvalsh(matrices))
     )
-
-
-def relative_entropy_measure(rho: DensityMatrix, cut: Bipartition) -> float:
-    """Relative entropy of one density matrix: relative_entropy_values of one row."""
-    return float(relative_entropy_values(rho.matrix[None], rho.layout, cut)[0])

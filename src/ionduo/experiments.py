@@ -20,12 +20,7 @@ import numpy as np
 
 from .core import HilbertLayout, PureState, _as_readonly
 from .dynamics import _BRIGHT_LEVELS, check_times, density_from_coordinates, milburn_quadrature
-from .entanglement import (
-    Bipartition,
-    concurrence_from_purity,
-    negativity_values,
-    relative_entropy_values,
-)
+from .entanglement import Bipartition, i_concurrence_pure, negativity, relative_entropy_measure
 from .ionmodel import FACTORS
 from .params import SimParams
 
@@ -281,19 +276,16 @@ def _i_concurrence(params: SimParams, cut: Bipartition, times: np.ndarray) -> np
     quartic = purity @ [c ** (4 - k) * s**k for k in range(5)]
     # The ion side has 3^len(ions) states, the other side the rest of them.
     d = min(3 ** len(ions), 3 ** (2 - len(ions)) * (params.fock_cutoff + 1))
-    return concurrence_from_purity(quartic / norm**2, d)
+    return i_concurrence_pure(quartic / norm**2, d)
 
 
-def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
-    """Entanglement series for one parameter point.
-
-    The I-concurrence (gamma = 0 only) comes from one cached pure evolution
-    shared by every theta.  The mixed-state measures take the channel at every
-    gamma, on the state reduced to the factors of the cut.
-    """
+def _cell_values(params: SimParams, measure: str, cut: Bipartition, times: np.ndarray):
+    """The checks of one cell on its checked ``times``, then a function of
+    no arguments that gives its values.  A mixed measure's channel pass is
+    built up to evolution here, so its refusals are raised here; the
+    I-concurrence's one pass is shared by every theta and cached."""
     check_measure(measure)
     check_cut(cut)
-    times = check_times(times)
     if measure == "i_concurrence" and params.gamma > 0:
         raise IncompatibleMeasureError(
             "i_concurrence is defined for pure states only; gamma > 0 produces "
@@ -304,27 +296,40 @@ def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> Meas
             "i_concurrence needs the global pure state; the cut must cover all factors"
         )
     if measure == "i_concurrence":
-        values = _i_concurrence(params, cut, times)
-    else:  # evaluated on each streamed chunk of the channel at once
-        field = truncated_coherent(params.nbar, params.fock_cutoff)
-        psi0 = prepare_initial(params.theta, params.phi, field)
-        kept = psi0.layout.keep(cut.labels)
-        evaluate = negativity_values if measure == "negativity" else relative_entropy_values
-        chunks = milburn_quadrature(psi0, params, times, cut.labels)
-        values = np.concatenate([evaluate(density_from_coordinates(c), kept, cut) for c in chunks])
-    return MeasureSeries(measure, cut, params, times, values)
+        return partial(_i_concurrence, params, cut, times)
+    field = truncated_coherent(params.nbar, params.fock_cutoff)
+    psi0 = prepare_initial(params.theta, params.phi, field)
+    kept = psi0.layout.keep(cut.labels)
+    evaluate = negativity if measure == "negativity" else relative_entropy_measure
+    rho = map(density_from_coordinates, milburn_quadrature(psi0, params, times, cut.labels))
+    return lambda: np.concatenate([evaluate(chunk, kept, cut) for chunk in rho])  # chunk by chunk
+
+
+def run_series(params: SimParams, measure: str, cut: Bipartition, times) -> MeasureSeries:
+    """Entanglement series for one parameter point.
+
+    The I-concurrence (gamma = 0 only) comes from one cached pure evolution
+    shared by every theta.  The mixed-state measures take the channel at every
+    gamma, on the state reduced to the factors of the cut.
+    """
+    times = check_times(times)
+    return MeasureSeries(measure, cut, params, times, _cell_values(params, measure, cut, times)())
 
 
 def run_sweep(
     params: SimParams, theta_grid, gamma_grid, measure: str, cut: Bipartition, times
 ) -> list[MeasureSeries]:
     """Cartesian sweep over (theta, gamma), one run_series per cell in
-    (theta index, gamma index) order."""
+    (theta index, gamma index) order.  Before the first cell, each distinct
+    gamma's cell at the first theta is checked and its pass built up to
+    evolution, so a refusal comes before any cell runs."""
     theta_grid = [float(t) for t in np.atleast_1d(theta_grid)]
     gamma_grid = [float(g) for g in np.atleast_1d(gamma_grid)]
     if not theta_grid or not gamma_grid:
         raise ValueError("sweep grids must be nonempty")
-    times = np.asarray(times, dtype=np.float64)
+    times = check_times(times)
+    for gamma in dict.fromkeys(gamma_grid):
+        _cell_values(replace(params, theta=theta_grid[0], gamma=gamma), measure, cut, times)
     return [
         run_series(replace(params, theta=theta, gamma=gamma), measure, cut, times)
         for theta in theta_grid

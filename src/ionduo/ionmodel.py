@@ -156,7 +156,7 @@ class BlockSystem:
     -Omega_n, -omega_n): ``frequencies[i]`` is (Omega_n, omega_n) and
     ``projectors[i, j]`` is P_j, zero on the states a floor block lacks.
 
-    One stacked eigendecomposition of ``block_couplings`` gives the
+    One stacked ``hermitian_spectrum`` of ``block_couplings`` gives the
     projectors: each eigenvector joins the closed-form frequency its
     eigenvalue is paired with in ascending order.  ValueError if an
     eigenvalue lies more than 1e-12 of the spectral scale, the largest
@@ -166,8 +166,8 @@ class BlockSystem:
     def __init__(self, params: SimParams):
         self.frequencies = block_frequencies(params)
         closed, labels = closed_form_spectrum(self.frequencies)
-        eigenvalues, vectors = np.linalg.eigh(block_couplings(params))
-        deviation = np.abs(eigenvalues - closed).max(axis=1)
+        spectrum = hermitian_spectrum(block_couplings(params))
+        deviation = np.abs(spectrum.eigenvalues - closed).max(axis=1)
         worst = int(np.argmax(deviation))  # the first NaN, if there is one
         scale = self.frequencies[:, 1].max()
         if not deviation[worst] <= 1e-12 * (scale + np.finfo(float).tiny):
@@ -175,6 +175,7 @@ class BlockSystem:
                 f"block {worst - 2} has an eigenvalue {deviation[worst]:.3e} from its "
                 f"closed-form frequency, beyond 1e-12 x spectral scale {scale:.3e}"
             )
+        vectors = spectrum.eigenvectors.copy()
         vectors[np.arange(len(vectors))[:, None] < FLOOR_SKIP] = 0.0  # states a floor block lacks
         members = labels[:, None, None, :] == np.arange(5)[:, None, None]  # (F, 5, 1, 9)
         self.projectors = (vectors[:, None] * members) @ vectors[:, None].conj().swapaxes(2, 3)

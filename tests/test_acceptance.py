@@ -22,10 +22,11 @@ from ionduo import (
 from ionduo.cli import execute, figure_config
 from ionduo.core import hermitian_spectrum, spectral_entropy
 from ionduo.dynamics import evolve_pure
-from ionduo.entanglement import i_concurrence_pure, relative_entropy_measure
+from ionduo.entanglement import relative_entropy_measure
 from ionduo.ionmodel import build_full_hamiltonian
 from ionduo.selftest import (
     evolve_pure_dense,
+    i_concurrence_values,
     milburn_closed_form,
     milburn_kraus,
     partial_trace,
@@ -89,7 +90,7 @@ def test_criterion_3_t0_concurrence_closed_form():
     worst = 0.0
     for theta in thetas:
         psi0 = ion_initial(10, 2.0, float(theta))
-        value = i_concurrence_pure(psi0, ION_VS_REST)
+        value = i_concurrence_values(psi0.amplitudes[None], psi0.layout, ION_VS_REST)[0]
         values.append(value)
         worst = max(worst, abs(value - abs(math.sin(2 * theta))))
     values = np.array(values)
@@ -157,7 +158,7 @@ def test_criterion_6_pure_state_identity_and_measure_agreement():
     worst = 0.0
     for amplitudes in evolve_pure(psi0, params, times):
         rho = pure_density(PureState(psi0.layout, amplitudes))
-        measured = relative_entropy_measure(rho, ION_VS_REST)
+        measured = relative_entropy_measure(rho.matrix[None], rho.layout, ION_VS_REST)[0]
         marginal = partial_trace(rho, {"ion2", "field"}).matrix
         expected = 2.0 * spectral_entropy(np.linalg.eigvalsh(marginal))
         worst = max(worst, abs(measured - expected))

@@ -726,6 +726,30 @@ class TestSimulateCommand:
         assert "gamma * t_max = 1e+06" in err and "w = " in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
+    def test_uncertifiable_gamma_is_refused_before_the_first_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cells = []
+        honest = ionduo.experiments.run_series
+        monkeypatch.setattr(
+            ionduo.experiments, "run_series", lambda *args: cells.append(args) or honest(*args)
+        )
+        text = MINIMAL.format(prefix=tmp_path / "x").replace("theta = 0", "theta = pi/4")
+        text = text.replace("gamma = 0", "gamma = 0, 0.05, 1e6")
+        text = text.replace("time = 0, 0.5, 1.0", "time = linspace:0:3000:6001")
+        text = text.replace("name = i_concurrence", "name = negativity")
+        text = text.replace("cut = ion1 | ion2,field", "cut = ion1 | ion2")
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "infeasible run: no Gauss-Hermite rule of at most 512 nodes certifies the channel "
+            "to 1e-14 at gamma * t_max = 3e+09 with occupied energy spread w = "
+        )
+        assert err.endswith("; shorten the time grid or lower gamma\n")
+        assert cells == []
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
     def test_row_order_and_count_for_grid(self, tmp_path):
         # the grid order: theta index, then gamma index, then time, sorted or not
         for thetas, gammas in (((0.0, 1.0), (0.0, 0.05)), ((1.0, 0.5), (0.05, 0.0))):

@@ -215,6 +215,27 @@ class TestHermitianSpectrum:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_is_each_matrix_decomposed(self, rng):
+        raw = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
+        stack = raw + raw.conj().swapaxes(-1, -2)
+        spectrum = hermitian_spectrum(stack)
+        assert spectrum.eigenvalues.shape == (2, 3, 5)
+        assert spectrum.eigenvectors.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            alone = hermitian_spectrum(stack[index])
+            assert np.array_equal(spectrum.eigenvalues[index], alone.eigenvalues)
+            assert np.array_equal(spectrum.eigenvectors[index], alone.eigenvectors)
+
+    def test_one_non_hermitian_matrix_of_a_stack_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(ValueError, match="not Hermitian: max \\|M - M\\^dag\\| = 1.000e\\+00"):
+            hermitian_spectrum(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_spectrum(np.zeros(shape))
+
 
 class TestEntropy:
     def test_pure_projector_is_zero(self):

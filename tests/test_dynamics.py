@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -33,7 +34,7 @@ from ionduo.dynamics import (
     milburn_quadrature,
     quadrature_terms,
 )
-from ionduo.entanglement import concurrence_from_purity, i_concurrence_values, negativity_values
+from ionduo.entanglement import i_concurrence_pure, negativity
 from ionduo.ionmodel import (
     LEVEL_INDEX,
     CutoffError,
@@ -45,6 +46,7 @@ from ionduo.selftest import (
     block_index,
     evolve_pure_dense,
     full_index,
+    i_concurrence_values,
     milburn_closed_form,
     milburn_kraus,
     partial_trace,
@@ -681,6 +683,29 @@ class TestMilburnReduced:
         with pytest.raises(CutoffError, match="cutoff"):
             list(milburn_quadrature(PureState(layout, amps), params, [0.0, 1.0], ("ion1", "ion2")))
 
+    @pytest.mark.parametrize(
+        "gamma, modulation, times, error, message",
+        [
+            (0.05, Sech(2.0), [0.0, 1.0], UnsupportedRegimeError, "time-independent"),
+            (1e6, Constant(), [0.0, 3000.0], UnsupportedRegimeError, "no Gauss-Hermite rule"),
+            (0.05, Constant(), [0.0, 1.0], CutoffError, "cutoff"),
+        ],
+        ids=["sech", "node-cap", "ceiling"],
+    )
+    def test_refusals_are_raised_by_the_call_before_any_chunk(
+        self, gamma, modulation, times, error, message, monkeypatch
+    ):
+        monkeypatch.setattr(dynamics, "_hermite_rule", None)  # a built rule would fail
+        monkeypatch.setattr(dynamics, "_evolved_rows", None)  # so would any evolution
+        params = SimParams(fock_cutoff=6, nbar=0.5, gamma=gamma, modulation=modulation)
+        psi0 = ion_state(6, 0.5, 0.6)
+        if error is CutoffError:
+            amps = np.zeros(psi0.layout.total_dim, dtype=complex)
+            amps[full_index(6, "a", "a", 6)] = 1.0  # lives in block 6 = N_max
+            psi0 = PureState(psi0.layout, amps)
+        with pytest.raises(error, match=message):
+            milburn_quadrature(psi0, params, times, ("ion1", "ion2"))
+
     @pytest.mark.parametrize("spread", [0.0, 1e-9, 0.07, 0.5, 3.0, 10.0, 26.0])
     def test_each_chunk_takes_the_fewest_certified_nodes(self, spread):
         terms = quadrature_terms(spread)
@@ -954,6 +979,25 @@ def test_gamma_series_do_not_depend_on_the_chunk_budget(measure, monkeypatch):
     assert built == [4, 5] * 5
 
 
+@pytest.mark.parametrize(
+    "cut", [("ion1", "field"), ("ion1", "ion2", "field")], ids=["ion1|field", "full"]
+)
+def test_gamma_cells_with_the_field_do_not_depend_on_the_chunk_budget(cut, monkeypatch):
+    # On the full cut the chunks are one row up to 2^17 and two or more above;
+    # a one-row kernel call must compute the bits a longer call does.
+    params = SimParams(fock_cutoff=18, nbar=2.0, gamma=0.05, theta=0.9, phi=0.7, lambda2=0.3 + 0.2j)
+    psi0 = ion_state(18, 2.0, 0.9, 0.7)
+    times = np.linspace(0.0, 30.0, 301)
+    digests = set()
+    for entries in (2**15, 2**16, 2**17, 2**18, 2**19):
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", entries)
+        digest = hashlib.sha256()
+        for chunk in milburn_quadrature(psi0, params, times, cut):
+            digest.update(chunk.tobytes())
+        digests.add(digest.hexdigest())
+    assert len(digests) == 1  # bit identical
+
+
 # Every bipartition covering ion1, ion2 and field, each in both orders.
 FULL_CUTS = (
     Bipartition(("ion1",), ("ion2", "field")),
@@ -1155,9 +1199,9 @@ class TestExchangeSymmetry:
 
         def spy(purity, d):
             dims.append(d)
-            return concurrence_from_purity(purity, d)
+            return i_concurrence_pure(purity, d)
 
-        monkeypatch.setattr(experiments, "concurrence_from_purity", spy)
+        monkeypatch.setattr(experiments, "i_concurrence_pure", spy)
         experiments._exchange_coefficients.cache_clear()
         swept = run_sweep(params, thetas, [0.0], "i_concurrence", cut, times)
         layout = full_layout(fock_cutoff)
@@ -1300,7 +1344,7 @@ class TestBrightBasis:
         nine[corner] = 0.0
         assert np.abs(nine).max() <= 1e-14  # the levels the start's layout leaves out
         values = [
-            negativity_values(density_from_coordinates(run), psi0.layout.keep(keep), ION_VS_ION)
+            negativity(density_from_coordinates(run), psi0.layout.keep(keep), ION_VS_ION)
             for run, psi0 in zip((reduced, full), starts)
         ]
         assert np.abs(values[0] - values[1]).max() <= 1e-14

@@ -17,16 +17,8 @@ from ionduo import (
 from ionduo import SimParams
 from ionduo.core import DensityMatrix, spectral_entropy
 from ionduo.dynamics import UnsupportedRegimeError, density_from_coordinates, milburn_quadrature
-from ionduo.entanglement import (
-    concurrence_from_purity,
-    i_concurrence_pure,
-    i_concurrence_values,
-    negativity,
-    negativity_values,
-    relative_entropy_measure,
-    relative_entropy_values,
-)
-from ionduo.selftest import partial_trace, pure_density
+from ionduo.entanglement import i_concurrence_pure, negativity, relative_entropy_measure
+from ionduo.selftest import i_concurrence_values, partial_trace, pure_density
 
 QUBIT_PAIR = HilbertLayout((("A", 2), ("B", 2)))
 QUTRIT_PAIR = HilbertLayout((("A", 3), ("B", 3)))
@@ -81,7 +73,7 @@ class TestBipartition:
     def test_cut_must_cover_layout(self, rng):
         psi = PureState(QUTRIT_PAIR, random_product_state(rng, (3, 3)))
         with pytest.raises(ValueError, match="cover"):
-            i_concurrence_pure(psi, Bipartition(("A",), ("C",)))
+            i_concurrence_values(psi.amplitudes[None], psi.layout, Bipartition(("A",), ("C",)))[0]
 
 
 class TestIConcurrence:
@@ -89,10 +81,11 @@ class TestIConcurrence:
         # sqrt(2 (1 - purity)) amplifies the machine-epsilon purity error to
         # the 1e-8 scale for generic product states
         psi = PureState(QUTRIT_PAIR, random_product_state(rng, (3, 3)))
-        assert i_concurrence_pure(psi, CUT_AB) <= 1e-7
+        assert i_concurrence_values(psi.amplitudes[None], psi.layout, CUT_AB)[0] <= 1e-7
 
     def test_bell_state_has_unit(self):
-        assert i_concurrence_pure(bell_pair(), CUT_AB) == pytest.approx(1.0, abs=1e-12)
+        rows = bell_pair().amplitudes[None]
+        assert i_concurrence_values(rows, QUBIT_PAIR, CUT_AB)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_initial_two_ion_state_closed_form(self):
         # tr rho_1^2 = cos^4 + sin^4, so the concurrence is |sin 2 theta|
@@ -101,38 +94,41 @@ class TestIConcurrence:
             for phi in (0.0, 1.1):
                 psi = prepare_initial(theta, phi, field)
                 expected = abs(math.sin(2 * theta))
-                assert i_concurrence_pure(psi, ION_VS_REST) == pytest.approx(expected, abs=1e-10)
+                value = i_concurrence_values(psi.amplitudes[None], psi.layout, ION_VS_REST)[0]
+                assert value == pytest.approx(expected, abs=1e-10)
 
     def test_pi_over_six(self):
         field = truncated_coherent(1.5, 8)
         psi = prepare_initial(math.pi / 6, 0.0, field)
-        assert i_concurrence_pure(psi, ION_VS_REST) == pytest.approx(
-            math.sqrt(3) / 2, abs=1e-12
-        )
+        value = i_concurrence_values(psi.amplitudes[None], psi.layout, ION_VS_REST)[0]
+        assert value == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_invariant_under_local_unitaries(self, rng):
         layout = HilbertLayout((("A", 2), ("B", 3)))
         vec = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         psi = PureState(layout, vec / np.linalg.norm(vec))
-        reference = i_concurrence_pure(psi, CUT_AB)
+        reference = i_concurrence_values(psi.amplitudes[None], psi.layout, CUT_AB)[0]
         for _ in range(5):
             local = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
             rotated = PureState(layout, local @ psi.amplitudes)
-            assert abs(i_concurrence_pure(rotated, CUT_AB) - reference) <= 1e-10
+            value = i_concurrence_values(rotated.amplitudes[None], layout, CUT_AB)[0]
+            assert abs(value - reference) <= 1e-10
 
     def test_symmetric_in_the_cut(self, rng):
         layout = HilbertLayout((("A", 2), ("B", 4)))
         vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi = PureState(layout, vec / np.linalg.norm(vec))
-        forward = i_concurrence_pure(psi, Bipartition(("A",), ("B",)))
-        backward = i_concurrence_pure(psi, Bipartition(("B",), ("A",)))
+        rows = psi.amplitudes[None]
+        forward = i_concurrence_values(rows, layout, Bipartition(("A",), ("B",)))[0]
+        backward = i_concurrence_values(rows, layout, Bipartition(("B",), ("A",)))[0]
         assert abs(forward - backward) <= 1e-12
 
     def test_stays_below_dimension_ceiling(self, rng):
         for _ in range(10):
             vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             psi = PureState(QUTRIT_PAIR, vec / np.linalg.norm(vec))
-            assert i_concurrence_pure(psi, CUT_AB) <= math.sqrt(4 / 3) + 1e-10
+            value = i_concurrence_values(psi.amplitudes[None], psi.layout, CUT_AB)[0]
+            assert value <= math.sqrt(4 / 3) + 1e-10
 
     def test_ceiling_breach_raises_value_error(self):
         # only an unnormalized input can exceed the ceiling; half a Bell pair
@@ -158,24 +154,24 @@ class TestIConcurrence:
 
 class TestConcurrenceFromPurity:
     def test_pure_marginal_has_none(self):
-        assert concurrence_from_purity(np.array([1.0]), 3)[0] == 0.0
+        assert i_concurrence_pure(np.array([1.0]), 3)[0] == 0.0
 
     def test_round_off_above_one_gives_zero(self):
-        values = concurrence_from_purity(np.array([1.0 + 1e-15]), 2)
+        values = i_concurrence_pure(np.array([1.0 + 1e-15]), 2)
         assert values[0] == 0.0
 
     def test_diagonal_marginal(self):
         # diag(1/2, 1/4, 1/4) has purity 3/8, so the concurrence is sqrt(5 / 4)
-        assert abs(concurrence_from_purity(np.array([0.375]), 3)[0] - math.sqrt(1.25)) <= 1e-15
+        assert abs(i_concurrence_pure(np.array([0.375]), 3)[0] - math.sqrt(1.25)) <= 1e-15
 
     def test_maximally_mixed_marginal_reaches_the_ceiling(self):
-        values = concurrence_from_purity(np.array([1 / 3, 1 / 2]), 3)
+        values = i_concurrence_pure(np.array([1 / 3, 1 / 2]), 3)
         assert abs(values[0] - math.sqrt(4 / 3)) <= 1e-15
         assert abs(values[1] - 1.0) <= 1e-15
 
     def test_purity_below_one_over_d_raises(self):
         with pytest.raises(ValueError, match="ceiling"):
-            concurrence_from_purity(np.array([0.9, 0.2]), 3)
+            i_concurrence_pure(np.array([0.9, 0.2]), 3)
 
 
 class TestNegativity:
@@ -183,18 +179,18 @@ class TestNegativity:
         rho_a = random_density(rng, HilbertLayout((("A", 3),))).matrix
         rho_b = random_density(rng, HilbertLayout((("B", 3),))).matrix
         rho = DensityMatrix(QUTRIT_PAIR, np.kron(rho_a, rho_b))
-        assert negativity(rho, CUT_AB) <= 1e-12
+        assert negativity(rho.matrix[None], rho.layout, CUT_AB)[0] <= 1e-12
 
     def test_bell_projector_in_qutrits(self):
         # partial-transpose eigenvalues +-1/2 from the 2x2 coherence block
         rho = pure_density(bell_pair(QUTRIT_PAIR))
-        assert negativity(rho, CUT_AB) == pytest.approx(0.5, abs=1e-12)
+        assert negativity(rho.matrix[None], rho.layout, CUT_AB)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_entangled_qutrits(self):
         amps = np.zeros(9, dtype=complex)
         amps[[0, 4, 8]] = 1 / math.sqrt(3)
         rho = pure_density(PureState(QUTRIT_PAIR, amps))
-        assert negativity(rho, CUT_AB) == pytest.approx(1.0, abs=1e-12)
+        assert negativity(rho.matrix[None], rho.layout, CUT_AB)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_on_separable_mixtures(self, rng):
         dim = 9
@@ -204,7 +200,7 @@ class TestNegativity:
             vec = random_product_state(rng, (3, 3))
             mixture += w * np.outer(vec, vec.conj())
         rho = DensityMatrix(QUTRIT_PAIR, mixture)
-        assert negativity(rho, CUT_AB) <= 1e-10
+        assert negativity(rho.matrix[None], rho.layout, CUT_AB)[0] <= 1e-10
 
 
 def product_of_marginals(rho, cut):
@@ -252,14 +248,15 @@ class TestRelativeEntropyMeasure:
         for _ in range(3):
             rho = random_density(rng, layout)  # full rank, so both logarithms exist
             expected = relative_entropy_by_definition(rho, cut)
-            assert abs(relative_entropy_measure(rho, cut) - expected) <= 1e-10
+            measured = relative_entropy_measure(rho.matrix[None], layout, cut)[0]
+            assert abs(measured - expected) <= 1e-10
 
     def test_product_state_has_zero_distance(self, rng):
         rho_a = random_density(rng, HilbertLayout((("A", 2),))).matrix
         rho_b = random_density(rng, HilbertLayout((("B", 3),))).matrix
         layout = HilbertLayout((("A", 2), ("B", 3)))
         rho = DensityMatrix(layout, np.kron(rho_a, rho_b))
-        assert abs(relative_entropy_measure(rho, CUT_AB)) <= 1e-12
+        assert abs(relative_entropy_measure(rho.matrix[None], rho.layout, CUT_AB)[0]) <= 1e-12
 
     def test_pure_state_gives_twice_marginal_entropy(self, rng):
         layout = HilbertLayout((("A", 3), ("B", 4)))
@@ -267,11 +264,12 @@ class TestRelativeEntropyMeasure:
         psi = PureState(layout, vec / np.linalg.norm(vec))
         rho = pure_density(psi)
         expected = 2.0 * spectral_entropy(np.linalg.eigvalsh(partial_trace(rho, {"B"}).matrix))
-        assert relative_entropy_measure(rho, CUT_AB) == pytest.approx(expected, abs=1e-9)
+        measured = relative_entropy_measure(rho.matrix[None], layout, CUT_AB)[0]
+        assert measured == pytest.approx(expected, abs=1e-9)
 
     def test_bell_projector(self):
         rho = pure_density(bell_pair())
-        assert relative_entropy_measure(rho, CUT_AB) == pytest.approx(
+        assert relative_entropy_measure(rho.matrix[None], rho.layout, CUT_AB)[0] == pytest.approx(
             2 * math.log(2), abs=1e-12
         )
 
@@ -284,7 +282,8 @@ class TestRelativeEntropyMeasure:
                 spectral_entropy(np.linalg.eigvalsh(m)) for m in (*marginals, rho.matrix)
             )
             identity = s_a + s_b - s_ab
-            assert relative_entropy_measure(rho, CUT_AB) == pytest.approx(identity, abs=1e-9)
+            measured = relative_entropy_measure(rho.matrix[None], layout, CUT_AB)[0]
+            assert measured == pytest.approx(identity, abs=1e-9)
 
     def test_initial_state_matches_schmidt_entropy(self):
         # pure state: distance = 2 * binary entropy of (cos^2, sin^2)
@@ -295,14 +294,15 @@ class TestRelativeEntropyMeasure:
             p = math.cos(theta) ** 2
             expected = -2.0 * (p * math.log(p) + (1 - p) * math.log(1 - p))
             measured = relative_entropy_measure(
-                rho, Bipartition(("ion1",), ("ion2", "field"))
-            )
+                rho.matrix[None], rho.layout, Bipartition(("ion1",), ("ion2", "field"))
+            )[0]
             assert measured == pytest.approx(expected, abs=1e-9)
 
     def test_nonnegative(self, rng):
         layout = HilbertLayout((("A", 2), ("B", 2)))
         for _ in range(5):
-            assert relative_entropy_measure(random_density(rng, layout), CUT_AB) >= -1e-9
+            rho = random_density(rng, layout)
+            assert relative_entropy_measure(rho.matrix[None], layout, CUT_AB)[0] >= -1e-9
 
 
 # Every shape of kept factors a bipartition can name, the full cut included.
@@ -315,8 +315,8 @@ CUT_SHAPES = (
 )
 couplings = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 BATCHED = [
-    pytest.param(negativity_values, negativity, id="negativity"),
-    pytest.param(relative_entropy_values, relative_entropy_measure, id="relative_entropy"),
+    pytest.param(negativity, negativity, id="negativity"),
+    pytest.param(relative_entropy_measure, relative_entropy_measure, id="relative_entropy"),
 ]
 
 
@@ -330,7 +330,8 @@ class TestBatchedMeasures:
         layout = psi0.layout.keep(cut.labels)
         (coordinates,) = milburn_quadrature(psi0, params, np.linspace(0.0, 20.0, 9), cut.labels)
         chunk = density_from_coordinates(coordinates)
-        expected = [per_row(DensityMatrix(layout, rho), cut) for rho in chunk]
+        rows = [DensityMatrix(layout, rho).matrix[None] for rho in chunk]
+        expected = [per_row(row, layout, cut)[0] for row in rows]
         assert np.abs(batched(chunk, layout, cut) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -350,7 +351,7 @@ class TestBatchedMeasures:
         chunk = np.stack([random_density(rng, QUTRIT_PAIR).matrix for _ in range(3)])
         chunk[1] = np.diag([1.0 + 8e-6] + [-1e-6] * 8)  # the floor spoil of a product state
         with pytest.raises(ValueError, match="below the clipping floor"):
-            relative_entropy_values(chunk, QUTRIT_PAIR, CUT_AB)
+            relative_entropy_measure(chunk, QUTRIT_PAIR, CUT_AB)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(

@@ -24,12 +24,12 @@ from ionduo import (
 from ionduo import dynamics, experiments
 from ionduo.core import DensityMatrix, HilbertLayout, PureState
 from ionduo.dynamics import check_times, modulation_integral
-from ionduo.entanglement import i_concurrence_pure
 from ionduo.experiments import FieldPreparation
 from ionduo.ionmodel import FLOOR_SKIP, evolvable_blocks, full_layout
 from ionduo.selftest import (
     block_index,
     full_index,
+    i_concurrence_values,
     milburn_closed_form,
     report_gamma_monotonicity,
     report_nbar_smoothing,
@@ -251,13 +251,14 @@ class TestPrepareInitial:
     def test_theta_zero_is_separable(self):
         field = truncated_coherent(2.0, 10)
         psi = prepare_initial(0.0, 0.0, field)
-        assert i_concurrence_pure(psi, ION_VS_REST) == 0.0
+        assert i_concurrence_values(psi.amplitudes[None], psi.layout, ION_VS_REST)[0] == 0.0
 
     def test_theta_quarter_pi_is_maximally_entangled(self):
         field = truncated_coherent(2.0, 10)
         psi = prepare_initial(math.pi / 4, 0.0, field)
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) <= 1e-12
-        assert i_concurrence_pure(psi, ION_VS_REST) == pytest.approx(1.0, abs=1e-10)
+        value = i_concurrence_values(psi.amplitudes[None], psi.layout, ION_VS_REST)[0]
+        assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_block_scatter_reassembly_roundtrip(self):
         params = SimParams(fock_cutoff=10, nbar=2.0, theta=0.7, phi=0.4)
@@ -304,6 +305,19 @@ class TestRunSeries:
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.05)
         with pytest.raises(IncompatibleMeasureError):
             run_series(params, "i_concurrence", ION_VS_REST, [0.0, 1.0])
+
+    def test_concurrence_with_decoherence_is_refused_before_any_cell(self, monkeypatch):
+        params = SimParams(fock_cutoff=8, nbar=1.0)
+        experiments._exchange_coefficients.cache_clear()  # no pass of an earlier test served
+        passes, cells = [], []
+        exchange, series = experiments._exchange_coefficients, experiments.run_series
+        monkeypatch.setattr(
+            experiments, "_exchange_coefficients", lambda *a: passes.append(a) or exchange(*a)
+        )
+        monkeypatch.setattr(experiments, "run_series", lambda *a: cells.append(a) or series(*a))
+        with pytest.raises(IncompatibleMeasureError, match="pure states only"):
+            run_sweep(params, [0.3, 0.6], [0.0, 0.05], "i_concurrence", ION_VS_REST, [0.0, 1.0])
+        assert passes == [] and cells == []
 
     def test_decoherence_with_sech_rejected(self):
         params = SimParams(fock_cutoff=8, nbar=1.0, gamma=0.05, modulation=Sech(2.0))

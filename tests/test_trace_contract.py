@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ionduo import cli
+from ionduo import cli, experiments
 from ionduo.ionmodel import get_block_system
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -41,6 +41,8 @@ def traced_metrics(tracing, sweep, prefix, measure=CONCURRENCE):
             "output": {"prefix": str(prefix)},
         }
     )
+    get_block_system.cache_clear()  # so the run builds its block table
+    experiments._exchange_coefficients.cache_clear()  # and evolves its exchange pass
     before = get_block_system.cache_info()
     with tracing.Tracer() as tracer:
         csv_path, json_path = cli.execute(config)
@@ -65,6 +67,7 @@ def test_every_layer_metric_is_measured(tracing, tmp_path, theta, cells):
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["experiments.cells"] == cells
     assert metrics["cli.rows_written"] == cells * 5
+    assert metrics["entanglement.measure_calls"] > 0 and metrics["core.eigh_calls"] > 0
 
 
 @pytest.mark.parametrize("measure", ["negativity", "relative_entropy"])
@@ -77,3 +80,4 @@ def test_every_layer_metric_is_measured_on_a_mixed_gamma_sweep(tracing, tmp_path
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["experiments.cells"] == 2
     assert metrics["cli.rows_written"] == 2 * 5
+    assert metrics["entanglement.measure_calls"] > 0 and metrics["core.eigh_calls"] > 0
